@@ -19,11 +19,10 @@ from .efficiency import (EffResult, EffSetting, builtin_designs,
 from .estimation import (FitResult, LrtResult, ModelVariant, fit_full,
                          fit_poisson_size, likelihood_ratio_test, wald_ci)
 from .information import (DesignPoint, InfoMatrix, InfoVariant,
-                          NEAR_SINGULAR_CONDITION, block_variance_partition,
-                          expected_alpha_info, info_full, info_known_mean,
-                          info_known_sizes, info_poisson_size,
-                          inverse_with_condition)
-from .kernels import Tolerance, digamma, log_gamma, trigamma
+                          NEAR_SINGULAR_CONDITION, Tolerance,
+                          block_variance_partition, expected_alpha_info,
+                          info_full, info_known_mean, info_known_sizes,
+                          info_poisson_size, inverse_with_condition)
 from .model import (Dataset, INFINITE, ModelParams, Observation, hessian,
                     link_grad, link_h, log_likelihood, log_pmf, score)
 from .simulation import (LatentRecord, SimConfig, SimSummary,
@@ -41,8 +40,7 @@ __all__ = [
     "DesignPoint", "InfoMatrix", "InfoVariant", "NEAR_SINGULAR_CONDITION",
     "block_variance_partition", "expected_alpha_info", "info_full",
     "info_known_mean", "info_known_sizes", "info_poisson_size",
-    "inverse_with_condition",
-    "Tolerance", "digamma", "log_gamma", "trigamma",
+    "inverse_with_condition", "Tolerance",
     "Dataset", "INFINITE", "ModelParams", "Observation", "hessian",
     "link_grad", "link_h", "log_likelihood", "log_pmf", "score",
     "LatentRecord", "SimConfig", "SimSummary", "generate_dataset", "run_study",

@@ -7,6 +7,22 @@ is known, and the case where every size is observed. A closed-form block
 partition of the Poisson-size inverse is included because the generic
 inverse loses the structure that makes its mu-scaling visible.
 
+Every (beta, mu) block is one weighted Gram product over the design points,
+
+    I = sum_i w_i v_i v_i',    v_i = (grad h_i, h_i / mu),
+
+with h_i the logistic link at point i, r_i its replications and grad h_i =
+h_i (1 - h_i) x_i. The variants differ only in the weights:
+
+    full model             r mu / (h (1 + mu h / alpha))
+    Poisson sizes          r mu / h
+    size mean known        r mu / (h (1 - h))          beta block only
+    sizes known            n_sum / (h (1 - h))         beta block only
+
+where n_sum is the total observed size at the point. The block partition
+uses the Poisson-size matrix at mu = 1. The full model adds the alpha
+curvature, which has no closed form, on the diagonal.
+
 Matrices are ordered (beta..., mu, alpha) like every parameter vector in
 this package.
 """
@@ -20,13 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Tolerance
-from .model import ModelParams, link_h
+from .model import ModelParams, _logistic, _mirrored, link_h
 
 __all__ = [
     "DesignPoint",
     "InfoVariant",
     "InfoMatrix",
+    "Tolerance",
     "info_full",
     "info_poisson_size",
     "info_known_mean",
@@ -40,6 +56,23 @@ __all__ = [
 # Condition number beyond which an inverse is reported but flagged.
 NEAR_SINGULAR_CONDITION = 1e12
 
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Truncation control for the alpha-information tail sum.
+
+    abs_tol is the probability mass left unaccounted when the sum stops,
+    max_terms the hard cap on the number of terms.
+    """
+
+    abs_tol: float = 1e-12
+    max_terms: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -87,8 +120,8 @@ def _beta_labels(d: int) -> list[str]:
     return [f"beta{j}" for j in range(d)]
 
 
-def _design_rows(design: Sequence[DesignPoint], params: ModelParams):
-    """Per design point: (x, replications, h, grad h)."""
+def _design_arrays(design: Sequence[DesignPoint], params: ModelParams):
+    """The design stacked once: covariate rows X, replications r, link h."""
     if len(design) == 0:
         raise ValueError("design must be non-empty")
     d = design[0].x.size
@@ -97,11 +130,18 @@ def _design_rows(design: Sequence[DesignPoint], params: ModelParams):
             raise ValueError("design points must share a covariate length")
     if d != params.beta.size:
         raise ValueError(f"dimension mismatch: design d={d}, beta has {params.beta.size}")
-    rows = []
-    for pt in design:
-        h = link_h(pt.x, params.beta)
-        rows.append((pt.x, pt.replications, h, h * (1.0 - h) * pt.x))
-    return rows
+    X = np.array([pt.x for pt in design])
+    r = np.array([pt.replications for pt in design])
+    return X, r, _logistic(X @ params.beta)
+
+
+def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
+    """sum_i w_i v_i v_i' with v_i = (grad h_i, h_i / mu), or v_i = grad h_i
+    when mu is None; exactly symmetric."""
+    v = (h * (1.0 - h))[:, None] * X
+    if mu is not None:
+        v = np.column_stack([v, h / mu])
+    return _mirrored((v * w[:, None]).T @ v)
 
 
 def expected_alpha_info(x, params: ModelParams, tol: Tolerance = Tolerance()) -> float:
@@ -160,8 +200,7 @@ def expected_alpha_info(x, params: ModelParams, tol: Tolerance = Tolerance()) ->
     return acc - m / (a * (a + m))
 
 
-def info_full(design: Sequence[DesignPoint], params: ModelParams,
-              tol: Tolerance = Tolerance()) -> InfoMatrix:
+def info_full(design: Sequence[DesignPoint], params: ModelParams) -> InfoMatrix:
     """Expected information of the full latent-size model.
 
     The shape parameter is orthogonal to (beta, mu): its off-diagonal row and
@@ -169,46 +208,30 @@ def info_full(design: Sequence[DesignPoint], params: ModelParams,
     """
     if params.is_poisson_size:
         raise ValueError("full-model information requires finite alpha")
-    rows = _design_rows(design, params)
-    d = rows[0][0].size
-    a = params.alpha
+    X, r, h = _design_arrays(design, params)
+    d = X.shape[1]
     mu = params.mu
     I = np.zeros((d + 2, d + 2))
-    for x, r, h, gh in rows:
-        shrink = 1.0 + mu * h / a
-        I[:d, :d] += r * mu * np.outer(gh, gh) / (h * shrink)
-        I[:d, d] += r * gh / shrink
-        I[d, d] += r * h / (mu * shrink)
-        I[d + 1, d + 1] += r * expected_alpha_info(x, params, tol)
-    I[d, :d] = I[:d, d]
+    I[:d + 1, :d + 1] = _gram(X, h, r * mu / (h * (1.0 + mu * h / params.alpha)), mu)
+    for pt in design:
+        I[d + 1, d + 1] += pt.replications * expected_alpha_info(pt.x, params)
     labels = _beta_labels(d) + ["mu", "alpha"]
     return InfoMatrix(I, InfoVariant.FULL, tuple(labels))
 
 
 def info_poisson_size(design: Sequence[DesignPoint], params: ModelParams) -> InfoMatrix:
     """Expected information when the sizes are Poisson with common mean mu."""
-    rows = _design_rows(design, params)
-    d = rows[0][0].size
-    mu = params.mu
-    I = np.zeros((d + 1, d + 1))
-    for _, r, h, gh in rows:
-        I[:d, :d] += r * mu * np.outer(gh, gh) / h
-        I[:d, d] += r * gh
-        I[d, d] += r * h / mu
-    I[d, :d] = I[:d, d]
-    labels = _beta_labels(d) + ["mu"]
+    X, r, h = _design_arrays(design, params)
+    I = _gram(X, h, r * params.mu / h, params.mu)
+    labels = _beta_labels(X.shape[1]) + ["mu"]
     return InfoMatrix(I, InfoVariant.POISSON_SIZE, tuple(labels))
 
 
 def info_known_mean(design: Sequence[DesignPoint], params: ModelParams) -> InfoMatrix:
     """Expected information about beta when only the size mean is known."""
-    rows = _design_rows(design, params)
-    d = rows[0][0].size
-    mu = params.mu
-    I = np.zeros((d, d))
-    for _, r, h, gh in rows:
-        I += r * mu * np.outer(gh, gh) / (h * (1.0 - h))
-    return InfoMatrix(I, InfoVariant.KNOWN_MEAN, tuple(_beta_labels(d)))
+    X, r, h = _design_arrays(design, params)
+    I = _gram(X, h, r * params.mu / (h * (1.0 - h)))
+    return InfoMatrix(I, InfoVariant.KNOWN_MEAN, tuple(_beta_labels(X.shape[1])))
 
 
 def info_known_sizes(design: Sequence[DesignPoint], sizes: Sequence[int],
@@ -218,21 +241,16 @@ def info_known_sizes(design: Sequence[DesignPoint], sizes: Sequence[int],
     sizes must align with the design expanded one observation per
     replication, in design order.
     """
-    rows = _design_rows(design, params)
-    d = rows[0][0].size
-    total = sum(r for _, r, _, _ in rows)
+    X, r, h = _design_arrays(design, params)
+    total = int(r.sum())
     if len(sizes) != total:
         raise ValueError(f"expected {total} sizes, got {len(sizes)}")
     sizes = np.asarray(sizes, dtype=float)
     if np.any(sizes < 0):
         raise ValueError("sizes must be non-negative")
-    I = np.zeros((d, d))
-    pos = 0
-    for _, r, h, gh in rows:
-        n_sum = float(np.sum(sizes[pos:pos + r]))
-        pos += r
-        I += n_sum * np.outer(gh, gh) / (h * (1.0 - h))
-    return InfoMatrix(I, InfoVariant.KNOWN_SIZES, tuple(_beta_labels(d)))
+    n_sum = np.add.reduceat(sizes, np.cumsum(r) - r)
+    I = _gram(X, h, n_sum / (h * (1.0 - h)))
+    return InfoMatrix(I, InfoVariant.KNOWN_SIZES, tuple(_beta_labels(X.shape[1])))
 
 
 def block_variance_partition(design: Sequence[DesignPoint],
@@ -244,15 +262,11 @@ def block_variance_partition(design: Sequence[DesignPoint],
     matrix inverse, so the factorization V11 = (1/mu) * (...) and
     V22 = mu * (...) with mu-free inner matrices stays explicit.
     """
-    rows = _design_rows(design, params)
-    d = rows[0][0].size
-    A = np.zeros((d, d))
-    b = np.zeros(d)
-    c = 0.0
-    for _, r, h, gh in rows:
-        A += r * np.outer(gh, gh) / h
-        b += r * gh
-        c += r * h
+    X, r, h = _design_arrays(design, params)
+    d = X.shape[1]
+    # The Poisson-size information at mu = 1 is [[A, b], [b', c]].
+    G = _gram(X, h, r / h, 1.0)
+    A, b, c = G[:d, :d], G[:d, d], G[d, d]
     inner = A - np.outer(b, b) / c
     v11 = np.linalg.inv(inner) / params.mu
     denom = c - b @ np.linalg.solve(A, b)

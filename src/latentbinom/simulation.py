@@ -17,7 +17,7 @@ from scipy.stats import norm
 from .efficiency import EffSetting
 from .estimation import fit_full
 from .information import DesignPoint, info_full, inverse_with_condition
-from .model import Dataset, link_h
+from .model import Dataset, _logistic
 
 __all__ = ["SimConfig", "SimSummary", "LatentRecord", "generate_dataset", "run_study"]
 
@@ -63,13 +63,6 @@ class LatentRecord:
     n: np.ndarray
 
 
-def _expanded_design(setting: EffSetting, replications: int) -> np.ndarray:
-    rows = []
-    for pt in setting.design:
-        rows.extend([pt.x] * replications)
-    return np.asarray(rows, dtype=float)
-
-
 def generate_dataset(setting: EffSetting, replications: int,
                      rng: np.random.Generator) -> tuple[Dataset, LatentRecord]:
     """Draw one dataset: per observation a gamma mean, a Poisson size, and a
@@ -78,8 +71,8 @@ def generate_dataset(setting: EffSetting, replications: int,
     With alpha = INFINITE the gamma collapses and every latent mean equals mu
     exactly. A zero size simply yields a zero count.
     """
-    X = _expanded_design(setting, replications)
-    h = np.array([link_h(x, setting.beta) for x in X])
+    X = np.repeat(np.array([pt.x for pt in setting.design]), replications, axis=0)
+    h = _logistic(X @ setting.beta)
     n_obs = X.shape[0]
     if math.isinf(setting.alpha):
         lam = np.full(n_obs, setting.mu)

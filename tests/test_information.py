@@ -175,7 +175,7 @@ def test_alpha_info_matches_monte_carlo():
 def test_alpha_info_term_budget_enforced():
     params = ModelParams(beta=np.array([2.0, 0.0]), mu=900.0, alpha=0.6)
     with pytest.raises(RuntimeError):
-        expected_alpha_info(np.array([1.0, 0.0]), params, Tolerance(1e-12, 1e-10, 8))
+        expected_alpha_info(np.array([1.0, 0.0]), params, Tolerance(max_terms=8))
 
 
 # -- reduced-information variants ----------------------------------------------
@@ -338,3 +338,32 @@ def test_inverse_with_condition_flags():
     assert flagged
     assert cond > 1e12
     assert np.isfinite(inv).all()
+
+
+def test_kernel_matches_per_row_loop_three_covariates():
+    rng = np.random.default_rng(31)
+    design = [DesignPoint(np.concatenate([[1.0], rng.uniform(-2.0, 2.0, size=2)]),
+                          int(rng.integers(1, 6))) for _ in range(7)]
+    params = ModelParams(beta=np.array([0.3, -0.8, 0.5]), mu=120.0, alpha=4.0)
+    sizes = rng.poisson(params.mu, size=sum(pt.replications for pt in design))
+    mu, a = params.mu, params.alpha
+    full = np.zeros((4, 4))
+    known_mean = np.zeros((3, 3))
+    known_sizes = np.zeros((3, 3))
+    pos = 0
+    for pt in design:
+        r = pt.replications
+        h = link_h(pt.x, params.beta)
+        gh = link_grad(pt.x, params.beta)
+        shrink = 1.0 + mu * h / a
+        full[:3, :3] += r * mu * np.outer(gh, gh) / (h * shrink)
+        full[:3, 3] += r * gh / shrink
+        full[3, 3] += r * h / (mu * shrink)
+        known_mean += r * mu * np.outer(gh, gh) / (h * (1.0 - h))
+        known_sizes += sizes[pos:pos + r].sum() * np.outer(gh, gh) / (h * (1.0 - h))
+        pos += r
+    full[3, :3] = full[:3, 3]
+    for got, want in ((info_full(design, params).matrix[:4, :4], full),
+                      (info_known_mean(design, params).matrix, known_mean),
+                      (info_known_sizes(design, sizes, params).matrix, known_sizes)):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from conftest import (numeric_gradient, numeric_hessian, random_instance,
                       relative_errors)
 
+import latentbinom
 from latentbinom import (Dataset, INFINITE, ModelParams, Observation,
                          hessian, jejunal_dataset, link_grad, link_h,
-                         log_gamma, log_likelihood, log_pmf, score)
+                         log_likelihood, log_pmf, score)
+
+
+def test_package_exports_resolve():
+    for name in latentbinom.__all__:
+        assert hasattr(latentbinom, name), name
 
 
 # -- parameters and dataset containers ---------------------------------------
@@ -60,6 +67,17 @@ def test_dataset_construction():
         Dataset.from_arrays([], np.empty((0, 2)))
     with pytest.raises(ValueError):
         Dataset.from_arrays([1, 2], [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("y", [[2.7, 3], [-0.5, 3]])
+def test_dataset_from_arrays_rejects_non_integer_counts(y):
+    with pytest.raises(ValueError):
+        Dataset.from_arrays(y, [[1.0, 0.5], [1.0, 1.5]])
+
+
+def test_dataset_from_arrays_accepts_integral_floats():
+    data = Dataset.from_arrays(np.array([2.0, 0.0]), [[1.0, 0.5], [1.0, 1.5]])
+    assert data.y.tolist() == [2, 0]
 
 
 # -- link ---------------------------------------------------------------------
@@ -124,7 +142,7 @@ def test_log_pmf_poisson_limit_identity():
     params = ModelParams(beta=np.array([0.4, -0.2]), mu=30.0, alpha=INFINITE)
     m = params.mu * link_h(x, params.beta)
     for y in (0, 1, 7, 40):
-        want = y * math.log(m) - m - log_gamma(y + 1.0) if y else -m
+        want = y * math.log(m) - m - special.gammaln(y + 1.0) if y else -m
         assert log_pmf(y, x, params) == pytest.approx(want, rel=1e-13)
     assert log_pmf(0, x, params) == -m
 
