@@ -62,6 +62,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _level(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid level {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"level must be in (0, 1), got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="latentbinom",
                      description="Binomial regression with latent "
@@ -88,7 +98,7 @@ def _build_parser() -> _Parser:
                        default="auto",
                        help="model to fit; auto fits both and reports the "
                             "likelihood-ratio test (default auto)")
-    p_fit.add_argument("--level", type=float, default=0.05,
+    p_fit.add_argument("--level", type=_level, default=0.05,
                        help="significance level for tests and intervals "
                             "(default 0.05)")
     add_common(p_fit)
@@ -201,11 +211,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fits = [fit_full(data)]
         else:
             sub = fit_poisson_size(data)
-            full = fit_full(data)
+            full = fit_full(data, init=sub.params)
             if not (sub.converged and full.converged):
                 fits = [sub, full]
             else:
-                lrt = likelihood_ratio_test(data, level=config.level)
+                lrt = likelihood_ratio_test(data, level=config.level,
+                                            fits=(sub, full))
                 print("likelihood-ratio test: statistic "
                       f"{format_number(lrt.statistic, config.full_precision)}, "
                       f"p-value {format_number(lrt.p_value, config.full_precision)}",

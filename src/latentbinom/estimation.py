@@ -257,8 +257,20 @@ def _boundary_result(data: Dataset, variant: ModelVariant) -> FitResult:
     )
 
 
+def _require_full_rank(data: Dataset) -> None:
+    rank = int(np.linalg.matrix_rank(data.X))
+    if rank < data.d:
+        raise ValueError(
+            f"rank-deficient design: the {data.d} covariate columns have rank "
+            f"{rank}, so the regression coefficients are not identifiable")
+
+
 def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResult:
-    """Fit the Poisson-size submodel (alpha = INFINITE) over (beta, mu)."""
+    """Fit the Poisson-size submodel (alpha = INFINITE) over (beta, mu).
+
+    Raises ValueError when the design matrix has rank below its column count.
+    """
+    _require_full_rank(data)
     if int(data.y.max()) == 0:
         return _boundary_result(data, ModelVariant.POISSON_SIZE)
     if init is not None:
@@ -278,21 +290,22 @@ def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResul
 def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     """Fit the full latent-size model over (beta, mu, alpha).
 
-    Without an explicit init, starts from the Poisson-size solution with
-    alpha = 100. When the shape direction is too flat to carry information
-    (huge variance or severe ill-conditioning), the alpha standard error is
-    reported as NaN and a diagnostic explains why.
+    Without an explicit init, fits the Poisson-size submodel first and starts
+    from its beta and mu with alpha = 100. A Poisson-size init, such as the
+    params of an existing fit_poisson_size result, gives that start directly:
+    its beta and mu with alpha = 100, and the submodel is not fitted again.
+    A full-model init is used as given. When the shape direction is too flat
+    to carry information (huge variance or severe ill-conditioning), the
+    alpha standard error is reported as NaN and a diagnostic explains why.
+    Raises ValueError when the design matrix has rank below its column count.
     """
+    _require_full_rank(data)
     if int(data.y.max()) == 0:
         return _boundary_result(data, ModelVariant.FULL)
-    if init is not None and not init.is_poisson_size:
-        beta0, mu0, alpha0 = np.asarray(init.beta, float), float(init.mu), float(init.alpha)
-    else:
-        base = fit_poisson_size(data)
-        beta0, mu0 = base.params.beta, base.params.mu
-        alpha0 = 100.0
-        if init is not None:
-            beta0, mu0 = np.asarray(init.beta, float), float(init.mu)
+    if init is None:
+        init = fit_poisson_size(data).params
+    beta0, mu0 = np.asarray(init.beta, float), float(init.mu)
+    alpha0 = 100.0 if init.is_poisson_size else float(init.alpha)
     p0 = np.concatenate([beta0, [math.log(mu0), math.log(alpha0)]])
     params, ll, converged, n_iter = _optimize(data, p0, full=True)
     se, cond, notes = _standard_errors(data, params, alpha_guard=True)
@@ -303,17 +316,28 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     )
 
 
-def likelihood_ratio_test(data: Dataset, level: float = 0.05) -> LrtResult:
+def likelihood_ratio_test(
+        data: Dataset, level: float = 0.05, *,
+        fits: tuple[FitResult, FitResult] | None = None) -> LrtResult:
     """Test the Poisson-size submodel against the full model.
 
     The submodel pins alpha at the edge of its range, so under the null the
     statistic is a half-half mixture of a point mass at zero and chi-square
     with one degree of freedom; the p-value uses that mixture.
+
+    ``fits`` passes existing (Poisson-size, full) fits of ``data`` to test
+    instead of fitting both models here.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    sub = fit_poisson_size(data)
-    full = fit_full(data)
+    if fits is None:
+        sub = fit_poisson_size(data)
+        full = fit_full(data, init=sub.params)
+    else:
+        sub, full = fits
+        if (sub.model_variant is not ModelVariant.POISSON_SIZE
+                or full.model_variant is not ModelVariant.FULL):
+            raise ValueError("fits must be a (poisson_size, full) pair")
     for fit in (sub, full):
         if not fit.converged:
             raise RuntimeError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 INFINITE = math.inf
+
+# Counts are stored as int64; a larger count is rejected, not wrapped.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,10 @@ class Observation:
     def __post_init__(self) -> None:
         if self.y < 0 or self.y != int(self.y):
             raise ValueError("y must be a non-negative integer")
+        if self.y > _MAX_COUNT:
+            raise ValueError(
+                f"count {int(self.y)} exceeds the largest supported count "
+                f"{_MAX_COUNT}")
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         if not np.all(np.isfinite(x)):
             raise ValueError("x must be finite")
@@ -142,6 +150,14 @@ class Dataset:
     @property
     def d(self) -> int:
         return self._X.shape[1]
+
+    @cached_property
+    def _log_y_factorial(self) -> np.ndarray:
+        # log(y!) is the same at every parameter value, so the optimizer's
+        # repeated likelihood evaluations compute it once per dataset.
+        out = _log_gamma(self._y + 1.0)
+        out.setflags(write=False)
+        return out
 
     @property
     def n_obs(self) -> int:
@@ -301,9 +317,10 @@ def _log_gamma(z):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _loglik_terms(y: np.ndarray, m: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-observation log density of y given its negative-binomial mean m."""
-    lgy1 = _log_gamma(y + 1.0)
+def _loglik_terms(y: np.ndarray, m: np.ndarray, alpha: float,
+                  lgy1: np.ndarray) -> np.ndarray:
+    """Per-observation log density of y given its negative-binomial mean m;
+    lgy1 holds log(y!)."""
     if math.isinf(alpha):
         with np.errstate(divide="ignore", invalid="ignore"):
             ylogm = np.where(y > 0, y * np.log(np.where(m > 0, m, 1.0)), 0.0)
@@ -322,13 +339,15 @@ def log_pmf(y: int, x, params: ModelParams) -> float:
         raise ValueError("y must be a non-negative integer")
     h = link_h(x, params.beta)
     m = np.asarray([params.mu * h])
-    return float(_loglik_terms(np.asarray([int(y)]), m, params.alpha)[0])
+    y_arr = np.asarray([int(y)])
+    return float(_loglik_terms(y_arr, m, params.alpha, _log_gamma(y_arr + 1.0))[0])
 
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sum of log_pmf over the dataset."""
     m = params.mu * _h_vector(data, params)
-    return float(np.sum(_loglik_terms(data.y, m, params.alpha)))
+    return float(np.sum(_loglik_terms(data.y, m, params.alpha,
+                                      data._log_y_factorial)))
 
 
 def score(data: Dataset, params: ModelParams) -> np.ndarray:

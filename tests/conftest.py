@@ -108,3 +108,18 @@ def profile_loglik(data, alpha, start):
     t0 = np.append(start.beta, math.log(start.mu))
     res = minimize(negated, t0, jac=True, method="BFGS", options={"gtol": 1e-9})
     return -float(res.fun)
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of module in a call counter; returns the
+    name -> count dict, which the wrappers update."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(module, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

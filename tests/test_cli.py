@@ -4,8 +4,10 @@ import csv
 import io
 
 import pytest
+from conftest import count_calls
 
 from latentbinom import builtin_designs, efficiency_measures, make_setting
+from latentbinom import cli
 from latentbinom.cli import main
 
 
@@ -71,6 +73,50 @@ def test_fit_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "6.7014" in target.read_text(encoding="utf-8")
+
+
+def test_fit_auto_fits_each_model_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, cli, ("fit_poisson_size", "fit_full"))
+    code, out, err = run_cli(capsys, ["fit", "--builtin", "jejunal"])
+    assert code == 0
+    assert "selected model: poisson_size" in out
+    assert calls == {"fit_poisson_size": 1, "fit_full": 1}
+
+
+def test_fit_count_beyond_int64_exits_one(capsys, tmp_path):
+    target = tmp_path / "huge.csv"
+    target.write_text("dose,count\n1,5\n1,100000000000000000000\n2,3\n",
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert code == 1
+    assert "count 100000000000000000000" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("model", ["poisson", "full", "auto"])
+def test_fit_rank_deficient_design_exits_one(capsys, tmp_path, model):
+    target = tmp_path / "one_dose.csv"
+    target.write_text("dose,count\n6.5,70\n6.5,75\n6.5,80\n6.5,60\n",
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target),
+                                      "--model", model])
+    assert code == 1
+    assert "rank-deficient design" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan", "abc"])
+@pytest.mark.parametrize("model", ["poisson", "auto"])
+def test_fit_level_outside_unit_interval_exits_one_before_fitting(
+        capsys, monkeypatch, level, model):
+    calls = count_calls(monkeypatch, cli, ("fit_poisson_size", "fit_full"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", "--builtin", "jejunal", "--model", model,
+              "--level", level])
+    assert excinfo.value.code == 1
+    assert "--level" in capsys.readouterr().err
+    assert calls == {"fit_poisson_size": 0, "fit_full": 0}
 
 
 # -- efficiency -----------------------------------------------------------------------

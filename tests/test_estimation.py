@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from conftest import count_calls
 
+from latentbinom import estimation
 from latentbinom import (Dataset, DesignPoint, FitResult, INFINITE,
                          ModelParams, ModelVariant, builtin_designs, fit_full,
                          fit_poisson_size, generate_dataset, info_full,
@@ -16,6 +18,17 @@ from latentbinom import (Dataset, DesignPoint, FitResult, INFINITE,
 
 def seeded(entropy, i):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(i,)))
+
+
+def assert_same_fit(a, b):
+    assert a.model_variant is b.model_variant
+    assert np.array_equal(a.params.as_array(), b.params.as_array())
+    assert np.array_equal(a.std_errors, b.std_errors, equal_nan=True)
+    assert a.loglik == b.loglik
+    assert a.converged == b.converged
+    assert a.n_iterations == b.n_iterations
+    assert a.info_condition == b.info_condition
+    assert a.diagnostics == b.diagnostics
 
 
 # -- Poisson-size submodel fit --------------------------------------------------
@@ -122,6 +135,47 @@ def test_full_fit_alpha_interval_covers_truth():
     assert 0.90 <= coverage <= 0.995
 
 
+@pytest.mark.parametrize("case", ["jejunal", "simulated"])
+def test_full_fit_from_poisson_fit_matches_fresh_fit(monkeypatch, case):
+    if case == "jejunal":
+        data = jejunal_dataset()
+    else:
+        setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0,
+                               100.0, 5.0)
+        data, _ = generate_dataset(setting, 10, seeded(31, 0))
+    fresh = fit_full(data)
+    sub = fit_poisson_size(data)
+    calls = count_calls(monkeypatch, estimation, ("fit_poisson_size",))
+    reused = fit_full(data, init=sub.params)
+    assert calls["fit_poisson_size"] == 0
+    assert_same_fit(reused, fresh)
+
+
+def test_optimizer_evaluates_through_module_names(monkeypatch):
+    # Call counts per layer are read by wrapping these names in the
+    # estimation namespace; a fit that bypassed them would read as zero.
+    data = jejunal_dataset()
+    calls = count_calls(monkeypatch, estimation,
+                        ("log_likelihood", "score", "hessian"))
+    sub = fit_poisson_size(data)
+    assert all(n > 0 for n in calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    fit_full(data, init=sub.params)
+    assert all(n > 0 for n in calls.values()), calls
+
+
+@pytest.mark.parametrize("fit", [fit_poisson_size, fit_full])
+def test_rank_deficient_design_rejected(fit):
+    one_dose = Dataset.from_arrays([70, 75, 80, 60], [[1.0, 6.5]] * 4)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        fit(one_dose)
+    collinear = Dataset.from_arrays([9, 7, 4, 2],
+                                    [[1.0, 1.0, 2.0], [1.0, 2.0, 4.0],
+                                     [1.0, 3.0, 6.0], [1.0, 4.0, 8.0]])
+    with pytest.raises(ValueError, match="rank 2"):
+        fit(collinear)
+
+
 def test_converged_fits_have_small_score():
     data = jejunal_dataset()
     for fit in (fit_poisson_size(data), fit_full(data)):
@@ -185,6 +239,19 @@ def test_lrt_statistic_nonnegative_and_init_independent():
         data, ModelParams(beta=np.array([5.0, -1.0]), mu=150.0, alpha=INFINITE))
     again = 2.0 * (full.loglik - pois.loglik)
     assert again == pytest.approx(res.statistic, abs=1e-6)
+
+
+def test_lrt_with_existing_fits_matches_refitting(monkeypatch):
+    data = jejunal_dataset()
+    expected = likelihood_ratio_test(data, 0.05)
+    sub = fit_poisson_size(data)
+    full = fit_full(data, init=sub.params)
+    calls = count_calls(monkeypatch, estimation, ("fit_poisson_size", "fit_full"))
+    got = likelihood_ratio_test(data, 0.05, fits=(sub, full))
+    assert got == expected
+    assert calls == {"fit_poisson_size": 0, "fit_full": 0}
+    with pytest.raises(ValueError, match="pair"):
+        likelihood_ratio_test(data, 0.05, fits=(full, sub))
 
 
 def test_lrt_size_stays_at_or_below_level():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy import special
-from conftest import (numeric_gradient, numeric_hessian, random_instance,
-                      relative_errors)
+from conftest import (count_calls, numeric_gradient, numeric_hessian,
+                      random_instance, relative_errors)
 
 import latentbinom
 from latentbinom import (Dataset, INFINITE, ModelParams, Observation,
@@ -228,6 +228,20 @@ def test_log_likelihood_additivity():
     one = log_likelihood(data, params)
     two = log_likelihood(doubled, params)
     assert two == pytest.approx(2.0 * one, rel=1e-14)
+
+
+def test_log_likelihood_computes_log_factorials_once(monkeypatch):
+    rng = np.random.default_rng(26)
+    data, params = random_instance(rng)
+    calls = count_calls(monkeypatch, latentbinom.model, ("_log_gamma",))
+    first = log_likelihood(data, params)
+    for alpha in (INFINITE, 3.0, params.alpha):
+        log_likelihood(data, ModelParams(beta=params.beta, mu=params.mu,
+                                         alpha=alpha))
+    assert calls["_log_gamma"] == 1
+    assert first == pytest.approx(
+        sum(log_pmf(int(y), x, params) for y, x in zip(data.y, data.X)),
+        rel=1e-13)
 
 
 def test_log_likelihood_jejunal_golden():
