@@ -385,12 +385,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"latentbinom: error: file not found: {exc.filename}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"latentbinom: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # LinAlgError subclasses ValueError, so it is caught first: a numerical
+    # failure is a non-convergence, not a usage error.
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"latentbinom: error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except (OSError, ValueError) as exc:
+        print(f"latentbinom: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO, Union
@@ -83,6 +84,8 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
     except ValueError:
         raise ValueError(
             f"line {line_no}: non-numeric covariate field") from None
+    if not all(map(math.isfinite, covariates)):
+        raise ValueError(f"line {line_no}: non-finite covariate")
     last = fields[-1].strip()
     try:
         count = int(last)

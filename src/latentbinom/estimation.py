@@ -43,6 +43,11 @@ _RAW_SCORE_TOL = 1e-6   # fallback stationarity bound on the raw-parameter score
 _MAX_ITER = 500
 _POLISH_STEPS = 50
 
+# Trial points far from the maximum may overflow or divide by zero in the
+# likelihood and its derivatives; the optimizer and the standard errors
+# judge the resulting inf and NaN themselves, so numpy stays quiet.
+_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
+
 # Flat-alpha diagnostics: the alpha standard error is withheld when its
 # variance estimate exceeds (10 alpha-hat)^2 or the matrix is this badly
 # conditioned.
@@ -149,7 +154,7 @@ def _optimize(data: Dataset, p0: np.ndarray, full: bool):
         g = _transformed_grad(params, score(data, params), full)
         return -ll, -g
 
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         res = minimize(objective, p0, jac=True, method="BFGS",
                        options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITER})
         p = res.x.copy()
@@ -213,7 +218,8 @@ def _optimize(data: Dataset, p0: np.ndarray, full: bool):
 def _standard_errors(data: Dataset, params: ModelParams,
                      alpha_guard: bool) -> tuple[np.ndarray, float, list[str]]:
     notes: list[str] = []
-    neg_h = -hessian(data, params)
+    with np.errstate(**_QUIET):
+        neg_h = -hessian(data, params)
     cov, cond, near_singular = inverse_with_condition(neg_h)
     with np.errstate(invalid="ignore"):
         se = np.sqrt(np.diag(cov))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -91,53 +91,107 @@ class ModelParams:
         return np.concatenate([self.beta, [self.mu, self.alpha]])
 
 
+def _validated_counts(y) -> np.ndarray:
+    """Read-only int64 copy of the counts y, a 1-D array-like.
+
+    Every count must be a non-negative integer (2.0 passes, 2.7, -0.5, NaN
+    and +/-inf do not) no larger than the largest int64. The first
+    offending count is named in the ValueError.
+    """
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError("y must be a one-dimensional sequence of counts")
+    kind = y.dtype.kind
+    if kind in "biu":
+        invalid = y < 0
+        # numpy compares integer arrays with a Python int exactly.
+        too_big = y > _MAX_COUNT
+        values = y
+    elif kind in "fO":
+        if kind == "f":
+            invalid = y < 0
+            # float(_MAX_COUNT) rounds up to 2.0**63, so `y > _MAX_COUNT`
+            # would let 2**63 through; every float >= 2**63 is too big.
+            too_big = y >= 2.0**63
+        else:
+            # Object arrays hold Python ints beyond uint64 and the like:
+            # compare them as Python numbers, exactly.
+            try:
+                invalid = (y < 0).astype(bool)
+                too_big = (y > _MAX_COUNT).astype(bool)
+            except TypeError:
+                raise ValueError("counts must be numbers") from None
+        # What is left lies in [0, 2**63) or is NaN, so converts safely.
+        values = np.where(invalid | too_big, 0.0, y).astype(float)
+        invalid |= ~np.isfinite(values)
+        invalid |= values != np.floor(values)
+    else:
+        raise ValueError("counts must be numbers")
+    bad = invalid | too_big
+    if bad.any():
+        i = int(bad.argmax())
+        (value,) = y[i:i + 1].tolist()
+        if value != math.inf and value > _MAX_COUNT:
+            raise ValueError(
+                f"count {int(value)} exceeds the largest supported count "
+                f"{_MAX_COUNT}")
+        raise ValueError("y must be a non-negative integer")
+    out = values.astype(np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def _finite_copy(x) -> np.ndarray:
+    """Read-only C-contiguous float64 copy of x; every entry must be finite."""
+    out = np.array(x, dtype=float, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError("x must be finite")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Observation:
+    """One (y, x) row: the per-row view that Dataset.observations and
+    iteration over a Dataset build on demand. Validated by the same rule as
+    a Dataset."""
+
     y: int
     x: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.y < 0 or self.y != int(self.y):
-            raise ValueError("y must be a non-negative integer")
-        if self.y > _MAX_COUNT:
-            raise ValueError(
-                f"count {int(self.y)} exceeds the largest supported count "
-                f"{_MAX_COUNT}")
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x must be finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "y", int(self.y))
-        object.__setattr__(self, "x", x)
+        (y,) = _validated_counts([self.y]).tolist()
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", np.atleast_1d(_finite_copy(self.x)))
 
 
 class Dataset:
-    """Immutable collection of (y, x) pairs with a common covariate length."""
+    """Immutable counts y (int64, length n) and covariate rows X (float64,
+    n x d), validated once as whole arrays and stored as read-only copies.
 
-    def __init__(self, observations: Sequence[Observation]):
-        if len(observations) == 0:
+    A 1-D X is one covariate per row. Raises ValueError when there are no
+    rows, when y and X differ in length, when a count is not a non-negative
+    integer within int64, or when a covariate is not finite.
+    """
+
+    def __init__(self, y, X):
+        y = _validated_counts(y)
+        X = _finite_copy(X)
+        if X.ndim == 1:
+            X = X[:, None]
+        if X.ndim != 2:
+            raise ValueError("X must be a 1-D or 2-D array of covariates")
+        if len(y) != len(X):
+            raise ValueError("y and X must have the same number of rows")
+        if len(y) == 0:
             raise ValueError("dataset must contain at least one observation")
-        d = observations[0].x.size
-        if any(o.x.size != d for o in observations):
-            raise ValueError("all covariate rows must share the same length")
-        y = np.array([o.y for o in observations], dtype=np.int64)
-        X = np.array([o.x for o in observations], dtype=float)
-        y.setflags(write=False)
-        X.setflags(write=False)
         self._y = y
         self._X = X
 
     @classmethod
     def from_arrays(cls, y, X) -> "Dataset":
-        y = np.asarray(y)
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if len(y) != len(X):
-            raise ValueError("y and X must have the same number of rows")
-        # tolist() hands Observation the raw Python values, so a count such
-        # as 2.7 or -0.5 is rejected there rather than truncated here.
-        return cls([Observation(yi, xi) for yi, xi in zip(y.tolist(), X)])
+        """The Dataset of counts y and covariate rows X; same as Dataset(y, X)."""
+        return cls(y, X)
 
     @property
     def y(self) -> np.ndarray:
@@ -165,7 +219,7 @@ class Dataset:
 
     @property
     def observations(self) -> list[Observation]:
-        return [Observation(int(yi), xi) for yi, xi in zip(self._y, self._X)]
+        return [Observation(yi, xi) for yi, xi in zip(self._y.tolist(), self._X)]
 
     def __len__(self) -> int:
         return self.n_obs
@@ -183,13 +237,10 @@ class Dataset:
 
 
 def _logistic(t: np.ndarray) -> np.ndarray:
-    # Branch on sign so neither exp overflows; saturates smoothly at +/-745.
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    # exp(-|t|) never overflows, and the form chosen by sign saturates
+    # smoothly at +/-745. min(t, -t) rather than -abs(t) keeps a NaN's sign.
+    e = np.exp(np.minimum(t, -t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def link_h(x, beta) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 
 import pytest
 from conftest import count_calls
@@ -91,6 +92,24 @@ def test_fit_count_beyond_int64_exits_one(capsys, tmp_path):
     assert code == 1
     assert "count 100000000000000000000" in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_fit_numerical_failure_exits_two_without_warnings(capsys, tmp_path):
+    # A count of 2**62 drives the Hessian's eigenvalue solver to fail. That
+    # LinAlgError is a numerical failure (exit 2), not a usage error, and the
+    # overflow on the way there must not leak numpy warnings onto stderr.
+    target = tmp_path / "big.csv"
+    target.write_text("dose,count\n1,5\n1,4611686018427387904\n2,3\n",
+                      encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert code == 2
+    assert err.startswith("latentbinom: error: ")
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert [w.message for w in caught if w.category is RuntimeWarning] == []
     assert out == ""
 
 

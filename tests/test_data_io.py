@@ -78,6 +78,8 @@ def test_read_csv_empty_file_is_an_error(tmp_path):
     ("dose,count\n6.25,7.5\n", "line 2"),
     ("dose,count\nnope,76\n", "line 2"),
     ("dose,count\n6.25\n", "line 2"),
+    ("dose,count\n1,5\nnan,7\n2,3\n", "line 3: non-finite covariate"),
+    ("dose,count\n1,5\n2,3\n-inf,7\n", "line 4: non-finite covariate"),
 ])
 def test_read_csv_reports_offending_line(tmp_path, text, fragment):
     target = tmp_path / "bad.csv"

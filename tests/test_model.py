@@ -1,17 +1,21 @@
 """Model core: link, marginal log-pmf, likelihood, score, and Hessian."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 from conftest import (count_calls, numeric_gradient, numeric_hessian,
                       random_instance, relative_errors)
 
 import latentbinom
 from latentbinom import (Dataset, INFINITE, ModelParams, Observation,
-                         hessian, jejunal_dataset, link_grad, link_h,
-                         log_likelihood, log_pmf, score)
+                         generate_dataset, hessian, jejunal_dataset,
+                         link_grad, link_h, log_likelihood, log_pmf,
+                         make_setting, read_csv, score)
+from latentbinom.model import _logistic
 
 
 def test_package_exports_resolve():
@@ -80,7 +84,127 @@ def test_dataset_from_arrays_accepts_integral_floats():
     assert data.y.tolist() == [2, 0]
 
 
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan, 2.5])
+def test_observation_rejects_bad_count_with_value_error(y):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        Observation(y=y, x=np.array([1.0]))
+
+
+_MAX_COUNT = 2**63 - 1
+
+
+def per_row_rule(y, X):
+    """The per-row rule, row by row in Python: the error message a Dataset
+    of (y, X) must raise, or None when it must accept them. Counts are
+    checked before covariates."""
+    for v in np.asarray(y).tolist():
+        if (isinstance(v, float) and not math.isfinite(v)) or v < 0 or v != int(v):
+            return "y must be a non-negative integer"
+        if v > _MAX_COUNT:
+            return f"count {int(v)} exceeds the largest supported count {_MAX_COUNT}"
+    if not np.isfinite(np.asarray(X, dtype=float)).all():
+        return "x must be finite"
+    return None
+
+
+_COUNTS = st.one_of(
+    st.integers(min_value=-3, max_value=1000),
+    st.integers(min_value=2**63 - 3, max_value=2**64 + 3),
+    st.sampled_from([10**20, 2**62, 2**63 - 1, 2**63, 2**64]),
+    st.integers(min_value=0, max_value=1000).map(float),
+    st.sampled_from([2.0**63, 2.0**63 - 1024.0, 1e20, -0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def count_arrays(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        return draw(st.lists(_COUNTS, min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                           min_size=n, max_size=n))
+    return np.array(values, dtype=np.uint64)
+
+
+@st.composite
+def counts_and_covariates(draw):
+    y = draw(count_arrays())
+    X = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+                      min_size=len(y), max_size=len(y)))
+    if draw(st.booleans()):
+        row = draw(st.integers(min_value=0, max_value=len(y) - 1))
+        X[row][1] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return y, X
+
+
+@settings(max_examples=400, deadline=None)
+@given(counts_and_covariates())
+def test_from_arrays_matches_per_row_rule(case):
+    y, X = case
+    message = per_row_rule(y, X)
+    if message is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset.from_arrays(y, X)
+        return
+    data = Dataset.from_arrays(y, X)
+    assert data.y.tolist() == [int(v) for v in np.asarray(y).tolist()]
+    assert np.array_equal(data.X, np.asarray(X, dtype=float))
+
+
+def test_dataset_copies_inputs_into_read_only_arrays():
+    y = np.array([3, 1])
+    X = np.asfortranarray([[1.0, 0.5], [1.0, 1.5]])
+    data = Dataset(y, X)
+    assert y.flags.writeable and X.flags.writeable
+    assert not data.y.flags.writeable and not data.X.flags.writeable
+    assert data.y.dtype == np.int64 and data.X.dtype == np.float64
+    assert data.X.flags.c_contiguous
+    y[0] = 99
+    X[0, 1] = 99.0
+    assert data.y.tolist() == [3, 1]
+    assert data.X.tolist() == [[1.0, 0.5], [1.0, 1.5]]
+
+
+def test_ingest_builds_no_observations(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, Observation, ["__post_init__"])
+    target = tmp_path / "counts.csv"
+    target.write_text("dose,count\n1,5\n2,3\n", encoding="utf-8")
+    read_csv(target)
+    jejunal_dataset()
+    Dataset.from_arrays([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
+    setting = make_setting((-1.0, 1.0), 1.0, 50.0, 10.0)
+    generate_dataset(setting, 5, np.random.default_rng(3))
+    assert calls == {"__post_init__": 0}
+    # Iteration is the per-row view, built on demand.
+    assert len(list(jejunal_dataset())) == 126
+    assert calls == {"__post_init__": 126}
+
+
 # -- link ---------------------------------------------------------------------
+
+
+def _masked_logistic(t):
+    # The sign-masked form that _logistic replaced, kept as its reference.
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def test_logistic_bit_identical_to_masked_form():
+    rng = np.random.default_rng(5)
+    t = np.concatenate([
+        rng.normal(0.0, 10.0, size=200_000),
+        rng.uniform(-800.0, 800.0, size=200_000),
+        [0.0, -0.0, 800.0, -800.0, 745.2, -745.2, 36.8, -36.8,
+         np.inf, -np.inf, np.nan, -np.nan],
+    ])
+    got = _logistic(t)
+    want = _masked_logistic(t)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_link_h_basic_values():
