@@ -18,13 +18,12 @@ from .efficiency import (EffResult, EffSetting, builtin_designs,
                          sd_vs_mu_curves, table_settings)
 from .estimation import (FitResult, LrtResult, ModelVariant, fit_full,
                          fit_poisson_size, likelihood_ratio_test, wald_ci)
-from .information import (DesignPoint, InfoMatrix, InfoVariant,
-                          NEAR_SINGULAR_CONDITION, Tolerance,
-                          block_variance_partition, expected_alpha_info,
-                          info_full, info_known_mean, info_known_sizes,
-                          info_poisson_size, inverse_with_condition)
+from .information import (NEAR_SINGULAR_CONDITION, block_variance_partition,
+                          expected_alpha_info, info_full, info_known_mean,
+                          info_known_sizes, info_poisson_size,
+                          inverse_with_condition)
 from .model import (Dataset, INFINITE, ModelParams, Observation, hessian,
-                    link_grad, link_h, log_likelihood, log_pmf, score)
+                    link_h, log_likelihood, log_pmf, score)
 from .simulation import (LatentRecord, SimConfig, SimSummary,
                          generate_dataset, run_study)
 
@@ -37,12 +36,11 @@ __all__ = [
     "gamma_curve", "make_setting", "sd_vs_mu_curves", "table_settings",
     "FitResult", "LrtResult", "ModelVariant", "fit_full", "fit_poisson_size",
     "likelihood_ratio_test", "wald_ci",
-    "DesignPoint", "InfoMatrix", "InfoVariant", "NEAR_SINGULAR_CONDITION",
-    "block_variance_partition", "expected_alpha_info", "info_full",
-    "info_known_mean", "info_known_sizes", "info_poisson_size",
-    "inverse_with_condition", "Tolerance",
+    "NEAR_SINGULAR_CONDITION", "block_variance_partition",
+    "expected_alpha_info", "info_full", "info_known_mean", "info_known_sizes",
+    "info_poisson_size", "inverse_with_condition",
     "Dataset", "INFINITE", "ModelParams", "Observation", "hessian",
-    "link_grad", "link_h", "log_likelihood", "log_pmf", "score",
+    "link_h", "log_likelihood", "log_pmf", "score",
     "LatentRecord", "SimConfig", "SimSummary", "generate_dataset", "run_study",
     "__version__",
 ]

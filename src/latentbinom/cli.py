@@ -11,20 +11,20 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .data_io import format_number, jejunal_dataset, read_csv, write_records
+from .data_io import (_number, format_number, jejunal_dataset, read_csv,
+                      write_records)
 from .efficiency import (builtin_designs, efficiency_measures, gamma_curve,
                          make_setting, sd_vs_mu_curves, table_settings)
 from .estimation import (FitResult, ModelVariant, fit_full, fit_poisson_size,
                          likelihood_ratio_test, wald_ci)
 from .simulation import SimConfig, run_study
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,20 +37,6 @@ _ALPHA_GRID_POINTS = 50
 _MU_GRID = tuple(float(m) for m in range(50, 501, 10))
 _CURVE_PANELS = tuple((slope, mu) for slope in (1.0, 2.0) for mu in (100.0, 300.0))
 _SD_CURVE_PANELS = ((1.0, 25.0), (2.0, 49.0))
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved options shared by every subcommand."""
-
-    subcommand: str
-    input_path: Optional[Path]
-    output_path: Optional[Path]
-    seed: int
-    level: float
-    model: str
-    fmt: str
-    full_precision: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,23 +121,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None) or getattr(args, "settings", None),
-        output_path=args.output,
-        seed=getattr(args, "seed", 0),
-        level=getattr(args, "level", 0.05),
-        model=getattr(args, "model", "auto"),
-        fmt=args.format,
-        full_precision=args.full_precision,
-    )
-
-
-def _with_output(config: CliConfig, write) -> int:
-    if config.output_path is None:
+def _with_output(args: argparse.Namespace, write) -> int:
+    if args.output is None:
         return write(sys.stdout)
-    with config.output_path.open("w", encoding="utf-8", newline="") as fh:
+    with args.output.open("w", encoding="utf-8", newline="") as fh:
         return write(fh)
 
 
@@ -198,7 +171,6 @@ def _print_fit(fit: FitResult, level: float, full_precision: bool,
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     if args.builtin is not None:
         data = jejunal_dataset()
     else:
@@ -215,28 +187,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
             if not (sub.converged and full.converged):
                 fits = [sub, full]
             else:
-                lrt = likelihood_ratio_test(data, level=config.level,
+                lrt = likelihood_ratio_test(data, level=args.level,
                                             fits=(sub, full))
                 print("likelihood-ratio test: statistic "
-                      f"{format_number(lrt.statistic, config.full_precision)}, "
-                      f"p-value {format_number(lrt.p_value, config.full_precision)}",
+                      f"{format_number(lrt.statistic, args.full_precision)}, "
+                      f"p-value {format_number(lrt.p_value, args.full_precision)}",
                       file=out)
                 verdict = "rejected" if lrt.reject_poisson else "not rejected"
                 print(f"poisson-size submodel {verdict} at level "
-                      f"{format_number(lrt.significance_level, config.full_precision)}",
+                      f"{format_number(lrt.significance_level, args.full_precision)}",
                       file=out)
                 selected = full if lrt.reject_poisson else sub
                 print(f"selected model: {selected.model_variant.value}",
                       file=out)
                 fits = [selected]
         for fit in fits:
-            _print_fit(fit, config.level, config.full_precision, out)
+            _print_fit(fit, args.level, args.full_precision, out)
         if not all(fit.converged for fit in fits):
             print("error: fit did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         return EXIT_OK
 
-    return _with_output(config, write)
+    return _with_output(args, write)
 
 
 # -- efficiency ---------------------------------------------------------------
@@ -253,10 +225,10 @@ def _read_settings_file(path: Path) -> list:
                 f"{path}: header must contain columns design,beta1,mu,alpha")
         for line_no, row in enumerate(reader, start=2):
             try:
-                design_id = int(row["design"])
-                slope = float(row["beta1"])
-                mu = float(row["mu"])
-                alpha = float(row["alpha"])
+                design_id = _number(row["design"], int)
+                slope = _number(row["beta1"])
+                mu = _number(row["mu"])
+                alpha = _number(row["alpha"])
             except (TypeError, ValueError):
                 raise ValueError(
                     f"{path}: line {line_no}: non-numeric field") from None
@@ -270,7 +242,6 @@ def _read_settings_file(path: Path) -> list:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     if args.settings is not None:
         settings = _read_settings_file(args.settings)
     else:
@@ -284,11 +255,11 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     columns = ["setting", "beta1", "mu", "alpha", "rho", "gamma", "rho_gamma"]
 
     def write(out: TextIO) -> int:
-        write_records(out, records, fmt=config.fmt, columns=columns,
-                      full_precision=config.full_precision)
+        write_records(out, records, fmt=args.format, columns=columns,
+                      full_precision=args.full_precision)
         return EXIT_OK
 
-    return _with_output(config, write)
+    return _with_output(args, write)
 
 
 # -- curves -------------------------------------------------------------------
@@ -302,7 +273,6 @@ def _alpha_grid() -> list[float]:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     x1, _ = builtin_designs()
     records = []
     if args.kind == "gamma-by-alpha":
@@ -323,18 +293,17 @@ def cmd_curves(args: argparse.Namespace) -> int:
         columns = ["beta1", "alpha", "mu", "sd_beta0", "sd_beta1", "sd_mu"]
 
     def write(out: TextIO) -> int:
-        write_records(out, records, fmt=config.fmt, columns=columns,
-                      full_precision=config.full_precision)
+        write_records(out, records, fmt=args.format, columns=columns,
+                      full_precision=args.full_precision)
         return EXIT_OK
 
-    return _with_output(config, write)
+    return _with_output(args, write)
 
 
 # -- simulate -----------------------------------------------------------------
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     chosen = args.setting if args.setting else list(range(1, 17))
     all_settings = table_settings()
     for s in chosen:
@@ -348,11 +317,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary = run_study(SimConfig(
             setting=setting,
             n_samples=args.samples,
-            seed=config.seed,
-            ci_level=1.0 - config.level,
+            seed=args.seed,
+            ci_level=1.0 - args.level,
         ))
         rec = _setting_row(s, setting)
-        rec.update(samples=args.samples, seed=config.seed, bias=summary.bias,
+        rec.update(samples=args.samples, seed=args.seed, bias=summary.bias,
                    mse=summary.mse, coverage=summary.coverage,
                    n_converged=summary.n_converged)
         records.append(rec)
@@ -360,12 +329,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                "bias", "mse", "coverage", "n_converged"]
 
     def write(out: TextIO) -> int:
-        print(f"seed: {config.seed}", file=sys.stderr)
-        write_records(out, records, fmt=config.fmt, columns=columns,
-                      full_precision=config.full_precision)
+        print(f"seed: {args.seed}", file=sys.stderr)
+        write_records(out, records, fmt=args.format, columns=columns,
+                      full_precision=args.full_precision)
         return EXIT_OK
 
-    return _with_output(config, write)
+    return _with_output(args, write)
 
 
 _COMMANDS = {

@@ -75,12 +75,20 @@ def jejunal_dataset() -> Dataset:
     return Dataset.from_arrays(y, X)
 
 
+def _number(text: str, kind=float):
+    """kind(text), refusing the digit-group underscores ("1_000") that
+    Python's int() and float() accept."""
+    if "_" in text:
+        raise ValueError(f"invalid number {text!r}")
+    return kind(text)
+
+
 def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float], int]:
     if len(fields) != n_cols:
         raise ValueError(
             f"line {line_no}: expected {n_cols} fields, got {len(fields)}")
     try:
-        covariates = [float(f) for f in fields[:-1]]
+        covariates = [_number(f) for f in fields[:-1]]
     except ValueError:
         raise ValueError(
             f"line {line_no}: non-numeric covariate field") from None
@@ -88,10 +96,10 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
         raise ValueError(f"line {line_no}: non-finite covariate")
     last = fields[-1].strip()
     try:
-        count = int(last)
+        count = _number(last, int)
     except ValueError:
         try:
-            as_float = float(last)
+            as_float = _number(last)
         except ValueError:
             raise ValueError(
                 f"line {line_no}: non-numeric count {last!r}") from None

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .information import (
-    DesignPoint,
+    _design_arrays,
     info_full,
     info_known_mean,
     info_poisson_size,
@@ -54,22 +54,24 @@ _TABLE_REPLICATIONS = 10
 
 @dataclass(frozen=True)
 class EffSetting:
-    """A design plus generating parameters for one efficiency evaluation."""
+    """A design, as covariate rows X (n x d) and replications r (n positive
+    integers), plus generating parameters for one efficiency evaluation."""
 
-    design: tuple[DesignPoint, ...]
+    X: np.ndarray
+    r: np.ndarray
     beta: np.ndarray
     mu: float
     alpha: float
 
     def __post_init__(self) -> None:
-        if len(self.design) == 0:
-            raise ValueError("design must be non-empty")
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if not (self.mu > 0 and self.alpha > 0):
             raise ValueError("mu and alpha must be positive")
         beta.setflags(write=False)
-        object.__setattr__(self, "design", tuple(self.design))
         object.__setattr__(self, "beta", beta)
+        X, r, _ = _design_arrays(self.X, self.r, self.params)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "r", r)
 
     @property
     def params(self) -> ModelParams:
@@ -100,18 +102,13 @@ def builtin_designs() -> tuple[list[float], list[float]]:
     return list(_X1), list(_X2)
 
 
-def _design_for(values: Sequence[float], replications: int) -> tuple[DesignPoint, ...]:
-    return tuple(
-        DesignPoint(x=np.array([1.0, float(v)]), replications=replications)
-        for v in values
-    )
-
-
 def make_setting(design_values: Sequence[float], slope: float, mu: float,
                  alpha: float, replications: int = _TABLE_REPLICATIONS) -> EffSetting:
     """An intercept-plus-slope setting on the given covariate values."""
+    values = np.asarray(design_values, dtype=float)
     return EffSetting(
-        design=_design_for(design_values, replications),
+        X=np.column_stack([np.ones(values.size), values]),
+        r=np.full(values.size, replications),
         beta=np.array([_TABLE_BETA0, slope]),
         mu=mu,
         alpha=alpha,
@@ -145,9 +142,9 @@ def efficiency_measures(setting: EffSetting) -> EffResult:
     smaller values mean more efficiency lost to the weaker scenario.
     """
     params = setting.params
-    v_known = _slope_variance(info_known_mean(setting.design, params).matrix)
-    v_poisson = _slope_variance(info_poisson_size(setting.design, params).matrix)
-    v_full = _slope_variance(info_full(setting.design, params).matrix)
+    v_known = _slope_variance(info_known_mean(setting.X, setting.r, params))
+    v_poisson = _slope_variance(info_poisson_size(setting.X, setting.r, params))
+    v_full = _slope_variance(info_full(setting.X, setting.r, params))
     rho = (v_known / v_poisson) ** 0.25
     gamma = (v_poisson / v_full) ** 0.25
     return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
@@ -166,11 +163,11 @@ def gamma_curve(setting: EffSetting,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha grid must be strictly ascending")
     base = setting.params
-    v_poisson = _slope_variance(info_poisson_size(setting.design, base).matrix)
+    v_poisson = _slope_variance(info_poisson_size(setting.X, setting.r, base))
     out = []
     for a in grid:
         params = ModelParams(beta=base.beta, mu=base.mu, alpha=a)
-        v_full = _slope_variance(info_full(setting.design, params).matrix)
+        v_full = _slope_variance(info_full(setting.X, setting.r, params))
         out.append((a, (v_poisson / v_full) ** 0.25))
     return out
 
@@ -193,7 +190,7 @@ def sd_vs_mu_curves(setting: EffSetting,
     out = []
     for mu in grid:
         params = ModelParams(beta=base.beta, mu=mu, alpha=base.alpha)
-        inv, _, _ = inverse_with_condition(info_full(setting.design, params).matrix)
+        inv, _, _ = inverse_with_condition(info_full(setting.X, setting.r, params))
         out.append((
             mu,
             float(np.sqrt(inv[0, 0])),

@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import chi2, norm
 
 from .information import NEAR_SINGULAR_CONDITION, inverse_with_condition
 from .model import Dataset, ModelParams, INFINITE, hessian, log_likelihood, score
@@ -357,7 +357,8 @@ def likelihood_ratio_test(
             "submodel's; the full fit is untrustworthy"
         )
     statistic = max(statistic, 0.0)
-    p_value = 1.0 if statistic <= 0.0 else float(0.5 * chi2.sf(statistic, df=1))
+    # The chi-square(1) tail beyond s is erfc(sqrt(s / 2)).
+    p_value = 1.0 if statistic <= 0.0 else 0.5 * math.erfc(math.sqrt(statistic / 2.0))
     return LrtResult(
         statistic=float(statistic),
         p_value=p_value,
@@ -375,7 +376,7 @@ def wald_ci(fit: FitResult, level: float = 0.05) -> list[tuple[float, float]]:
         raise ValueError("level must be in (0, 1)")
     if not fit.converged:
         raise ValueError("confidence intervals require a converged fit")
-    z = float(norm.ppf(1.0 - level / 2.0))
+    z = NormalDist().inv_cdf(1.0 - level / 2.0)
     out: list[tuple[float, float]] = []
     for est, se in zip(fit.params.as_array(), fit.std_errors):
         if math.isnan(se):

@@ -7,19 +7,20 @@ is known, and the case where every size is observed. A closed-form block
 partition of the Poisson-size inverse is included because the generic
 inverse loses the structure that makes its mu-scaling visible.
 
-Every (beta, mu) block is one weighted Gram product over the design points,
+A design is given as arrays: the covariate rows X (n x d) and the number
+of observations r (n positive integers) sharing each row. Every (beta, mu)
+block is one weighted Gram product over the rows,
 
     I = sum_i w_i v_i v_i',    v_i = (grad h_i, h_i / mu),
 
-with h_i the logistic link at point i, r_i its replications and grad h_i =
-h_i (1 - h_i) x_i. The variants differ only in the weights:
+with h_i the logistic link at row x_i and grad h_i = h_i (1 - h_i) x_i. The variants differ only in the weights:
 
     full model             r mu / (h (1 + mu h / alpha))
     Poisson sizes          r mu / h
     size mean known        r mu / (h (1 - h))          beta block only
     sizes known            n_sum / (h (1 - h))         beta block only
 
-where n_sum is the total observed size at the point. The block partition
+where n_sum is the total observed size at the row. The block partition
 uses the Poisson-size matrix at mu = 1. The full model adds the alpha
 curvature, which has no closed form, on the diagonal.
 
@@ -29,9 +30,7 @@ this package.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +38,6 @@ import numpy as np
 from .model import ModelParams, _logistic, _mirrored, link_h
 
 __all__ = [
-    "DesignPoint",
-    "InfoVariant",
-    "InfoMatrix",
-    "Tolerance",
     "info_full",
     "info_poisson_size",
     "info_known_mean",
@@ -56,82 +51,34 @@ __all__ = [
 # Condition number beyond which an inverse is reported but flagged.
 NEAR_SINGULAR_CONDITION = 1e12
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Truncation control for the alpha-information tail sum.
-
-    abs_tol is the probability mass left unaccounted when the sum stops,
-    max_terms the hard cap on the number of terms.
-    """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """A covariate row and how many observations share it."""
-
-    x: np.ndarray
-    replications: int = 1
-
-    def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("design point must be finite")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "replications", int(self.replications))
+# The alpha-information tail sum stops once the probability mass it leaves
+# unaccounted is below _ALPHA_TAIL_TOL. _ALPHA_MAX_TERMS caps its length, and
+# with it the memory and time a huge size mean can ask for.
+_ALPHA_TAIL_TOL = 1e-12
+_ALPHA_MAX_TERMS = 1_000_000
 
 
-class InfoVariant(enum.Enum):
-    FULL = "full"
-    POISSON_SIZE = "poisson_size"
-    KNOWN_MEAN = "known_mean"
-    KNOWN_SIZES = "known_sizes"
-
-
-@dataclass(frozen=True)
-class InfoMatrix:
-    matrix: np.ndarray
-    variant: InfoVariant
-    param_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("information matrix must be square")
-        if m.shape[0] != len(self.param_labels):
-            raise ValueError("labels must match matrix dimension")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "param_labels", tuple(self.param_labels))
-
-
-def _beta_labels(d: int) -> list[str]:
-    return [f"beta{j}" for j in range(d)]
-
-
-def _design_arrays(design: Sequence[DesignPoint], params: ModelParams):
-    """The design stacked once: covariate rows X, replications r, link h."""
-    if len(design) == 0:
-        raise ValueError("design must be non-empty")
-    d = design[0].x.size
-    for pt in design:
-        if pt.x.size != d:
-            raise ValueError("design points must share a covariate length")
+def _design_arrays(X, r, params: ModelParams):
+    """Validated read-only copies of the covariate rows X (n x d) and the
+    replications r (n positive integers), and the link h at every row."""
+    X = np.array(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("design X must be a non-empty n x d array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("design X must be finite")
+    r = np.asarray(r)
+    if r.ndim != 1 or r.dtype.kind not in "iu":
+        raise ValueError("replications r must be a 1-D integer array")
+    if r.size != X.shape[0]:
+        raise ValueError(f"replications r has {r.size} entries for {X.shape[0]} rows")
+    if np.any(r < 1):
+        raise ValueError("replications must be >= 1")
+    d = X.shape[1]
     if d != params.beta.size:
         raise ValueError(f"dimension mismatch: design d={d}, beta has {params.beta.size}")
-    X = np.array([pt.x for pt in design])
-    r = np.array([pt.replications for pt in design])
+    r = r.astype(np.int64)
+    X.setflags(write=False)
+    r.setflags(write=False)
     return X, r, _logistic(X @ params.beta)
 
 
@@ -144,14 +91,14 @@ def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
     return _mirrored((v * w[:, None]).T @ v)
 
 
-def expected_alpha_info(x, params: ModelParams, tol: Tolerance = Tolerance()) -> float:
+def expected_alpha_info(x, params: ModelParams) -> float:
     """Expected curvature of the log density in the shape parameter.
 
     This is the negative expectation of the second alpha-derivative for a
     single observation at covariate row x. No closed form exists, so the
     expectation is a sum over the count distribution, truncated once the
     probability mass left beyond the last term provably drops below
-    tol.abs_tol.
+    _ALPHA_TAIL_TOL.
 
     The count pmf is built by the stable forward recurrence
     f(y+1)/f(y) = (alpha+y)/(y+1) * m/(alpha+m), and the curvature summand
@@ -177,12 +124,12 @@ def expected_alpha_info(x, params: ModelParams, tol: Tolerance = Tolerance()) ->
     s_start = 0.0
     acc = 0.0  # the y = 0 term vanishes since S(0) = 0
     while True:
-        if start >= tol.max_terms:
+        if start >= _ALPHA_MAX_TERMS:
             raise RuntimeError(
-                f"alpha information tail still above {tol.abs_tol} "
-                f"after {tol.max_terms} terms"
+                f"alpha information tail still above {_ALPHA_TAIL_TOL} "
+                f"after {_ALPHA_MAX_TERMS} terms"
             )
-        count = min(block, tol.max_terms - start)
+        count = min(block, _ALPHA_MAX_TERMS - start)
         j = np.arange(start, start + count, dtype=float)
         steps = np.log((a + j) / (j + 1.0)) + log_ratio
         logf = logf_start + np.cumsum(steps)
@@ -195,53 +142,50 @@ def expected_alpha_info(x, params: ModelParams, tol: Tolerance = Tolerance()) ->
         # Tail after the last included y: f_last * r / (1 - r) with
         # r the (decreasing, < 1 here) pmf ratio at that y.
         r = (a + start) / (start + 1.0) * math.exp(log_ratio)
-        if r < 1.0 and math.exp(logf_start) * r / (1.0 - r) < tol.abs_tol:
+        if r < 1.0 and math.exp(logf_start) * r / (1.0 - r) < _ALPHA_TAIL_TOL:
             break
     return acc - m / (a * (a + m))
 
 
-def info_full(design: Sequence[DesignPoint], params: ModelParams) -> InfoMatrix:
-    """Expected information of the full latent-size model.
+def info_full(X, r, params: ModelParams) -> np.ndarray:
+    """Expected information of the full latent-size model at the design
+    rows X with replications r, ordered (beta..., mu, alpha).
 
     The shape parameter is orthogonal to (beta, mu): its off-diagonal row and
     column are exactly zero by construction.
     """
     if params.is_poisson_size:
         raise ValueError("full-model information requires finite alpha")
-    X, r, h = _design_arrays(design, params)
+    X, r, h = _design_arrays(X, r, params)
     d = X.shape[1]
     mu = params.mu
     I = np.zeros((d + 2, d + 2))
     I[:d + 1, :d + 1] = _gram(X, h, r * mu / (h * (1.0 + mu * h / params.alpha)), mu)
-    for pt in design:
-        I[d + 1, d + 1] += pt.replications * expected_alpha_info(pt.x, params)
-    labels = _beta_labels(d) + ["mu", "alpha"]
-    return InfoMatrix(I, InfoVariant.FULL, tuple(labels))
+    for x, ri in zip(X, r):
+        I[d + 1, d + 1] += ri * expected_alpha_info(x, params)
+    return I
 
 
-def info_poisson_size(design: Sequence[DesignPoint], params: ModelParams) -> InfoMatrix:
-    """Expected information when the sizes are Poisson with common mean mu."""
-    X, r, h = _design_arrays(design, params)
-    I = _gram(X, h, r * params.mu / h, params.mu)
-    labels = _beta_labels(X.shape[1]) + ["mu"]
-    return InfoMatrix(I, InfoVariant.POISSON_SIZE, tuple(labels))
+def info_poisson_size(X, r, params: ModelParams) -> np.ndarray:
+    """Expected information about (beta, mu) when the sizes are Poisson with
+    common mean mu."""
+    X, r, h = _design_arrays(X, r, params)
+    return _gram(X, h, r * params.mu / h, params.mu)
 
 
-def info_known_mean(design: Sequence[DesignPoint], params: ModelParams) -> InfoMatrix:
+def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
     """Expected information about beta when only the size mean is known."""
-    X, r, h = _design_arrays(design, params)
-    I = _gram(X, h, r * params.mu / (h * (1.0 - h)))
-    return InfoMatrix(I, InfoVariant.KNOWN_MEAN, tuple(_beta_labels(X.shape[1])))
+    X, r, h = _design_arrays(X, r, params)
+    return _gram(X, h, r * params.mu / (h * (1.0 - h)))
 
 
-def info_known_sizes(design: Sequence[DesignPoint], sizes: Sequence[int],
-                     params: ModelParams) -> InfoMatrix:
+def info_known_sizes(X, r, sizes: Sequence[int], params: ModelParams) -> np.ndarray:
     """Information about beta when every size n_i is observed.
 
     sizes must align with the design expanded one observation per
-    replication, in design order.
+    replication, in row order.
     """
-    X, r, h = _design_arrays(design, params)
+    X, r, h = _design_arrays(X, r, params)
     total = int(r.sum())
     if len(sizes) != total:
         raise ValueError(f"expected {total} sizes, got {len(sizes)}")
@@ -249,12 +193,10 @@ def info_known_sizes(design: Sequence[DesignPoint], sizes: Sequence[int],
     if np.any(sizes < 0):
         raise ValueError("sizes must be non-negative")
     n_sum = np.add.reduceat(sizes, np.cumsum(r) - r)
-    I = _gram(X, h, n_sum / (h * (1.0 - h)))
-    return InfoMatrix(I, InfoVariant.KNOWN_SIZES, tuple(_beta_labels(X.shape[1])))
+    return _gram(X, h, n_sum / (h * (1.0 - h)))
 
 
-def block_variance_partition(design: Sequence[DesignPoint],
-                             params: ModelParams) -> tuple[np.ndarray, float]:
+def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, float]:
     """Closed-form (V11, V22) blocks of the inverse Poisson-size information.
 
     V11 is the asymptotic covariance of beta-hat, V22 the variance of mu-hat.
@@ -262,7 +204,7 @@ def block_variance_partition(design: Sequence[DesignPoint],
     matrix inverse, so the factorization V11 = (1/mu) * (...) and
     V22 = mu * (...) with mu-free inner matrices stays explicit.
     """
-    X, r, h = _design_arrays(design, params)
+    X, r, h = _design_arrays(X, r, params)
     d = X.shape[1]
     # The Poisson-size information at mu = 1 is [[A, b], [b', c]].
     G = _gram(X, h, r / h, 1.0)

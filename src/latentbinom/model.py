@@ -26,7 +26,6 @@ __all__ = [
     "Observation",
     "Dataset",
     "link_h",
-    "link_grad",
     "log_pmf",
     "log_likelihood",
     "score",
@@ -251,13 +250,6 @@ def link_h(x, beta) -> float:
         raise ValueError(f"dimension mismatch: x has {x.size}, beta has {beta.size}")
     t = np.asarray([float(x @ beta)])
     return float(_logistic(t)[0])
-
-
-def link_grad(x, beta) -> np.ndarray:
-    """Gradient of link_h with respect to beta: h (1 - h) x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = link_h(x, beta)
-    return h * (1.0 - h) * x
 
 
 def _h_vector(dataset: Dataset, params: ModelParams) -> np.ndarray:

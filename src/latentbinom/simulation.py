@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .efficiency import EffSetting
 from .estimation import fit_full
-from .information import DesignPoint, info_full, inverse_with_condition
+from .information import info_full, inverse_with_condition
 from .model import Dataset, _logistic
 
 __all__ = ["SimConfig", "SimSummary", "LatentRecord", "generate_dataset", "run_study"]
@@ -71,7 +71,7 @@ def generate_dataset(setting: EffSetting, replications: int,
     With alpha = INFINITE the gamma collapses and every latent mean equals mu
     exactly. A zero size simply yields a zero count.
     """
-    X = np.repeat(np.array([pt.x for pt in setting.design]), replications, axis=0)
+    X = np.repeat(setting.X, replications, axis=0)
     h = _logistic(X @ setting.beta)
     n_obs = X.shape[0]
     if math.isinf(setting.alpha):
@@ -89,7 +89,7 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(index,)))
 
 
-def _slope_se_expected(design, slope_idx: int, fit) -> float:
+def _slope_se_expected(X, r, slope_idx: int, fit) -> float:
     """Asymptotic slope standard error from the expected information at the
     fitted parameters. Coverage here probes the asymptotic variance claim,
     which is stated through the expected information, so the interval width
@@ -97,8 +97,7 @@ def _slope_se_expected(design, slope_idx: int, fit) -> float:
     remain the fallback when this inverse is unusable.
     """
     try:
-        info = info_full(design, fit.params)
-        inv, _, _ = inverse_with_condition(info.matrix)
+        inv, _, _ = inverse_with_condition(info_full(X, r, fit.params))
         var = float(inv[slope_idx, slope_idx])
     except (ValueError, np.linalg.LinAlgError):
         var = math.nan
@@ -113,11 +112,8 @@ def run_study(config: SimConfig) -> SimSummary:
     setting = config.setting
     slope_true = float(setting.beta[-1])
     slope_idx = setting.beta.size - 1
-    z = float(norm.ppf(0.5 + config.ci_level / 2.0))
-    design = tuple(
-        DesignPoint(x=pt.x, replications=config.replications_per_x)
-        for pt in setting.design
-    )
+    z = NormalDist().inv_cdf(0.5 + config.ci_level / 2.0)
+    r = np.full(setting.r.size, config.replications_per_x)
 
     sum_err = 0.0
     sum_sq = 0.0
@@ -133,7 +129,7 @@ def run_study(config: SimConfig) -> SimSummary:
         if not fit.converged:
             continue
         est = float(fit.params.beta[slope_idx])
-        se = _slope_se_expected(design, slope_idx, fit)
+        se = _slope_se_expected(setting.X, r, slope_idx, fit)
         if not math.isfinite(se):
             continue
         n_converged += 1

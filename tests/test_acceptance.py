@@ -19,7 +19,7 @@ from scipy import stats
 from conftest import (numeric_gradient, numeric_hessian, profile_loglik,
                       random_instance, relative_errors)
 
-from latentbinom import (DesignPoint, ModelParams, SimConfig,
+from latentbinom import (ModelParams, SimConfig,
                          block_variance_partition, builtin_designs,
                          efficiency_measures, fit_full, fit_poisson_size,
                          gamma_curve, generate_dataset, hessian, info_full,
@@ -82,7 +82,7 @@ def _rounding_range(setting):
     differences. This is the exact range of the linearised cell over the
     rounding box."""
     step = 1e-4
-    values = [float(p.x[1]) for p in setting.design]
+    values = setting.X[:, 1].tolist()
     slope = float(setting.beta[1])
     total = np.zeros(3)
     for i in range(len(values)):
@@ -111,7 +111,7 @@ def test_criterion_3_efficiency_table():
     for idx, (setting, got, row) in enumerate(
             zip(settings, computed, TABLE2_ROWS), start=1):
         allowance = np.full(3, 5e-4)
-        if [float(p.x[1]) for p in setting.design] == x2:
+        if setting.X[:, 1].tolist() == x2:
             allowance += _rounding_range(setting)
         for name, g, want, allow in zip(("rho", "gamma", "rho_gamma"),
                                         got, row, allowance):
@@ -177,26 +177,27 @@ def test_criterion_6_derivative_suite():
 
 
 def test_criterion_7_structure_suite():
-    design = [DesignPoint(np.array([1.0, float(t)]), 10) for t in range(-5, 6)]
+    X = np.column_stack([np.ones(11), np.arange(-5.0, 6.0)])
+    r = np.full(11, 10)
     params = ModelParams(beta=np.array([1.0, 1.0]), mu=100.0, alpha=25.0)
 
-    full = info_full(design, params).matrix
+    full = info_full(X, r, params)
     assert np.all(full[3, :3] == 0.0) and np.all(full[:3, 3] == 0.0)
 
     high = ModelParams(beta=params.beta, mu=100.0, alpha=1e8)
-    block = info_full(design, high).matrix[:3, :3]
-    poisson = info_poisson_size(design, high).matrix
+    block = info_full(X, r, high)[:3, :3]
+    poisson = info_poisson_size(X, r, high)
     assert np.max(np.abs(block - poisson)) <= 1e-6 * np.max(np.abs(poisson))
 
-    v11, v22 = block_variance_partition(design, params)
-    generic = np.linalg.inv(info_poisson_size(design, params).matrix)
+    v11, v22 = block_variance_partition(X, r, params)
+    generic = np.linalg.inv(info_poisson_size(X, r, params))
     assert np.max(relative_errors(v11, generic[:2, :2])) < 1e-8
     assert abs(v22 - generic[2, 2]) <= 1e-8 * abs(generic[2, 2])
 
     scaled = []
     for mu in (50.0, 100.0, 200.0, 400.0):
         p = ModelParams(beta=params.beta, mu=mu, alpha=25.0)
-        v11, v22 = block_variance_partition(design, p)
+        v11, v22 = block_variance_partition(X, r, p)
         scaled.append(np.append(mu * np.diag(v11), v22 / mu))
     for other in scaled[1:]:
         assert np.max(np.abs(other - scaled[0])) <= 1e-10 * np.max(np.abs(scaled[0]))
@@ -216,7 +217,7 @@ def test_criterion_8_distribution_suite():
 
     # Moment identities of the generator at every tabulated setting.
     for number, setting in enumerate(table_settings(), start=1):
-        value = setting.design[5].x[1]
+        value = setting.X[5, 1]
         single = make_setting((value,), float(setting.beta[1]), setting.mu,
                               setting.alpha, replications=1)
         rng = np.random.default_rng(800 + number)

@@ -2,14 +2,24 @@
 
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from conftest import count_calls
 
+import latentbinom
 from latentbinom import builtin_designs, efficiency_measures, make_setting
 from latentbinom import cli
 from latentbinom.cli import main
+
+
+# Outputs recorded by the benchmark at its seed commit; read only.
+REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
 
 
 def run_cli(capsys, argv):
@@ -167,6 +177,31 @@ def test_efficiency_output_byte_identical_across_runs(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("refs,key,argv", [
+    ("design", "efficiency", ["efficiency"]),
+    ("design", "gamma-by-alpha", ["curves", "--kind", "gamma-by-alpha"]),
+    ("design", "sd-by-mu", ["curves", "--kind", "sd-by-mu"]),
+    ("fit", "jejunal", ["fit", "--builtin", "jejunal"]),
+])
+def test_output_matches_committed_reference(capsys, refs, key, argv):
+    want = json.loads((REFS / f"{refs}.json").read_text(encoding="utf-8"))[key]
+    if refs == "fit":
+        assert want["rc"] == 0
+        want = want["stdout"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == want
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(latentbinom.__file__).resolve().parents[1]
+    probe = "import sys, latentbinom; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "False"
+
+
 def test_efficiency_custom_settings_file(capsys, tmp_path):
     settings = tmp_path / "settings.csv"
     settings.write_text("design,beta1,mu,alpha\n1,1,100,25\n", encoding="utf-8")
@@ -191,6 +226,15 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["efficiency", "--settings", str(bad_design)])
     assert code == 1
     assert "design must be 1 or 2" in err
+
+    for row in ("1,1,1_00,25", "1,1,100,2_5", "1_0,1,100,25", "1,1_0,100,25"):
+        underscored = tmp_path / "bad3.csv"
+        underscored.write_text(f"design,beta1,mu,alpha\n1,1,100,25\n{row}\n",
+                               encoding="utf-8")
+        code, out, err = run_cli(capsys, ["efficiency", "--settings", str(underscored)])
+        assert code == 1, row
+        assert "line 3: non-numeric field" in err, row
+        assert out == ""
 
 
 # -- curves ----------------------------------------------------------------------------

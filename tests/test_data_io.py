@@ -80,6 +80,9 @@ def test_read_csv_empty_file_is_an_error(tmp_path):
     ("dose,count\n6.25\n", "line 2"),
     ("dose,count\n1,5\nnan,7\n2,3\n", "line 3: non-finite covariate"),
     ("dose,count\n1,5\n2,3\n-inf,7\n", "line 4: non-finite covariate"),
+    ("dose,count\n1_0,1_000\n2,30\n3,5\n", "line 2: non-numeric covariate"),
+    ("dose,count\n1,5\n2,1_000\n", "line 3: non-numeric count"),
+    ("dose,count\n1,5\n2,1_0.0\n", "line 3: non-numeric count"),
 ])
 def test_read_csv_reports_offending_line(tmp_path, text, fragment):
     target = tmp_path / "bad.csv"

@@ -45,10 +45,11 @@ def test_table_settings_layout():
     assert len(settings) == 16
     x1, x2 = builtin_designs()
     for i, setting in enumerate(settings):
-        values = [pt.x[1] for pt in setting.design]
+        values = setting.X[:, 1].tolist()
         assert values == (x1 if i < 8 else x2)
         assert setting.beta[0] == 1.0
-        assert all(pt.replications == 10 for pt in setting.design)
+        assert np.all(setting.X[:, 0] == 1.0)
+        assert np.all(setting.r == 10)
     layout = [(s.beta[1], s.mu, s.alpha) for s in settings[:8]]
     assert layout == [(1, 100, 25), (2, 100, 25), (1, 300, 25), (2, 300, 25),
                       (1, 100, 49), (2, 100, 49), (1, 300, 49), (2, 300, 49)]
@@ -197,7 +198,7 @@ def test_sd_curves_poisson_submodel_mu_factorization():
     scaled = []
     for mu in (50.0, 100.0, 200.0, 400.0):
         setting = make_setting(x1, 1.0, mu, 25.0)
-        inv = np.linalg.inv(info_poisson_size(setting.design, setting.params).matrix)
+        inv = np.linalg.inv(info_poisson_size(setting.X, setting.r, setting.params))
         scaled.append((mu * inv[0, 0], mu * inv[1, 1], inv[2, 2] / mu))
     for other in scaled[1:]:
         assert other == pytest.approx(scaled[0], rel=1e-10)

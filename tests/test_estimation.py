@@ -8,7 +8,7 @@ from scipy import stats
 from conftest import count_calls
 
 from latentbinom import estimation
-from latentbinom import (Dataset, DesignPoint, FitResult, INFINITE,
+from latentbinom import (Dataset, FitResult, INFINITE,
                          ModelParams, ModelVariant, builtin_designs, fit_full,
                          fit_poisson_size, generate_dataset, info_full,
                          info_poisson_size, inverse_with_condition,
@@ -192,16 +192,15 @@ def test_converged_fits_have_small_score():
 def test_observed_and_expected_standard_errors_agree_loosely():
     setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0, 100.0, 5.0)
     data, _ = generate_dataset(setting, 10, np.random.default_rng(31))
-    design = [DesignPoint(np.array([1.0, float(t)]), 10) for t in range(-5, 6)]
 
     full = fit_full(data)
-    inv, cond, flagged = inverse_with_condition(info_full(design, full.params).matrix)
+    inv, cond, flagged = inverse_with_condition(info_full(setting.X, setting.r, full.params))
     assert not flagged
     ratios = full.std_errors / np.sqrt(np.diag(inv))
     assert np.all((0.75 < ratios) & (ratios < 1.25))
 
     pois = fit_poisson_size(data)
-    expected = np.linalg.inv(info_poisson_size(design, pois.params).matrix)
+    expected = np.linalg.inv(info_poisson_size(setting.X, setting.r, pois.params))
     ratios = pois.std_errors / np.sqrt(np.diag(expected))
     assert np.all((0.75 < ratios) & (ratios < 1.25))
 

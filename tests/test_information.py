@@ -6,17 +6,30 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from latentbinom import (DesignPoint, InfoVariant, ModelParams, Tolerance,
-                         block_variance_partition, expected_alpha_info,
-                         info_full, info_known_mean, info_known_sizes,
-                         info_poisson_size, inverse_with_condition, link_grad,
-                         link_h)
+from latentbinom import (ModelParams, block_variance_partition,
+                         expected_alpha_info, info_full, info_known_mean,
+                         info_known_sizes, info_poisson_size,
+                         inverse_with_condition, link_h)
+from latentbinom import information
+from latentbinom.information import _design_arrays
+
+
+def design(doses, replications):
+    """Intercept-plus-dose rows X and their replications r."""
+    doses = np.asarray(doses, dtype=float)
+    return (np.column_stack([np.ones(doses.size), doses]),
+            np.broadcast_to(replications, doses.shape).astype(int))
 
 
 def dose_design(replications=10):
     """Intercept-plus-integer-dose design on -5..5."""
-    return [DesignPoint(np.array([1.0, float(t)]), replications)
-            for t in range(-5, 6)]
+    return design(range(-5, 6), replications)
+
+
+def grad_h(x, beta):
+    """Gradient of link_h in beta: h (1 - h) x."""
+    h = link_h(x, beta)
+    return h * (1.0 - h) * x
 
 
 SETTING_ONE = ModelParams(beta=np.array([1.0, 1.0]), mu=100.0, alpha=25.0)
@@ -39,34 +52,47 @@ def random_params(rng, d=2):
     return ModelParams(beta=beta, mu=mu, alpha=alpha)
 
 
-# -- containers ----------------------------------------------------------------
+# -- design arrays ---------------------------------------------------------------
 
 
-def test_design_point_validation():
-    pt = DesignPoint(np.array([1.0, 2.0]), 3)
-    assert pt.replications == 3
-    with pytest.raises(ValueError):
-        DesignPoint(np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        DesignPoint(np.array([np.inf]), 1)
+def test_design_arrays_accepts_and_copies():
+    X, r = dose_design(replications=3)
+    got_X, got_r, h = _design_arrays(X, r, SETTING_ONE)
+    assert np.array_equal(got_X, X) and got_X is not X
+    assert got_r.dtype == np.int64 and np.all(got_r == 3)
+    assert not got_X.flags.writeable and not got_r.flags.writeable
+    assert X.flags.writeable
+    assert np.allclose(h, [link_h(x, SETTING_ONE.beta) for x in X], rtol=1e-14, atol=0.0)
 
 
-def test_info_matrix_label_mismatch():
-    from latentbinom import InfoMatrix
+@pytest.mark.parametrize("X,r", [
+    ([[1.0, 2.0], [1.0, np.inf]], [1, 1]),
+    ([[1.0, 2.0], [np.nan, 1.0]], [1, 1]),
+    ([[1.0, 2.0]], [0]),
+    ([[1.0, 2.0]], [2.5]),
+    ([[1.0, 2.0]], [True]),
+    ([[1.0, 2.0]], True),
+    ([[1.0, 2.0], [1.0, 3.0]], [1]),
+    ([[1.0, 2.0]], [1, 1]),
+    (np.empty((0, 2)), []),
+    ([], []),
+    ([1.0, 2.0], [1, 1]),
+    ([[1.0, 2.0, 3.0]], [1]),
+    ([[1.0]], [1]),
+], ids=["inf-X", "nan-X", "r-zero", "r-fraction", "r-bool", "r-scalar-bool",
+        "r-short", "r-long", "X-empty", "X-empty-list", "X-1d", "d-above-beta",
+        "d-below-beta"])
+def test_design_arrays_rejects(X, r):
     with pytest.raises(ValueError):
-        InfoMatrix(np.eye(3), InfoVariant.FULL, ("a", "b"))
-    with pytest.raises(ValueError):
-        InfoMatrix(np.ones((2, 3)), InfoVariant.FULL, ("a", "b"))
+        _design_arrays(X, r, SETTING_ONE)
 
 
 # -- full-model information ----------------------------------------------------
 
 
 def test_full_alpha_cross_entries_exactly_zero():
-    info = info_full(dose_design(), SETTING_ONE)
-    m = info.matrix
-    assert info.variant is InfoVariant.FULL
-    assert info.param_labels == ("beta0", "beta1", "mu", "alpha")
+    m = info_full(*dose_design(), SETTING_ONE)
+    assert m.shape == (4, 4)
     assert np.all(m[3, :3] == 0.0)
     assert np.all(m[:3, 3] == 0.0)
     assert m[3, 3] > 0.0
@@ -74,18 +100,17 @@ def test_full_alpha_cross_entries_exactly_zero():
 
 def test_full_single_point_large_alpha_beta_entry():
     # At h = 1/2 the slope-free entry is r * mu * (grad h)^2 / h.
-    pt = [DesignPoint(np.array([1.0]), 3)]
     params = ModelParams(beta=np.array([0.0]), mu=100.0, alpha=1e10)
-    got = info_full(pt, params).matrix[0, 0]
+    got = info_full([[1.0]], [3], params)[0, 0]
     assert got == pytest.approx(3 * 100.0 * 0.25**2 / 0.5, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha,rel", [(1e10, 1e-8), (1e8, 1e-6)])
 def test_full_reduces_to_poisson_size_block(alpha, rel):
-    design = dose_design()
+    X, r = dose_design()
     params = ModelParams(beta=SETTING_ONE.beta, mu=100.0, alpha=alpha)
-    full_block = info_full(design, params).matrix[:3, :3]
-    poisson = info_poisson_size(design, params).matrix
+    full_block = info_full(X, r, params)[:3, :3]
+    poisson = info_poisson_size(X, r, params)
     assert np.max(np.abs(full_block - poisson)) <= rel * np.max(np.abs(poisson))
 
 
@@ -94,30 +119,30 @@ def slope_variance(info_matrix):
 
 
 def test_full_setting_one_gamma_ratio():
-    design = dose_design()
+    X, r = dose_design()
     # alpha is orthogonal, so the (beta, mu) block inverts independently.
-    full = info_full(design, SETTING_ONE).matrix[:3, :3]
-    poisson = info_poisson_size(design, SETTING_ONE).matrix
+    full = info_full(X, r, SETTING_ONE)[:3, :3]
+    poisson = info_poisson_size(X, r, SETTING_ONE)
     gamma = (slope_variance(poisson) / slope_variance(full)) ** 0.25
     assert gamma == pytest.approx(0.837, abs=5e-4)
 
 
 def test_poisson_size_setting_one_rho_ratio():
-    design = dose_design()
-    poisson = info_poisson_size(design, SETTING_ONE).matrix
-    known = info_known_mean(design, SETTING_ONE).matrix
+    X, r = dose_design()
+    poisson = info_poisson_size(X, r, SETTING_ONE)
+    known = info_known_mean(X, r, SETTING_ONE)
     v_known = np.linalg.inv(known)[1, 1]
     rho = (v_known / slope_variance(poisson)) ** 0.25
     assert rho == pytest.approx(0.706, abs=5e-4)
 
 
 def test_variance_ordering_known_poisson_full():
-    design = dose_design()
+    X, r = dose_design()
     for params in (SETTING_ONE,
                    ModelParams(beta=np.array([1.0, 0.5]), mu=300.0, alpha=1.0)):
-        v_known = np.linalg.inv(info_known_mean(design, params).matrix)[1, 1]
-        v_poisson = slope_variance(info_poisson_size(design, params).matrix)
-        v_full = slope_variance(info_full(design, params).matrix[:3, :3])
+        v_known = np.linalg.inv(info_known_mean(X, r, params))[1, 1]
+        v_poisson = slope_variance(info_poisson_size(X, r, params))
+        v_full = slope_variance(info_full(X, r, params)[:3, :3])
         assert v_known <= v_poisson * (1 + 1e-12)
         assert v_poisson <= v_full * (1 + 1e-12)
 
@@ -126,7 +151,7 @@ def test_full_rejects_infinite_alpha():
     from latentbinom import INFINITE
     params = ModelParams(beta=np.array([1.0, 1.0]), mu=100.0, alpha=INFINITE)
     with pytest.raises(ValueError):
-        info_full(dose_design(), params)
+        info_full(*dose_design(), params)
 
 
 # -- expected alpha information ------------------------------------------------
@@ -172,88 +197,88 @@ def test_alpha_info_matches_monte_carlo():
     assert abs(draws.mean() - expected_alpha_info(x, params)) < 3 * se
 
 
-def test_alpha_info_term_budget_enforced():
+def test_alpha_info_term_budget_enforced(monkeypatch):
     params = ModelParams(beta=np.array([2.0, 0.0]), mu=900.0, alpha=0.6)
+    monkeypatch.setattr(information, "_ALPHA_MAX_TERMS", 8)
     with pytest.raises(RuntimeError):
-        expected_alpha_info(np.array([1.0, 0.0]), params, Tolerance(max_terms=8))
+        expected_alpha_info(np.array([1.0, 0.0]), params)
 
 
 # -- reduced-information variants ----------------------------------------------
 
 
 def test_poisson_size_single_point_singular():
-    info = info_poisson_size([DesignPoint(np.array([1.0, 2.0]), 5)], SETTING_ONE)
-    eigs = np.linalg.eigvalsh(info.matrix)
-    assert np.min(np.abs(eigs)) < 1e-10 * np.trace(info.matrix)
+    info = info_poisson_size([[1.0, 2.0]], [5], SETTING_ONE)
+    eigs = np.linalg.eigvalsh(info)
+    assert np.min(np.abs(eigs)) < 1e-10 * np.trace(info)
 
 
 def test_known_mean_equals_known_sizes_at_mu():
-    design = dose_design(replications=2)
+    X, r = dose_design(replications=2)
     params = ModelParams(beta=np.array([0.5, 0.3]), mu=100.0, alpha=25.0)
-    sizes = [100] * sum(pt.replications for pt in design)
-    mean_info = info_known_mean(design, params).matrix
-    sized_info = info_known_sizes(design, sizes, params).matrix
+    sizes = [100] * int(r.sum())
+    mean_info = info_known_mean(X, r, params)
+    sized_info = info_known_sizes(X, r, sizes, params)
     assert np.allclose(mean_info, sized_info, rtol=1e-12)
 
 
 def test_known_mean_half_logit_terms():
-    design = [DesignPoint(np.array([1.0, t]), 2) for t in (-1.0, 0.5, 2.0)]
+    X, r = design((-1.0, 0.5, 2.0), 2)
     params = ModelParams(beta=np.array([0.0, 0.0]), mu=80.0, alpha=10.0)
     want = np.zeros((2, 2))
-    for pt in design:
-        gh = link_grad(pt.x, params.beta)
-        want += pt.replications * 4.0 * params.mu * np.outer(gh, gh)
-    got = info_known_mean(design, params).matrix
+    for x, ri in zip(X, r):
+        gh = grad_h(x, params.beta)
+        want += ri * 4.0 * params.mu * np.outer(gh, gh)
+    got = info_known_mean(X, r, params)
     assert np.allclose(got, want, rtol=1e-12)
 
 
 def test_known_mean_scales_linearly_in_mu():
-    design = dose_design()
-    base = info_known_mean(design, SETTING_ONE).matrix
+    X, r = dose_design()
+    base = info_known_mean(X, r, SETTING_ONE)
     scaled = info_known_mean(
-        design, ModelParams(beta=SETTING_ONE.beta, mu=350.0, alpha=25.0)).matrix
+        X, r, ModelParams(beta=SETTING_ONE.beta, mu=350.0, alpha=25.0))
     assert np.allclose(scaled, 3.5 * base, rtol=1e-14)
 
 
 def test_known_sizes_zero_sizes_give_zero_matrix():
-    design = [DesignPoint(np.array([1.0, 1.5]), 2), DesignPoint(np.array([1.0, -0.5]), 1)]
-    info = info_known_sizes(design, [0, 0, 0], SETTING_ONE)
-    assert np.all(info.matrix == 0.0)
-    assert info.variant is InfoVariant.KNOWN_SIZES
+    info = info_known_sizes([[1.0, 1.5], [1.0, -0.5]], [2, 1], [0, 0, 0], SETTING_ONE)
+    assert info.shape == (2, 2)
+    assert np.all(info == 0.0)
 
 
 def test_known_sizes_doubling_doubles_matrix():
-    design = dose_design(replications=1)
+    X, r = dose_design(replications=1)
     sizes = list(range(90, 101))
-    one = info_known_sizes(design, sizes, SETTING_ONE).matrix
-    two = info_known_sizes(design, [2 * n for n in sizes], SETTING_ONE).matrix
+    one = info_known_sizes(X, r, sizes, SETTING_ONE)
+    two = info_known_sizes(X, r, [2 * n for n in sizes], SETTING_ONE)
     assert np.array_equal(two, 2.0 * one)
 
 
 def test_known_sizes_misaligned_raises():
     with pytest.raises(ValueError):
-        info_known_sizes(dose_design(replications=2), [100] * 5, SETTING_ONE)
+        info_known_sizes(*dose_design(replications=2), [100] * 5, SETTING_ONE)
     with pytest.raises(ValueError):
-        info_known_sizes(dose_design(replications=1), [100] * 11 + [-1], SETTING_ONE)
+        info_known_sizes(*dose_design(replications=1), [100] * 11 + [-1], SETTING_ONE)
 
 
 def test_known_sizes_poisson_average_matches_known_mean():
     rng = np.random.default_rng(99)
-    design = [DesignPoint(np.array([1.0, t]), 2) for t in (-2.0, 0.0, 2.0)]
+    X, r = design((-2.0, 0.0, 2.0), 2)
     params = ModelParams(beta=np.array([0.4, 0.6]), mu=50.0, alpha=25.0)
-    total = sum(pt.replications for pt in design)
+    total = int(r.sum())
     n_vectors = 10**4
     acc = np.zeros((2, 2))
     for sizes in rng.poisson(params.mu, size=(n_vectors, total)):
-        acc += info_known_sizes(design, sizes, params).matrix
+        acc += info_known_sizes(X, r, sizes, params)
     avg = acc / n_vectors
-    want = info_known_mean(design, params).matrix
+    want = info_known_mean(X, r, params)
     # Per-entry Monte Carlo error bound: each size has variance mu.
     coeff = np.zeros((2, 2))
-    for pt in design:
-        h = link_h(pt.x, params.beta)
-        gh = link_grad(pt.x, params.beta)
-        coeff += pt.replications * np.abs(np.outer(gh, gh)) / (h * (1.0 - h))
+    for x, ri in zip(X, r):
+        h = link_h(x, params.beta)
+        gh = grad_h(x, params.beta)
+        coeff += ri * np.abs(np.outer(gh, gh)) / (h * (1.0 - h))
     bound = 4.0 * math.sqrt(params.mu / n_vectors) * coeff
     assert np.all(np.abs(avg - want) < bound)
 
@@ -262,20 +287,20 @@ def test_known_sizes_poisson_average_matches_known_mean():
 
 
 def test_block_partition_matches_generic_inverse():
-    design = dose_design()
-    v11, v22 = block_variance_partition(design, SETTING_ONE)
-    generic = np.linalg.inv(info_poisson_size(design, SETTING_ONE).matrix)
+    X, r = dose_design()
+    v11, v22 = block_variance_partition(X, r, SETTING_ONE)
+    generic = np.linalg.inv(info_poisson_size(X, r, SETTING_ONE))
     assert np.allclose(v11, generic[:2, :2], rtol=1e-8)
     assert v22 == pytest.approx(generic[2, 2], rel=1e-8)
 
 
 def test_block_partition_mu_factorization():
-    design = dose_design()
+    X, r = dose_design()
     scaled_v11 = []
     scaled_v22 = []
     for mu in (50.0, 100.0, 200.0, 400.0):
         params = ModelParams(beta=np.array([1.0, 1.0]), mu=mu, alpha=25.0)
-        v11, v22 = block_variance_partition(design, params)
+        v11, v22 = block_variance_partition(X, r, params)
         scaled_v11.append(mu * np.diag(v11))
         scaled_v22.append(v22 / mu)
     for other in scaled_v11[1:]:
@@ -285,13 +310,13 @@ def test_block_partition_mu_factorization():
 
 
 def test_block_partition_monotone_in_mu():
-    design = dose_design()
+    X, r = dose_design()
     grid = [20.0, 50.0, 120.0, 260.0, 500.0]
     diags = []
     v22s = []
     for mu in grid:
         params = ModelParams(beta=np.array([1.0, 1.0]), mu=mu, alpha=25.0)
-        v11, v22 = block_variance_partition(design, params)
+        v11, v22 = block_variance_partition(X, r, params)
         diags.append(np.diag(v11))
         v22s.append(v22)
     for lo, hi in zip(diags, diags[1:]):
@@ -302,7 +327,7 @@ def test_block_partition_monotone_in_mu():
 
 def test_block_partition_singular_design_raises():
     with pytest.raises(np.linalg.LinAlgError):
-        block_variance_partition([DesignPoint(np.array([1.0, 2.0]), 4)], SETTING_ONE)
+        block_variance_partition([[1.0, 2.0]], [4], SETTING_ONE)
 
 
 # -- shared invariants -----------------------------------------------------------
@@ -312,15 +337,14 @@ def test_all_variants_positive_semidefinite():
     rng = np.random.default_rng(3)
     for _ in range(5):
         params = random_params(rng)
-        design = [DesignPoint(np.array([1.0, rng.uniform(-3.0, 3.0)]),
-                              int(rng.integers(1, 5))) for _ in range(4)]
-        sizes = list(rng.poisson(params.mu,
-                                 size=sum(pt.replications for pt in design)))
+        rows = [(rng.uniform(-3.0, 3.0), int(rng.integers(1, 5))) for _ in range(4)]
+        X, r = design([t for t, _ in rows], [n for _, n in rows])
+        sizes = list(rng.poisson(params.mu, size=int(r.sum())))
         matrices = [
-            info_full(design, params).matrix,
-            info_poisson_size(design, params).matrix,
-            info_known_mean(design, params).matrix,
-            info_known_sizes(design, sizes, params).matrix,
+            info_full(X, r, params),
+            info_poisson_size(X, r, params),
+            info_known_mean(X, r, params),
+            info_known_sizes(X, r, sizes, params),
         ]
         for m in matrices:
             assert np.max(np.abs(m - m.T)) == 0.0
@@ -342,28 +366,29 @@ def test_inverse_with_condition_flags():
 
 def test_kernel_matches_per_row_loop_three_covariates():
     rng = np.random.default_rng(31)
-    design = [DesignPoint(np.concatenate([[1.0], rng.uniform(-2.0, 2.0, size=2)]),
-                          int(rng.integers(1, 6))) for _ in range(7)]
+    rows = [(np.concatenate([[1.0], rng.uniform(-2.0, 2.0, size=2)]),
+             int(rng.integers(1, 6))) for _ in range(7)]
+    X = np.array([x for x, _ in rows])
+    r = np.array([n for _, n in rows])
     params = ModelParams(beta=np.array([0.3, -0.8, 0.5]), mu=120.0, alpha=4.0)
-    sizes = rng.poisson(params.mu, size=sum(pt.replications for pt in design))
+    sizes = rng.poisson(params.mu, size=int(r.sum()))
     mu, a = params.mu, params.alpha
     full = np.zeros((4, 4))
     known_mean = np.zeros((3, 3))
     known_sizes = np.zeros((3, 3))
     pos = 0
-    for pt in design:
-        r = pt.replications
-        h = link_h(pt.x, params.beta)
-        gh = link_grad(pt.x, params.beta)
+    for x, ri in zip(X, r):
+        h = link_h(x, params.beta)
+        gh = grad_h(x, params.beta)
         shrink = 1.0 + mu * h / a
-        full[:3, :3] += r * mu * np.outer(gh, gh) / (h * shrink)
-        full[:3, 3] += r * gh / shrink
-        full[3, 3] += r * h / (mu * shrink)
-        known_mean += r * mu * np.outer(gh, gh) / (h * (1.0 - h))
-        known_sizes += sizes[pos:pos + r].sum() * np.outer(gh, gh) / (h * (1.0 - h))
-        pos += r
+        full[:3, :3] += ri * mu * np.outer(gh, gh) / (h * shrink)
+        full[:3, 3] += ri * gh / shrink
+        full[3, 3] += ri * h / (mu * shrink)
+        known_mean += ri * mu * np.outer(gh, gh) / (h * (1.0 - h))
+        known_sizes += sizes[pos:pos + ri].sum() * np.outer(gh, gh) / (h * (1.0 - h))
+        pos += ri
     full[3, :3] = full[:3, 3]
-    for got, want in ((info_full(design, params).matrix[:4, :4], full),
-                      (info_known_mean(design, params).matrix, known_mean),
-                      (info_known_sizes(design, sizes, params).matrix, known_sizes)):
+    for got, want in ((info_full(X, r, params)[:4, :4], full),
+                      (info_known_mean(X, r, params), known_mean),
+                      (info_known_sizes(X, r, sizes, params), known_sizes)):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)

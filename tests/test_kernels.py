@@ -1,5 +1,4 @@
-"""Numerical kernels: the log-gamma constant of the likelihood and the
-truncation tolerance of the alpha-information sum.
+"""Numerical kernels: the log-gamma constant of the likelihood.
 
 The stated absolute-error target of log-gamma is asserted on the argument
 range where float64 can express it. For large arguments (log_gamma(1e15) is
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import special
 
-from latentbinom.information import Tolerance
 from latentbinom.model import _log_gamma as log_gamma
 
 
@@ -78,13 +76,3 @@ def test_scalar_in_scalar_out(fn):
 @pytest.mark.parametrize("fn", [log_gamma], ids=["log_gamma"])
 def test_deterministic(fn):
     assert fn(4.321) == fn(4.321)
-
-
-def test_tolerance_defaults_and_validation():
-    tol = Tolerance()
-    assert tol.abs_tol == 1e-12
-    assert tol.max_terms == 1_000_000
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(max_terms=0)

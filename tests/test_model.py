@@ -13,7 +13,7 @@ from conftest import (count_calls, numeric_gradient, numeric_hessian,
 import latentbinom
 from latentbinom import (Dataset, INFINITE, ModelParams, Observation,
                          generate_dataset, hessian, jejunal_dataset,
-                         link_grad, link_h, log_likelihood, log_pmf,
+                         link_h, log_likelihood, log_pmf,
                          make_setting, read_csv, score)
 from latentbinom.model import _logistic
 
@@ -229,17 +229,21 @@ def test_link_dimension_mismatch():
     with pytest.raises(ValueError):
         link_h(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        link_grad(np.array([1.0, 2.0]), np.array([1.0]))
+        link_h(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_link_grad_values():
-    g = link_grad(np.array([1.0, 2.0]), np.array([2.0, -1.0]))
+    # The gradient of link_h in beta is h (1 - h) x.
+    x = np.array([1.0, 2.0])
+    h = link_h(x, np.array([2.0, -1.0]))
+    g = h * (1.0 - h) * x
     assert g == pytest.approx([0.25, 0.5], rel=1e-14)
 
 
 def test_link_grad_saturated():
     x = np.array([1.0, 3.0])
-    g = link_grad(x, np.array([10.0, 10.0]))
+    h = link_h(x, np.array([10.0, 10.0]))
+    g = h * (1.0 - h) * x
     assert np.max(np.abs(g)) < 1e-17 * np.max(np.abs(x))
 
 
@@ -248,7 +252,8 @@ def test_link_grad_matches_finite_difference():
     for _ in range(30):
         x = rng.uniform(-2, 2, size=3)
         beta = rng.normal(size=3)
-        g = link_grad(x, beta)
+        h = link_h(x, beta)
+        g = h * (1.0 - h) * x
         step = 1e-6
         for j in range(3):
             hi, lo = beta.copy(), beta.copy()
