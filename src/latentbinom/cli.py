@@ -20,7 +20,7 @@ from .data_io import (_number, format_number, jejunal_dataset, read_csv,
                       write_records)
 from .efficiency import (builtin_designs, efficiency_measures, gamma_curve,
                          make_setting, sd_vs_mu_curves, table_settings)
-from .estimation import (FitResult, ModelVariant, fit_full, fit_poisson_size,
+from .estimation import (FitResult, fit_full, fit_poisson_size,
                          likelihood_ratio_test, wald_ci)
 from .simulation import SimConfig, run_study
 
@@ -144,13 +144,13 @@ def _print_fit(fit: FitResult, level: float, full_precision: bool,
                out: TextIO) -> None:
     fmt = lambda v: format_number(v, full_precision)  # noqa: E731
     labels = [f"beta{i}" for i in range(fit.params.beta.size)] + ["mu"]
-    if fit.model_variant is ModelVariant.FULL:
+    if not fit.params.is_poisson_size:
         labels.append("alpha")
     if fit.converged:
         cis = wald_ci(fit, level)
     else:
         cis = [(math.nan, math.nan)] * len(labels)
-    print(f"model: {fit.model_variant.value}", file=out)
+    print(f"model: {fit.model}", file=out)
     print(f"converged: {'yes' if fit.converged else 'no'}", file=out)
     print(f"iterations: {fit.n_iterations}", file=out)
     print(f"log-likelihood: {fmt(fit.loglik)}", file=out)
@@ -198,8 +198,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                       f"{format_number(lrt.significance_level, args.full_precision)}",
                       file=out)
                 selected = full if lrt.reject_poisson else sub
-                print(f"selected model: {selected.model_variant.value}",
-                      file=out)
+                print(f"selected model: {selected.model}", file=out)
                 fits = [selected]
         for fit in fits:
             _print_fit(fit, args.level, args.full_precision, out)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO, Union
 
@@ -20,26 +19,12 @@ import numpy as np
 from .model import Dataset
 
 __all__ = [
-    "DoseCountRecord",
     "JEJUNAL_CRYPT_COUNTS",
-    "jejunal_records",
     "jejunal_dataset",
     "read_csv",
     "write_records",
     "format_number",
 ]
-
-
-@dataclass(frozen=True)
-class DoseCountRecord:
-    """One irradiated mouse: gamma-ray dose in Gy and surviving crypt count."""
-
-    dose: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
 
 
 # Surviving jejunal crypt counts per mouse, keyed by radiation dose in Gy.
@@ -60,19 +45,13 @@ JEJUNAL_CRYPT_COUNTS: Mapping[float, tuple[int, ...]] = {
 }
 
 
-def jejunal_records() -> list[DoseCountRecord]:
-    """The embedded data as flat (dose, count) records, in table order."""
-    return [DoseCountRecord(dose=dose, count=count)
-            for dose, counts in JEJUNAL_CRYPT_COUNTS.items()
-            for count in counts]
-
-
 def jejunal_dataset() -> Dataset:
-    """The embedded jejunal crypt data as a Dataset with x = (1, dose)."""
-    records = jejunal_records()
-    y = [r.count for r in records]
-    X = [(1.0, r.dose) for r in records]
-    return Dataset.from_arrays(y, X)
+    """The embedded jejunal crypt data as a Dataset with x = (1, dose), one
+    row per mouse in table order."""
+    counts = list(JEJUNAL_CRYPT_COUNTS.values())
+    dose = np.repeat(list(JEJUNAL_CRYPT_COUNTS), [len(c) for c in counts])
+    y = np.concatenate(counts)
+    return Dataset.from_arrays(y, np.column_stack([np.ones(dose.size), dose]))
 
 
 def _number(text: str, kind=float):

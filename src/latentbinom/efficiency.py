@@ -52,7 +52,7 @@ _TABLE_SHAPES = (25.0, 49.0)
 _TABLE_REPLICATIONS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffSetting:
     """A design, as covariate rows X (n x d) and replications r (n positive
     integers), plus generating parameters for one efficiency evaluation."""

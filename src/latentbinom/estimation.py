@@ -12,7 +12,6 @@ information module stay available for cross-checks.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -24,7 +23,6 @@ from .information import NEAR_SINGULAR_CONDITION, inverse_with_condition
 from .model import Dataset, ModelParams, INFINITE, hessian, log_likelihood, score
 
 __all__ = [
-    "ModelVariant",
     "FitResult",
     "LrtResult",
     "fit_poisson_size",
@@ -54,12 +52,7 @@ _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 _ALPHA_VAR_FACTOR = 100.0
 
 
-class ModelVariant(enum.Enum):
-    FULL = "full"
-    POISSON_SIZE = "poisson_size"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a maximum-likelihood fit.
 
@@ -75,7 +68,6 @@ class FitResult:
     converged: bool
     n_iterations: int
     info_condition: float
-    model_variant: ModelVariant
     diagnostics: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -87,6 +79,11 @@ class FitResult:
         with np.errstate(invalid="ignore"):
             if np.any(se[np.isfinite(se)] < 0):
                 raise ValueError("standard errors must be non-negative")
+
+    @property
+    def model(self) -> str:
+        """"poisson_size" when alpha is INFINITE, else "full"."""
+        return "poisson_size" if self.params.is_poisson_size else "full"
 
 
 @dataclass(frozen=True)
@@ -241,21 +238,15 @@ def _standard_errors(data: Dataset, params: ModelParams,
     return se, cond, notes
 
 
-def _boundary_result(data: Dataset, variant: ModelVariant) -> FitResult:
-    d = data.d
-    n = d + (1 if variant is ModelVariant.POISSON_SIZE else 2)
-    params = ModelParams(
-        beta=np.zeros(d), mu=1.0,
-        alpha=INFINITE if variant is ModelVariant.POISSON_SIZE else 1.0,
-    )
+def _boundary_result(data: Dataset, alpha: float) -> FitResult:
+    params = ModelParams(beta=np.zeros(data.d), mu=1.0, alpha=alpha)
     return FitResult(
         params=params,
-        std_errors=np.full(n, math.nan),
+        std_errors=np.full(params.n_params, math.nan),
         loglik=math.nan,
         converged=False,
         n_iterations=0,
         info_condition=math.inf,
-        model_variant=variant,
         diagnostics=(
             "boundary: all counts are zero, the likelihood increases without "
             "bound as the intercept decreases; no finite maximum exists",
@@ -278,7 +269,7 @@ def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResul
     """
     _require_full_rank(data)
     if int(data.y.max()) == 0:
-        return _boundary_result(data, ModelVariant.POISSON_SIZE)
+        return _boundary_result(data, INFINITE)
     if init is not None:
         beta0, mu0 = np.asarray(init.beta, dtype=float), float(init.mu)
     else:
@@ -288,8 +279,7 @@ def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResul
     se, cond, notes = _standard_errors(data, params, alpha_guard=False)
     return FitResult(
         params=params, std_errors=se, loglik=ll, converged=converged,
-        n_iterations=n_iter, info_condition=cond,
-        model_variant=ModelVariant.POISSON_SIZE, diagnostics=tuple(notes),
+        n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),
     )
 
 
@@ -307,7 +297,7 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     """
     _require_full_rank(data)
     if int(data.y.max()) == 0:
-        return _boundary_result(data, ModelVariant.FULL)
+        return _boundary_result(data, 1.0)
     if init is None:
         init = fit_poisson_size(data).params
     beta0, mu0 = np.asarray(init.beta, float), float(init.mu)
@@ -317,8 +307,7 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     se, cond, notes = _standard_errors(data, params, alpha_guard=True)
     return FitResult(
         params=params, std_errors=se, loglik=ll, converged=converged,
-        n_iterations=n_iter, info_condition=cond,
-        model_variant=ModelVariant.FULL, diagnostics=tuple(notes),
+        n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),
     )
 
 
@@ -341,13 +330,12 @@ def likelihood_ratio_test(
         full = fit_full(data, init=sub.params)
     else:
         sub, full = fits
-        if (sub.model_variant is not ModelVariant.POISSON_SIZE
-                or full.model_variant is not ModelVariant.FULL):
+        if not sub.params.is_poisson_size or full.params.is_poisson_size:
             raise ValueError("fits must be a (poisson_size, full) pair")
     for fit in (sub, full):
         if not fit.converged:
             raise RuntimeError(
-                f"{fit.model_variant.value} fit did not converge: "
+                f"{fit.model} fit did not converge: "
                 + "; ".join(fit.diagnostics or ("no diagnostics",))
             )
     statistic = 2.0 * (full.loglik - sub.loglik)

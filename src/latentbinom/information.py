@@ -11,18 +11,21 @@ A design is given as arrays: the covariate rows X (n x d) and the number
 of observations r (n positive integers) sharing each row. Every (beta, mu)
 block is one weighted Gram product over the rows,
 
-    I = sum_i w_i v_i v_i',    v_i = (grad h_i, h_i / mu),
+    I = sum_i w_i u_i u_i',    u_i = ((1 - h_i) x_i, 1 / mu),
 
-with h_i the logistic link at row x_i and grad h_i = h_i (1 - h_i) x_i. The variants differ only in the weights:
+with h_i the logistic link at row x_i; the beta-only variants use
+u_i = x_i. The variants differ only in the weights:
 
-    full model             r mu / (h (1 + mu h / alpha))
-    Poisson sizes          r mu / h
-    size mean known        r mu / (h (1 - h))          beta block only
-    sizes known            n_sum / (h (1 - h))         beta block only
+    full model             r mu h / (1 + mu h / alpha)
+    Poisson sizes          r mu h
+    size mean known        r mu h (1 - h)             beta block only
+    sizes known            n_sum h (1 - h)            beta block only
 
-where n_sum is the total observed size at the row. The block partition
-uses the Poisson-size matrix at mu = 1. The full model adds the alpha
-curvature, which has no closed form, on the diagonal.
+where n_sum is the total observed size at the row. No weight divides by
+h or 1 - h, so a row whose link saturates to exactly 0 or 1 adds nothing
+instead of 0/0. The block partition uses the Poisson-size matrix at
+mu = 1. The full model adds the alpha curvature, which has no closed form,
+on the diagonal.
 
 Matrices are ordered (beta..., mu, alpha) like every parameter vector in
 this package.
@@ -83,12 +86,12 @@ def _design_arrays(X, r, params: ModelParams):
 
 
 def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
-    """sum_i w_i v_i v_i' with v_i = (grad h_i, h_i / mu), or v_i = grad h_i
+    """sum_i w_i u_i u_i' with u_i = ((1 - h_i) x_i, 1 / mu), or u_i = x_i
     when mu is None; exactly symmetric."""
-    v = (h * (1.0 - h))[:, None] * X
+    u = X
     if mu is not None:
-        v = np.column_stack([v, h / mu])
-    return _mirrored((v * w[:, None]).T @ v)
+        u = np.column_stack([(1.0 - h)[:, None] * X, np.full(h.size, 1.0 / mu)])
+    return _mirrored((u * w[:, None]).T @ u)
 
 
 def expected_alpha_info(x, params: ModelParams) -> float:
@@ -160,7 +163,7 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
     d = X.shape[1]
     mu = params.mu
     I = np.zeros((d + 2, d + 2))
-    I[:d + 1, :d + 1] = _gram(X, h, r * mu / (h * (1.0 + mu * h / params.alpha)), mu)
+    I[:d + 1, :d + 1] = _gram(X, h, r * mu * h / (1.0 + mu * h / params.alpha), mu)
     for x, ri in zip(X, r):
         I[d + 1, d + 1] += ri * expected_alpha_info(x, params)
     return I
@@ -170,13 +173,13 @@ def info_poisson_size(X, r, params: ModelParams) -> np.ndarray:
     """Expected information about (beta, mu) when the sizes are Poisson with
     common mean mu."""
     X, r, h = _design_arrays(X, r, params)
-    return _gram(X, h, r * params.mu / h, params.mu)
+    return _gram(X, h, r * params.mu * h, params.mu)
 
 
 def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
     """Expected information about beta when only the size mean is known."""
     X, r, h = _design_arrays(X, r, params)
-    return _gram(X, h, r * params.mu / (h * (1.0 - h)))
+    return _gram(X, h, r * params.mu * h * (1.0 - h))
 
 
 def info_known_sizes(X, r, sizes: Sequence[int], params: ModelParams) -> np.ndarray:
@@ -193,7 +196,7 @@ def info_known_sizes(X, r, sizes: Sequence[int], params: ModelParams) -> np.ndar
     if np.any(sizes < 0):
         raise ValueError("sizes must be non-negative")
     n_sum = np.add.reduceat(sizes, np.cumsum(r) - r)
-    return _gram(X, h, n_sum / (h * (1.0 - h)))
+    return _gram(X, h, n_sum * h * (1.0 - h))
 
 
 def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, float]:
@@ -207,7 +210,7 @@ def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, flo
     X, r, h = _design_arrays(X, r, params)
     d = X.shape[1]
     # The Poisson-size information at mu = 1 is [[A, b], [b', c]].
-    G = _gram(X, h, r / h, 1.0)
+    G = _gram(X, h, r * h, 1.0)
     A, b, c = G[:d, :d], G[:d, d], G[d, d]
     inner = A - np.outer(b, b) / c
     v11 = np.linalg.inv(inner) / params.mu

@@ -16,14 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "INFINITE",
     "ModelParams",
-    "Observation",
     "Dataset",
     "link_h",
     "log_pmf",
@@ -38,7 +36,7 @@ INFINITE = math.inf
 _MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Parameter vector theta = (beta, mu, alpha).
 
@@ -149,21 +147,6 @@ def _finite_copy(x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (y, x) row: the per-row view that Dataset.observations and
-    iteration over a Dataset build on demand. Validated by the same rule as
-    a Dataset."""
-
-    y: int
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        (y,) = _validated_counts([self.y]).tolist()
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", np.atleast_1d(_finite_copy(self.x)))
-
-
 class Dataset:
     """Immutable counts y (int64, length n) and covariate rows X (float64,
     n x d), validated once as whole arrays and stored as read-only copies.
@@ -216,15 +199,8 @@ class Dataset:
     def n_obs(self) -> int:
         return self._X.shape[0]
 
-    @property
-    def observations(self) -> list[Observation]:
-        return [Observation(yi, xi) for yi, xi in zip(self._y.tolist(), self._X)]
-
     def __len__(self) -> int:
         return self.n_obs
-
-    def __iter__(self) -> Iterator[Observation]:
-        return iter(self.observations)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):

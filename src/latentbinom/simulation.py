@@ -55,7 +55,7 @@ class SimSummary:
             raise ValueError("mse cannot fall below squared bias")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentRecord:
     """The latent draws behind a generated dataset, kept for diagnostics."""
 

@@ -237,6 +237,30 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
         assert out == ""
 
 
+def test_efficiency_settings_saturated_link(capsys, tmp_path):
+    # At slope 8 or 10 the link at x = 5 rounds to exactly 1, and at slope
+    # 200 nearly every row saturates. A saturated row adds no information;
+    # it must not turn into 0/0 and numpy warnings.
+    settings = tmp_path / "steep.csv"
+    for slope in (8, 10, 200):
+        settings.write_text(f"design,beta1,mu,alpha\n1,{slope},100,25\n",
+                            encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+        if slope == 200:
+            assert code in (1, 2)
+            assert out == ""
+            (line,) = err.splitlines()
+            assert line.startswith("latentbinom: error: ")
+            continue
+        assert code == 0, err
+        assert err == ""
+        (row,) = parse_csv(out)
+        for name in ("rho", "gamma", "rho_gamma"):
+            assert 0.0 < float(row[name]) <= 1.0, (slope, name)
+
+
 # -- curves ----------------------------------------------------------------------------
 
 

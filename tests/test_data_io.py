@@ -6,21 +6,34 @@ import json
 import numpy as np
 import pytest
 
-from latentbinom import (Dataset, DoseCountRecord, JEJUNAL_CRYPT_COUNTS,
-                         format_number, jejunal_dataset, jejunal_records,
-                         read_csv, write_records)
+from latentbinom import (Dataset, JEJUNAL_CRYPT_COUNTS, format_number,
+                         jejunal_dataset, read_csv, write_records)
 
 
 # -- embedded dataset -------------------------------------------------------------
 
 
+def _table_rows():
+    """(dose, count) per mouse, read straight off the mapping in table order."""
+    return [(dose, count) for dose, counts in JEJUNAL_CRYPT_COUNTS.items()
+            for count in counts]
+
+
 def test_embedded_data_size():
-    records = jejunal_records()
-    assert len(records) == 126
     data = jejunal_dataset()
-    assert len(data) == 126
+    assert len(data) == data.n_obs == 126
     assert data.d == 2
+    assert data.y.dtype == np.int64 and data.X.dtype == np.float64
+    assert data.X.flags.c_contiguous
     assert np.all(data.X[:, 0] == 1.0)
+    # Rows follow the table: dose groups in ascending order, counts within
+    # a group as listed.
+    assert list(zip(data.X[:, 1].tolist(), data.y.tolist())) == _table_rows()
+    doses = list(dict.fromkeys(data.X[:, 1].tolist()))
+    assert len(doses) == 10
+    assert doses == sorted(doses) == list(JEJUNAL_CRYPT_COUNTS)
+    assert data.y[:3].tolist() == [76, 96, 73] and data.X[0, 1] == 6.25
+    assert data.y[-2:].tolist() == [3, 4] and data.X[-1, 1] == 9.50
 
 
 def test_embedded_data_group_sizes():
@@ -38,12 +51,6 @@ def test_embedded_data_first_and_last_groups():
     assert last[-2:] == (3, 4)
 
 
-def test_dose_count_record_validation():
-    assert DoseCountRecord(dose=6.25, count=0).count == 0
-    with pytest.raises(ValueError):
-        DoseCountRecord(dose=6.25, count=-1)
-
-
 # -- CSV reading --------------------------------------------------------------------
 
 
@@ -54,7 +61,7 @@ def write_dose_count_csv(path, rows, header="dose,count"):
 
 def test_read_csv_round_trips_embedded_data(tmp_path):
     target = tmp_path / "crypts.csv"
-    write_dose_count_csv(target, [(r.dose, r.count) for r in jejunal_records()])
+    write_dose_count_csv(target, _table_rows())
     assert read_csv(target) == jejunal_dataset()
 
 

@@ -9,7 +9,7 @@ from conftest import count_calls
 
 from latentbinom import estimation
 from latentbinom import (Dataset, FitResult, INFINITE,
-                         ModelParams, ModelVariant, builtin_designs, fit_full,
+                         ModelParams, builtin_designs, fit_full,
                          fit_poisson_size, generate_dataset, info_full,
                          info_poisson_size, inverse_with_condition,
                          jejunal_dataset, likelihood_ratio_test, make_setting,
@@ -21,7 +21,7 @@ def seeded(entropy, i):
 
 
 def assert_same_fit(a, b):
-    assert a.model_variant is b.model_variant
+    assert a.model == b.model
     assert np.array_equal(a.params.as_array(), b.params.as_array())
     assert np.array_equal(a.std_errors, b.std_errors, equal_nan=True)
     assert a.loglik == b.loglik
@@ -37,7 +37,7 @@ def assert_same_fit(a, b):
 def test_poisson_fit_reproduces_published_estimates():
     fit = fit_poisson_size(jejunal_dataset())
     assert fit.converged
-    assert fit.model_variant is ModelVariant.POISSON_SIZE
+    assert fit.model == "poisson_size" and fit.params.is_poisson_size
     b0, b1, mu = fit.params.as_array()
     assert b0 == pytest.approx(6.705, abs=0.005)
     assert b1 == pytest.approx(-1.124, abs=0.005)
@@ -86,10 +86,13 @@ def test_poisson_fit_zero_noise_limit_recovers_beta():
 def test_all_zero_counts_hit_boundary():
     X = [[1.0, t] for t in (-1.0, 0.0, 1.0, 2.0)]
     data = Dataset.from_arrays([0, 0, 0, 0], X)
-    for fitter in (fit_poisson_size, fit_full):
+    for fitter, model, n_params in ((fit_poisson_size, "poisson_size", 3),
+                                    (fit_full, "full", 4)):
         fit = fitter(data)
         assert not fit.converged
         assert any("boundary" in note for note in fit.diagnostics)
+        assert fit.model == model
+        assert fit.std_errors.shape == (n_params,)
 
 
 # -- full-model fit ---------------------------------------------------------------
@@ -208,11 +211,9 @@ def test_observed_and_expected_standard_errors_agree_loosely():
 def test_fit_result_validation():
     params = ModelParams(beta=np.array([1.0]), mu=5.0, alpha=INFINITE)
     with pytest.raises(ValueError):
-        FitResult(params, np.array([0.1, -0.2]), -10.0, True, 3, 1.0,
-                  ModelVariant.POISSON_SIZE)
+        FitResult(params, np.array([0.1, -0.2]), -10.0, True, 3, 1.0)
     with pytest.raises(ValueError):
-        FitResult(params, np.array([0.1, 0.2]), math.nan, True, 3, 1.0,
-                  ModelVariant.POISSON_SIZE)
+        FitResult(params, np.array([0.1, 0.2]), math.nan, True, 3, 1.0)
 
 
 # -- likelihood ratio test --------------------------------------------------------
@@ -290,19 +291,16 @@ def test_wald_ci_level_wiring():
 
 def test_wald_ci_zero_se_degenerates_to_point():
     params = ModelParams(beta=np.array([2.0]), mu=7.0, alpha=INFINITE)
-    fit = FitResult(params, np.array([0.0, 0.0]), -1.0, True, 1, 1.0,
-                    ModelVariant.POISSON_SIZE)
+    fit = FitResult(params, np.array([0.0, 0.0]), -1.0, True, 1, 1.0)
     assert wald_ci(fit, 0.05) == [(2.0, 2.0), (7.0, 7.0)]
 
 
 def test_wald_ci_requires_convergence_and_handles_absent_se():
     params = ModelParams(beta=np.array([2.0]), mu=7.0, alpha=3.0)
-    bad = FitResult(params, np.array([0.1, 0.1, math.nan]), -1.0, False, 1, 1.0,
-                    ModelVariant.FULL)
+    bad = FitResult(params, np.array([0.1, 0.1, math.nan]), -1.0, False, 1, 1.0)
     with pytest.raises(ValueError):
         wald_ci(bad, 0.05)
-    ok = FitResult(params, np.array([0.1, 0.1, math.nan]), -1.0, True, 1, 1.0,
-                   ModelVariant.FULL)
+    ok = FitResult(params, np.array([0.1, 0.1, math.nan]), -1.0, True, 1, 1.0)
     cis = wald_ci(ok, 0.05)
     assert math.isnan(cis[-1][0]) and math.isnan(cis[-1][1])
     assert cis[0][0] < 2.0 < cis[0][1]

@@ -11,10 +11,10 @@ from conftest import (count_calls, numeric_gradient, numeric_hessian,
                       random_instance, relative_errors)
 
 import latentbinom
-from latentbinom import (Dataset, INFINITE, ModelParams, Observation,
-                         generate_dataset, hessian, jejunal_dataset,
-                         link_h, log_likelihood, log_pmf,
-                         make_setting, read_csv, score)
+from latentbinom import (Dataset, FitResult, INFINITE, LatentRecord,
+                         ModelParams, generate_dataset, hessian,
+                         jejunal_dataset, link_h, log_likelihood, log_pmf,
+                         make_setting, score)
 from latentbinom.model import _logistic
 
 
@@ -52,11 +52,30 @@ def test_model_params_validation(kwargs):
         ModelParams(**kwargs)
 
 
+def test_array_holding_records_compare_by_identity():
+    # Their fields hold ndarrays, so field-wise == would be ambiguous and
+    # hash() impossible; each compares and hashes by identity instead.
+    def build():
+        params = ModelParams(beta=np.array([1.0, 2.0]), mu=5.0, alpha=3.0)
+        setting = make_setting([1, 2, 3], 1, 100, 25)
+        fit = FitResult(params, np.full(4, 0.1), -1.0, True, 1, 1.0)
+        _, latent = generate_dataset(setting, 2, np.random.default_rng(0))
+        return [params, setting, fit, latent]
+
+    first = build()
+    assert isinstance(first[3], LatentRecord)
+    for a, b in zip(first, build()):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 def test_observation_validation():
     with pytest.raises(ValueError):
-        Observation(y=-1, x=np.array([1.0, 2.0]))
+        Dataset([-1], [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        Observation(y=2, x=np.array([1.0, np.inf]))
+        Dataset([2], [[1.0, np.inf]])
 
 
 def test_dataset_construction():
@@ -64,7 +83,7 @@ def test_dataset_construction():
     assert len(data) == 3
     assert data.d == 2
     assert data.n_obs == 3
-    assert [o.y for o in data] == [3, 0, 5]
+    assert data.y.tolist() == [3, 0, 5]
     same = Dataset.from_arrays([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
     assert data == same
     with pytest.raises(ValueError):
@@ -87,7 +106,7 @@ def test_dataset_from_arrays_accepts_integral_floats():
 @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan, 2.5])
 def test_observation_rejects_bad_count_with_value_error(y):
     with pytest.raises(ValueError, match="non-negative integer"):
-        Observation(y=y, x=np.array([1.0]))
+        Dataset([y], [[1.0]])
 
 
 _MAX_COUNT = 2**63 - 1
@@ -164,21 +183,6 @@ def test_dataset_copies_inputs_into_read_only_arrays():
     X[0, 1] = 99.0
     assert data.y.tolist() == [3, 1]
     assert data.X.tolist() == [[1.0, 0.5], [1.0, 1.5]]
-
-
-def test_ingest_builds_no_observations(monkeypatch, tmp_path):
-    calls = count_calls(monkeypatch, Observation, ["__post_init__"])
-    target = tmp_path / "counts.csv"
-    target.write_text("dose,count\n1,5\n2,3\n", encoding="utf-8")
-    read_csv(target)
-    jejunal_dataset()
-    Dataset.from_arrays([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
-    setting = make_setting((-1.0, 1.0), 1.0, 50.0, 10.0)
-    generate_dataset(setting, 5, np.random.default_rng(3))
-    assert calls == {"__post_init__": 0}
-    # Iteration is the per-row view, built on demand.
-    assert len(list(jejunal_dataset())) == 126
-    assert calls == {"__post_init__": 126}
 
 
 # -- link ---------------------------------------------------------------------
