@@ -25,7 +25,8 @@ where n_sum is the total observed size at the row. No weight divides by
 h or 1 - h, so a row whose link saturates to exactly 0 or 1 adds nothing
 instead of 0/0. The block partition uses the Poisson-size matrix at
 mu = 1. The full model adds the alpha curvature, which has no closed form,
-on the diagonal.
+on the diagonal: r @ expected_alpha_info(X), one series per row, summed in
+one pass over the design against alpha-only tables that every row shares.
 
 Matrices are ordered (beta..., mu, alpha) like every parameter vector in
 this package.
@@ -38,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, _logistic, _mirrored, link_h
+from .model import ModelParams, _logistic, _mirrored
 
 __all__ = [
     "info_full",
@@ -94,60 +95,60 @@ def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
     return _mirrored((u * w[:, None]).T @ u)
 
 
-def expected_alpha_info(x, params: ModelParams) -> float:
-    """Expected curvature of the log density in the shape parameter.
+def expected_alpha_info(X, params: ModelParams) -> np.ndarray:
+    """Expected curvature of the log density in the shape parameter for one
+    observation at each covariate row of X (n x d): one value per row.
 
-    This is the negative expectation of the second alpha-derivative for a
-    single observation at covariate row x. No closed form exists, so the
-    expectation is a sum over the count distribution, truncated once the
-    probability mass left beyond the last term provably drops below
-    _ALPHA_TAIL_TOL.
-
-    The count pmf is built by the stable forward recurrence
-    f(y+1)/f(y) = (alpha+y)/(y+1) * m/(alpha+m), and the curvature summand
-    uses S(y) = sum_{j<y} (alpha+j)^-2, so no special-function evaluations
-    are needed inside the loop. The stop rule is a geometric bound on the
-    true tail, not a watch on the accumulated float mass: rounding in a long
-    pmf sum can saturate the accumulator a hair under 1, which would turn a
-    mass-based rule into an infinite loop.
+    Each is a series over the counts, with no closed form. Its term at
+    y = k + 1 is f_i(k+1) S[k], where m_i is the row's count mean,
+    log f_i(k+1) = -alpha log1p(m_i/alpha) + C[k] + (k+1) log(m_i/(alpha+m_i)),
+    C[k] = sum_{j<=k} log((alpha+j)/(j+1)) and S[k] = sum_{j<=k} (alpha+j)^-2.
+    The alpha-only tables C and S are built once per call, at the longest
+    row's term count, and every row takes one exp and one dot product over
+    its own prefix, in place. A row sums m + 50 sd + 10 terms (at least 64)
+    until a geometric bound on its true tail is below _ALPHA_TAIL_TOL (a
+    float mass sum can stall a hair under 1); if not, it sums that many more
+    terms again, and raises past _ALPHA_MAX_TERMS.
     """
     if params.is_poisson_size:
         raise ValueError("alpha information requires finite alpha")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be an n x d array of covariate rows")
     a = params.alpha
-    m = params.mu * link_h(x, params.beta)
-    if m == 0.0:
-        return 0.0
-    log_ratio = math.log(m) - math.log(a + m)
-    # Sum in blocks sized to the distribution; past the mean the pmf ratio
-    # falls below 1 and the geometric tail bound applies.
-    block = max(int(math.ceil(m + 50.0 * math.sqrt(m * (1.0 + m / a)))) + 10, 64)
-    log_f0 = -a * math.log1p(m / a)
-    start = 0
-    logf_start = log_f0
-    s_start = 0.0
-    acc = 0.0  # the y = 0 term vanishes since S(0) = 0
-    while True:
-        if start >= _ALPHA_MAX_TERMS:
-            raise RuntimeError(
-                f"alpha information tail still above {_ALPHA_TAIL_TOL} "
-                f"after {_ALPHA_MAX_TERMS} terms"
-            )
-        count = min(block, _ALPHA_MAX_TERMS - start)
-        j = np.arange(start, start + count, dtype=float)
-        steps = np.log((a + j) / (j + 1.0)) + log_ratio
-        logf = logf_start + np.cumsum(steps)
-        f = np.exp(logf)
-        s = s_start + np.cumsum(1.0 / (a + j) ** 2)
-        acc += float(f @ s)
-        logf_start = float(logf[-1])
-        s_start = float(s[-1])
-        start += count
-        # Tail after the last included y: f_last * r / (1 - r) with
-        # r the (decreasing, < 1 here) pmf ratio at that y.
-        r = (a + start) / (start + 1.0) * math.exp(log_ratio)
-        if r < 1.0 and math.exp(logf_start) * r / (1.0 - r) < _ALPHA_TAIL_TOL:
-            break
-    return acc - m / (a * (a + m))
+    m = params.mu * _logistic(X @ params.beta)
+    with np.errstate(over="ignore"):
+        block = np.ceil(m + 50.0 * np.sqrt(m * (1.0 + m / a))) + 10.0
+    block = np.clip(block, 64, _ALPHA_MAX_TERMS).astype(np.int64)
+    terms = block.copy()
+    out = np.zeros(m.size)
+    tail = np.zeros(m.size)
+    rows = np.flatnonzero(m > 0.0)
+    while rows.size:
+        k1 = np.arange(1.0, terms[rows].max() + 1.0)  # k + 1
+        S = k1 - 1.0
+        S += a
+        C = S / k1
+        np.cumsum(np.log(C, out=C), out=C)
+        # (1/(a+j))^2 underflows quietly where (a+j)^2 would overflow.
+        np.cumsum(np.square(np.reciprocal(S, out=S), out=S), out=S)
+        work = np.empty_like(S)
+        for i in rows:
+            mi, K = float(m[i]), int(terms[i])
+            log_ratio = math.log(mi) - math.log(a + mi)
+            f = np.add(np.multiply(k1[:K], log_ratio, out=work[:K]), C[:K], out=work[:K])
+            f -= a * math.log1p(mi / a)
+            np.exp(f, out=f)
+            out[i] = float(f @ S[:K]) - mi / a / (a + mi)
+            # Tail after y = K: f(K) r / (1 - r), r the pmf ratio there.
+            r = (a + K) / (K + 1.0) * math.exp(log_ratio)
+            tail[i] = f[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+        rows = rows[~(tail[rows] < _ALPHA_TAIL_TOL)]
+        if np.any(terms[rows] >= _ALPHA_MAX_TERMS):
+            raise RuntimeError(f"alpha information tail still above "
+                               f"{_ALPHA_TAIL_TOL} after {_ALPHA_MAX_TERMS} terms")
+        terms[rows] = np.minimum(terms[rows] + block[rows], _ALPHA_MAX_TERMS)
+    return out
 
 
 def info_full(X, r, params: ModelParams) -> np.ndarray:
@@ -164,8 +165,7 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
     mu = params.mu
     I = np.zeros((d + 2, d + 2))
     I[:d + 1, :d + 1] = _gram(X, h, r * mu * h / (1.0 + mu * h / params.alpha), mu)
-    for x, ri in zip(X, r):
-        I[d + 1, d + 1] += ri * expected_alpha_info(x, params)
+    I[d + 1, d + 1] = r @ expected_alpha_info(X, params)
     return I
 
 

@@ -261,6 +261,27 @@ def test_efficiency_settings_saturated_link(capsys, tmp_path):
             assert 0.0 < float(row[name]) <= 1.0, (slope, name)
 
 
+@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+def test_efficiency_settings_huge_alpha(capsys, tmp_path, alpha):
+    # (alpha + j)^2 overflows at such a shape; the alpha information must
+    # not print numpy warnings on the way to its answer or its diagnostic.
+    settings = tmp_path / "huge_alpha.csv"
+    settings.write_text(f"design,beta1,mu,alpha\n1,1,100,{alpha}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+    if code == 2:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("latentbinom: error: ")
+        return
+    assert code == 0, err
+    assert err == ""
+    (row,) = parse_csv(out)
+    for name in ("rho", "gamma", "rho_gamma"):
+        assert 0.0 < float(row[name]) <= 1.0, name
+
+
 # -- curves ----------------------------------------------------------------------------
 
 

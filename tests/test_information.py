@@ -1,15 +1,16 @@
 """Expected information matrices and the block variance partition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from latentbinom import (ModelParams, block_variance_partition,
+from latentbinom import (ModelParams, block_variance_partition, builtin_designs,
                          expected_alpha_info, info_full, info_known_mean,
                          info_known_sizes, info_poisson_size,
-                         inverse_with_condition, link_h)
+                         inverse_with_condition, link_h, make_setting)
 from latentbinom import information
 from latentbinom.information import _design_arrays
 
@@ -162,13 +163,13 @@ def test_alpha_info_positive():
     for alpha in (0.5, 2.0, 25.0, 1e4):
         for mu in (5.0, 60.0, 400.0):
             params = ModelParams(beta=np.array([0.2, -0.4]), mu=mu, alpha=alpha)
-            assert expected_alpha_info(x, params) > 0.0
+            assert expected_alpha_info([x], params)[0] > 0.0
 
 
 def test_alpha_info_matches_untruncated_sum():
     x = np.array([1.0, 0.4])
     params = ModelParams(beta=np.array([0.3, -0.6]), mu=40.0, alpha=6.0)
-    got = expected_alpha_info(x, params)
+    got = expected_alpha_info([x], params)[0]
     assert abs(got - alpha_info_brute_force(x, params, 10**6)) < 1e-10
 
 
@@ -177,7 +178,7 @@ def test_alpha_info_matches_untruncated_sum_random_draws():
     for _ in range(20):
         params = random_params(rng)
         x = np.array([1.0, rng.uniform(-2.0, 2.0)])
-        got = expected_alpha_info(x, params)
+        got = expected_alpha_info([x], params)[0]
         want = alpha_info_brute_force(x, params, 10**6)
         assert abs(got - want) < 1e-10, (params.mu, params.alpha)
 
@@ -194,15 +195,68 @@ def test_alpha_info_matches_monte_carlo():
     draws = -(special.polygamma(1, a + y) - special.polygamma(1, a)
               + 1.0 / a - 2.0 / (a + m) + (a + y) / (a + m) ** 2)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - expected_alpha_info(x, params)) < 3 * se
+    assert abs(draws.mean() - expected_alpha_info([x], params)[0]) < 3 * se
 
 
 def test_alpha_info_term_budget_enforced(monkeypatch):
     params = ModelParams(beta=np.array([2.0, 0.0]), mu=900.0, alpha=0.6)
     monkeypatch.setattr(information, "_ALPHA_MAX_TERMS", 8)
     with pytest.raises(RuntimeError):
-        expected_alpha_info(np.array([1.0, 0.0]), params)
+        expected_alpha_info(np.array([[1.0, 0.0]]), params)
 
+
+# Rows whose count mean m = mu h is exactly 0 (saturated link), about 1e-8,
+# about 100 and exactly 1e4, at beta = (0, 1) and mu = 2e4.
+SPAN_X = np.array([[1.0, -800.0], [1.0, -28.3], [1.0, -5.29], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 5.0, 100.0, 1e4])
+def test_alpha_info_rows_match_untruncated_sum(alpha):
+    params = ModelParams(beta=np.array([0.0, 1.0]), mu=2e4, alpha=alpha)
+    m = params.mu * np.array([link_h(x, params.beta) for x in SPAN_X])
+    assert m[0] == 0.0 and 1e-9 < m[1] < 1e-7 and 90 < m[2] < 110 and m[3] == 1e4
+    got = expected_alpha_info(SPAN_X, params)
+    want = np.array([alpha_info_brute_force(x, params, 10**6) for x in SPAN_X])
+    assert got.shape == (4,) and got[0] == 0.0
+    assert np.all(np.abs(got - want) < 1e-10), got - want
+    # The alpha entry of the full information sums the rows' values.
+    r = np.array([3, 1, 2, 5])
+    entry = info_full(SPAN_X, r, params)[-1, -1]
+    per_row = sum(int(ri) * w for ri, w in zip(r, want))
+    scale = float(r @ (m / (alpha * (alpha + m))))
+    assert abs(entry - per_row) < 1e-10 * scale
+
+
+def test_alpha_info_rows_that_need_more_terms():
+    # At alpha = 0.01 the tail is so heavy that m + 50 sd + 10 terms leave
+    # about 1e-5 of it for the rows with m = 5 and 25, so those are summed
+    # again with more terms, while the row with m near 1e-8 is done at once.
+    params = ModelParams(beta=np.array([0.0, 1.0]), mu=50.0, alpha=0.01)
+    X = np.array([[1.0, -22.0], [1.0, -2.2], [1.0, 0.0]])
+    got = expected_alpha_info(X, params)
+    want = np.array([alpha_info_brute_force(x, params, 10**6) for x in X])
+    # The truncated tail is worth up to _ALPHA_TAIL_TOL times S ~ alpha^-2.
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10), got - want
+
+
+def test_alpha_info_working_memory_stays_linear_in_terms():
+    # The alpha-only tables are shared by every row and the per-row work is
+    # done in place, so the peak is a few arrays of the longest row's term
+    # count; an n x terms array would be about 11 of them here.
+    x1, _ = builtin_designs()
+    setting = make_setting(x1, 1.0, 1e4, 5.0)
+    a = setting.alpha
+    m = setting.mu * np.array([link_h(x, setting.beta) for x in setting.X])
+    k_max = max(max(math.ceil(mi + 50.0 * math.sqrt(mi * (1.0 + mi / a))) + 10, 64)
+                for mi in m)
+    info_full(setting.X, setting.r, setting.params)
+    tracemalloc.start()
+    try:
+        info_full(setting.X, setting.r, setting.params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * k_max, peak / (8 * k_max)
 
 # -- reduced-information variants ----------------------------------------------
 

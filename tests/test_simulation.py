@@ -8,6 +8,7 @@ import pytest
 from latentbinom import (INFINITE, LatentRecord, SimConfig, SimSummary,
                          builtin_designs, generate_dataset, link_h,
                          make_setting, run_study, table_settings)
+from latentbinom import information
 
 
 def single_point_setting(x_value, slope, mu, alpha):
@@ -120,3 +121,15 @@ def test_run_study_aggregates_sane():
     assert out.mse >= out.bias**2 - 1e-12
     # The slope estimates should scatter near the generating value.
     assert abs(out.bias) < 0.1
+
+
+def test_run_study_keeps_samples_whose_expected_se_is_too_costly(monkeypatch):
+    # A sample whose alpha information hits the term cap falls back to the
+    # fit's observed standard error instead of aborting the whole study.
+    config = SimConfig(setting=table_settings()[0], n_samples=6, seed=5)
+    unpatched = run_study(config)
+    monkeypatch.setattr(information, "_ALPHA_MAX_TERMS", 8)
+    capped = run_study(config)
+    assert unpatched.n_converged > 0
+    assert capped.n_converged == unpatched.n_converged
+    assert capped.bias == unpatched.bias and capped.mse == unpatched.mse
