@@ -112,10 +112,12 @@ def _validated_counts(y) -> np.ndarray:
             too_big = y >= 2.0**63
         else:
             # Object arrays hold Python ints beyond uint64 and the like:
-            # compare them as Python numbers, exactly.
+            # compare them as Python numbers, exactly. A NaN among them
+            # compares False here and is caught as non-finite below.
             try:
-                invalid = (y < 0).astype(bool)
-                too_big = (y > _MAX_COUNT).astype(bool)
+                with np.errstate(invalid="ignore"):
+                    invalid = (y < 0).astype(bool)
+                    too_big = (y > _MAX_COUNT).astype(bool)
             except TypeError:
                 raise ValueError("counts must be numbers") from None
         # What is left lies in [0, 2**63) or is NaN, so converts safely.

@@ -171,6 +171,15 @@ def test_from_arrays_matches_per_row_rule(case):
     assert np.array_equal(data.X, np.asarray(X, dtype=float))
 
 
+@pytest.mark.parametrize("y", [[10**23, math.nan], [math.nan, 10**23],
+                               [10**20, -math.inf]])
+def test_object_counts_with_non_finite_follow_per_row_rule(y):
+    # Counts beyond uint64 make an object array, where numpy warns on NaN.
+    X = [[0.0, 0.0]] * len(y)
+    with pytest.raises(ValueError, match=re.escape(per_row_rule(y, X))):
+        Dataset.from_arrays(y, X)
+
+
 def test_dataset_copies_inputs_into_read_only_arrays():
     y = np.array([3, 1])
     X = np.asfortranarray([[1.0, 0.5], [1.0, 1.5]])
