@@ -219,22 +219,26 @@ def _read_settings_file(path: Path) -> list:
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"design", "beta1", "mu", "alpha"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        try:
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise ValueError(
+                    f"{path}: header must contain columns design,beta1,mu,alpha")
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    design_id = _number(row["design"], int)
+                    slope = _number(row["beta1"])
+                    mu = _number(row["mu"])
+                    alpha = _number(row["alpha"])
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}: line {line_no}: non-numeric field") from None
+                if design_id not in (1, 2):
+                    raise ValueError(
+                        f"{path}: line {line_no}: design must be 1 or 2")
+                out.append(make_setting(designs[design_id - 1], slope, mu, alpha))
+        except csv.Error as exc:
             raise ValueError(
-                f"{path}: header must contain columns design,beta1,mu,alpha")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                design_id = _number(row["design"], int)
-                slope = _number(row["beta1"])
-                mu = _number(row["mu"])
-                alpha = _number(row["alpha"])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{path}: line {line_no}: non-numeric field") from None
-            if design_id not in (1, 2):
-                raise ValueError(
-                    f"{path}: line {line_no}: design must be 1 or 2")
-            out.append(make_setting(designs[design_id - 1], slope, mu, alpha))
+                f"{path}: line {reader.reader.line_num}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no settings")
     return out

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -62,6 +63,19 @@ def _number(text: str, kind=float):
     return kind(text)
 
 
+# Rows read_csv converts at once; one block's text is all it holds.
+_BLOCK_ROWS = 4096
+
+
+def _count(text: str) -> Union[int, float]:
+    """int(text), else the int of an integral float ("76.0"), else the float."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float], int]:
     if len(fields) != n_cols:
         raise ValueError(
@@ -75,20 +89,57 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
         raise ValueError(f"line {line_no}: non-finite covariate")
     last = fields[-1].strip()
     try:
-        count = _number(last, int)
+        count = _number(last, _count)
     except ValueError:
-        try:
-            as_float = _number(last)
-        except ValueError:
-            raise ValueError(
-                f"line {line_no}: non-numeric count {last!r}") from None
-        if not as_float.is_integer():
-            raise ValueError(
-                f"line {line_no}: count must be an integer, got {last!r}") from None
-        count = int(as_float)
+        raise ValueError(f"line {line_no}: non-numeric count {last!r}") from None
+    if isinstance(count, float):
+        raise ValueError(f"line {line_no}: count must be an integer, got {last!r}")
     if count < 0:
         raise ValueError(f"line {line_no}: negative count {count}")
     return covariates, count
+
+
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """Blocks of rows; a csv.Error yields those before it and raises ValueError."""
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, _BLOCK_ROWS))
+        except csv.Error as exc:
+            yield rows
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        if not rows:
+            return
+        yield rows
+
+
+def _by_columns(rows: list[list[str]], n_cols: int):
+    """(covariate rows, counts) of rows converted a column at a time, or
+    None when a whole-column check refuses and _parse_row must decide."""
+    columns = list(zip(*rows))
+    if set(map(len, rows)) != {n_cols} or any("_" in "".join(c) for c in columns):
+        return None
+    try:
+        X = np.array([list(map(float, col)) for col in columns[:-1]]).T
+        try:
+            y = list(map(int, columns[-1]))
+        except ValueError:
+            y = list(map(_count, columns[-1]))
+            if float in set(map(type, y)):
+                return None
+    except ValueError:
+        return None
+    return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None
+
+
+def _by_rows(rows: list[list[str]], first_line: int, n_cols: int):
+    """(covariate rows, counts) of rows converted one at a time by
+    _parse_row, blank rows skipped; the first offending line raises."""
+    parsed = [_parse_row(fields, line_no, n_cols)
+              for line_no, fields in enumerate(rows, start=first_line)
+              if "".join(fields).strip()]
+    X = np.array([x for x, _ in parsed], dtype=float).reshape(-1, n_cols - 1)
+    return X, [count for _, count in parsed]
 
 
 def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
@@ -98,32 +149,35 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     Blank lines are skipped. Errors carry the 1-based line number of the
     offending row. With ``intercept`` (the default) a constant 1 column is
     prepended to the covariates.
+
+    Rows are converted _BLOCK_ROWS at a time, one whole-column step per
+    check. A block that any step refuses goes through _parse_row, the
+    per-row rule, one row at a time: it names the first failing line, and
+    no row it refuses is accepted.
     """
     path = Path(path)
+    n_cols, line_no, y, blocks = 0, 0, [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        y: list[int] = []
-        rows: list[list[float]] = []
-        n_cols = 0
-        for line_no, fields in enumerate(reader, start=1):
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            if header is None:
-                header = fields
-                n_cols = len(fields)
+        for rows in _blocks(csv.reader(fh)):
+            first_line, line_no = line_no + 1, line_no + len(rows)
+            if not n_cols:
+                # The first row that is not blank is the header.
+                at = next((i for i, f in enumerate(rows) if "".join(f).strip()), None)
+                if at is None:
+                    continue
+                n_cols, rows, first_line = len(rows[at]), rows[at + 1:], first_line + at + 1
                 if n_cols < 2:
                     raise ValueError(
-                        f"line {line_no}: header needs at least two columns")
-                continue
-            covariates, count = _parse_row(fields, line_no, n_cols)
-            rows.append(covariates)
-            y.append(count)
-    if header is None:
+                        f"line {first_line - 1}: header needs at least two columns")
+            X, counts = _by_columns(rows, n_cols) or _by_rows(rows, first_line, n_cols)
+            blocks.append(X)
+            y.extend(counts)
+            del rows  # before the next block is read
+    if not n_cols:
         raise ValueError(f"{path}: empty file, expected a header row")
-    if not rows:
+    if not y:
         raise ValueError(f"{path}: no observations")
-    X = np.asarray(rows, dtype=float)
+    X = np.concatenate(blocks)
     if intercept:
         X = np.column_stack([np.ones(X.shape[0]), X])
     return Dataset.from_arrays(y, X)

@@ -108,7 +108,8 @@ def expected_alpha_info(X, params: ModelParams) -> np.ndarray:
     its own prefix, in place. A row sums m + 50 sd + 10 terms (at least 64)
     until a geometric bound on its true tail is below _ALPHA_TAIL_TOL (a
     float mass sum can stall a hair under 1); if not, it sums that many more
-    terms again, and raises past _ALPHA_MAX_TERMS.
+    terms again, and raises past _ALPHA_MAX_TERMS. A shape so small that S
+    overflows (below about 1e-154) raises RuntimeError too.
     """
     if params.is_poisson_size:
         raise ValueError("alpha information requires finite alpha")
@@ -131,7 +132,10 @@ def expected_alpha_info(X, params: ModelParams) -> np.ndarray:
         C = S / k1
         np.cumsum(np.log(C, out=C), out=C)
         # (1/(a+j))^2 underflows quietly where (a+j)^2 would overflow.
-        np.cumsum(np.square(np.reciprocal(S, out=S), out=S), out=S)
+        with np.errstate(over="ignore"):
+            np.cumsum(np.square(np.reciprocal(S, out=S), out=S), out=S)
+        if not math.isfinite(S[-1]):
+            raise RuntimeError(f"alpha information overflows at shape {a:g}")
         work = np.empty_like(S)
         for i in rows:
             mi, K = float(m[i]), int(terms[i])
@@ -231,10 +235,8 @@ def inverse_with_condition(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]
     """
     m = np.asarray(matrix, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    if np.any(vals <= 0.0):
-        cond = math.inf
-    else:
-        cond = float(vals[-1] / vals[0])
+    # A ratio of Python floats overflows to inf without a numpy warning.
+    cond = math.inf if np.any(vals <= 0.0) else float(vals[-1]) / float(vals[0])
     if np.any(vals == 0.0):
         raise np.linalg.LinAlgError("information matrix is exactly singular")
     inv = (vecs / vals) @ vecs.T

@@ -105,6 +105,16 @@ def test_fit_count_beyond_int64_exits_one(capsys, tmp_path):
     assert out == ""
 
 
+def test_fit_oversized_field_exits_one(capsys, tmp_path):
+    target = tmp_path / "oversized.csv"
+    target.write_text("dose,count\n1," + "x" * 200_000 + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err == ("latentbinom: error: line 2: "
+                   "field larger than field limit (131072)\n")
+
+
 def test_fit_numerical_failure_exits_two_without_warnings(capsys, tmp_path):
     # A count of 2**62 drives the Hessian's eigenvalue solver to fail. That
     # LinAlgError is a numerical failure (exit 2), not a usage error, and the
@@ -261,15 +271,18 @@ def test_efficiency_settings_saturated_link(capsys, tmp_path):
             assert 0.0 < float(row[name]) <= 1.0, (slope, name)
 
 
-@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
-def test_efficiency_settings_huge_alpha(capsys, tmp_path, alpha):
-    # (alpha + j)^2 overflows at such a shape; the alpha information must
-    # not print numpy warnings on the way to its answer or its diagnostic.
-    settings = tmp_path / "huge_alpha.csv"
-    settings.write_text(f"design,beta1,mu,alpha\n1,1,100,{alpha}\n", encoding="utf-8")
+def run_settings_row(capsys, tmp_path, row):
+    """(code, stdout, stderr) of `efficiency --settings` on one settings row,
+    with warnings turned into errors."""
+    settings = tmp_path / "settings.csv"
+    settings.write_text(f"design,beta1,mu,alpha\n{row}\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+        return run_cli(capsys, ["efficiency", "--settings", str(settings)])
+
+
+def assert_measures_or_one_error(code, out, err):
+    """Exit 0 with measures in (0, 1], or exit 2 with one error line."""
     if code == 2:
         assert out == ""
         (line,) = err.splitlines()
@@ -280,6 +293,41 @@ def test_efficiency_settings_huge_alpha(capsys, tmp_path, alpha):
     (row,) = parse_csv(out)
     for name in ("rho", "gamma", "rho_gamma"):
         assert 0.0 < float(row[name]) <= 1.0, name
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+def test_efficiency_settings_huge_alpha(capsys, tmp_path, alpha):
+    # (alpha + j)^2 overflows at such a shape; the alpha information must
+    # not print numpy warnings on the way to its answer or its diagnostic.
+    assert_measures_or_one_error(
+        *run_settings_row(capsys, tmp_path, f"1,1,100,{alpha}"))
+
+
+@pytest.mark.parametrize("alpha", ["1e-300", "1e-200"])
+def test_efficiency_settings_tiny_alpha(capsys, tmp_path, alpha):
+    # (1/(alpha + j))^2 overflows at such a shape: a diagnostic, not a NaN.
+    assert_measures_or_one_error(
+        *run_settings_row(capsys, tmp_path, f"1,1,100,{alpha}"))
+
+
+def test_efficiency_settings_condition_overflow(capsys, tmp_path):
+    # The largest over the smallest eigenvalue overflows at mu = 1e200.
+    code, out, err = run_settings_row(capsys, tmp_path, "1,1,1e200,0.5")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("latentbinom: error: ")
+
+
+def test_efficiency_settings_oversized_field_exits_one(capsys, tmp_path):
+    settings = tmp_path / "oversized.csv"
+    settings.write_text("design,beta1,mu,alpha\n1,1,100," + "9" * 200_000 + "\n",
+                        encoding="utf-8")
+    code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+    assert code == 1
+    assert out == ""
+    assert err == (f"latentbinom: error: {settings}: line 2: "
+                   "field larger than field limit (131072)\n")
 
 
 # -- curves ----------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Embedded crypt data, CSV ingestion, and record writing."""
 
+import csv
 import io
 import json
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latentbinom import (Dataset, JEJUNAL_CRYPT_COUNTS, format_number,
                          jejunal_dataset, read_csv, write_records)
+from latentbinom import data_io
 
 
 # -- embedded dataset -------------------------------------------------------------
@@ -125,6 +132,224 @@ def test_read_csv_intercept_flag(tmp_path):
     bare = read_csv(target, intercept=False)
     assert bare.d == 2
     assert np.allclose(bare.X, [[0.5, -1.0], [1.5, 2.0]])
+
+
+# -- block reader against the per-row loop ------------------------------------------
+
+
+def _per_row_number(text, kind=float):
+    if "_" in text:
+        raise ValueError(f"invalid number {text!r}")
+    return kind(text)
+
+
+def _per_row_fields(fields, line_no, n_cols):
+    if len(fields) != n_cols:
+        raise ValueError(
+            f"line {line_no}: expected {n_cols} fields, got {len(fields)}")
+    try:
+        covariates = [_per_row_number(f) for f in fields[:-1]]
+    except ValueError:
+        raise ValueError(
+            f"line {line_no}: non-numeric covariate field") from None
+    if not all(map(math.isfinite, covariates)):
+        raise ValueError(f"line {line_no}: non-finite covariate")
+    last = fields[-1].strip()
+    try:
+        count = _per_row_number(last, int)
+    except ValueError:
+        try:
+            as_float = _per_row_number(last)
+        except ValueError:
+            raise ValueError(
+                f"line {line_no}: non-numeric count {last!r}") from None
+        if not as_float.is_integer():
+            raise ValueError(
+                f"line {line_no}: count must be an integer, got {last!r}") from None
+        count = int(as_float)
+    if count < 0:
+        raise ValueError(f"line {line_no}: negative count {count}")
+    return covariates, count
+
+
+def per_row_read_csv(path, intercept=True):
+    """The reader as one _parse_row call per row: the reference the block
+    reader must match on every file, accepted or refused."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = None
+        y, rows, n_cols = [], [], 0
+        for line_no, fields in enumerate(csv.reader(fh), start=1):
+            if not fields or all(not f.strip() for f in fields):
+                continue
+            if header is None:
+                header = fields
+                n_cols = len(fields)
+                if n_cols < 2:
+                    raise ValueError(
+                        f"line {line_no}: header needs at least two columns")
+                continue
+            covariates, count = _per_row_fields(fields, line_no, n_cols)
+            rows.append(covariates)
+            y.append(count)
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    if not rows:
+        raise ValueError(f"{path}: no observations")
+    X = np.asarray(rows, dtype=float)
+    if intercept:
+        X = np.column_stack([np.ones(X.shape[0]), X])
+    return Dataset.from_arrays(y, X)
+
+
+def outcome(reader, path, intercept=True):
+    """("ok", y, X) or ("error", message) of one reader on one file."""
+    try:
+        data = reader(path, intercept=intercept)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", data.y, data.X)
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if want[0] == "error":
+        assert got[1] == want[1]
+        return
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+# Whitespace that str.strip() removes, some of which int() and float() do not.
+_SPACES = [" ", "\t", "\x1c", "\x85", "\u00a0", "\u3000"]
+# Fields the per-row rule accepts, some in unusual spellings.
+_GOOD_COVARIATES = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.integers(-50, 50).map(str),
+    st.sampled_from(["6.25", " 7.5 ", "-0", "+4", "\u0663", '"8.25"', "1e-320",
+                     "-0.0"]),
+)
+_GOOD_COUNTS = st.one_of(
+    st.integers(0, 300).map(str),
+    st.sampled_from(["76.0", "-0", "+4", "\u0663", "-0.0", '"9"', str(2**63 - 1)]),
+    st.tuples(st.sampled_from(_SPACES), st.integers(0, 99),
+              st.sampled_from(_SPACES)).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+)
+_BAD_COVARIATES = st.sampled_from(["1e400", "-1e400", "nan", "inf", "-inf",
+                                   "1_0", "", "  ", "abc", '"1,5"'])
+# Counts past int64 pass the per-row rule and are refused by Dataset.
+_BAD_COUNTS = st.sampled_from(["7.5", "-3", "-3.0", "1_000", "1_0.0", "1e400",
+                               "nan", "inf", "", "abc", "7\x1c", "\u30007",
+                               "1e20", str(2**63), str(2**64 + 1), "9" * 25])
+_BLANK_LINES = st.sampled_from(["", "   ", ",", " , ", "\t,"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with a header, up to 12 rows and blank lines, and up to two
+    faults: a bad covariate, a bad count or a ragged row."""
+    n_cov = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANK_LINES))
+        else:
+            lines.append(draw(st.lists(_GOOD_COVARIATES, min_size=n_cov,
+                                       max_size=n_cov)) + [draw(_GOOD_COUNTS)])
+    rows = [fields for fields in lines if isinstance(fields, list)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        fields = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["covariate", "count", "ragged"]))
+        if fault == "covariate":
+            fields[draw(st.integers(0, n_cov - 1))] = draw(_BAD_COVARIATES)
+        elif fault == "count":
+            fields[-1] = draw(_BAD_COUNTS)
+        elif draw(st.booleans()):
+            fields.append(draw(_GOOD_COUNTS))
+        else:
+            del fields[0]
+    header = ",".join(["x"] * n_cov + ["count"])
+    lead = draw(st.lists(_BLANK_LINES, max_size=2))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    body = [line if isinstance(line, str) else ",".join(line) for line in lines]
+    return bom + end.join(lead + [header] + body) + end
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(), block_rows=st.sampled_from([1, 2, 3, 4096]),
+       intercept=st.booleans())
+def test_read_csv_matches_per_row_loop(tmp_path, text, block_rows, intercept):
+    # Small blocks put block boundaries inside these short files.
+    target = tmp_path / "drawn.csv"
+    target.write_text(text, encoding="utf-8")
+    want = outcome(per_row_read_csv, target, intercept)
+    with mock.patch.object(data_io, "_BLOCK_ROWS", block_rows):
+        got = outcome(read_csv, target, intercept)
+    assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("before,message", [
+    ("", "line 3: field larger than field limit (131072)"),
+    ("1,abc\n", "line 2: non-numeric count 'abc'"),
+])
+def test_read_csv_oversized_field_names_its_line(tmp_path, before, message):
+    # Rows before the oversized one are checked first, as one at a time.
+    target = tmp_path / "oversized.csv"
+    target.write_text("dose,count\n" + (before or "1,5\n") + "1," + "x" * 200_000
+                      + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(target)
+    assert str(excinfo.value) == message
+
+
+def wide_csv_lines(n_rows, seed=0):
+    rng = np.random.default_rng(seed)
+    dose = np.round(rng.uniform(6.0, 9.75, size=n_rows), 3)
+    counts = rng.poisson(40.0, size=n_rows)
+    return ["dose,count"] + [f"{d:g},{c}" for d, c in zip(dose.tolist(), counts.tolist())]
+
+
+@pytest.mark.parametrize("bad", ["7.5", "-3", "abc", "1_000", "nan", ""])
+@pytest.mark.parametrize("row", [data_io._BLOCK_ROWS, data_io._BLOCK_ROWS + 1,
+                                 data_io._BLOCK_ROWS + 700])
+def test_read_csv_first_bad_row_in_second_block(tmp_path, row, bad):
+    lines = wide_csv_lines(3 * data_io._BLOCK_ROWS + 100)
+    lines[row] = lines[row].split(",")[0] + "," + bad
+    # A bad row in the next block is not the one reported.
+    lines[row + data_io._BLOCK_ROWS] = "oops,-1"
+    target = tmp_path / "long.csv"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = outcome(per_row_read_csv, target)
+    assert want[0] == "error" and want[1].startswith(f"line {row + 1}: ")
+    assert_same_outcome(outcome(read_csv, target), want)
+
+
+def test_read_csv_long_file_matches_per_row_loop(tmp_path):
+    lines = wide_csv_lines(2 * data_io._BLOCK_ROWS + 100)
+    lines[10] = ""
+    lines[data_io._BLOCK_ROWS + 3] = lines[data_io._BLOCK_ROWS + 3].split(",")[0] + ",76.0"
+    target = tmp_path / "long.csv"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = outcome(per_row_read_csv, target)
+    assert want[0] == "ok"
+    assert_same_outcome(outcome(read_csv, target), want)
+
+
+def test_read_csv_memory_stays_within_a_block(tmp_path):
+    # One block's text at a time. The per-row reader peaked at 3.44 MB
+    # on this file; holding every row's text at once costs more than that.
+    target = tmp_path / "wide.csv"
+    target.write_text("\n".join(wide_csv_lines(20_000)) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        read_csv(target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.29e6
 
 
 # -- record writing -------------------------------------------------------------------
