@@ -117,6 +117,9 @@ def expected_alpha_info(X, params: ModelParams) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("X must be an n x d array of covariate rows")
     a = params.alpha
+    # S's first term, (1/a)^2, is the only one that can overflow.
+    if math.isinf(1.0 / a * (1.0 / a)):
+        raise RuntimeError(f"alpha information overflows at shape {a:g}")
     m = params.mu * _logistic(X @ params.beta)
     with np.errstate(over="ignore"):
         block = np.ceil(m + 50.0 * np.sqrt(m * (1.0 + m / a))) + 10.0
@@ -132,10 +135,7 @@ def expected_alpha_info(X, params: ModelParams) -> np.ndarray:
         C = S / k1
         np.cumsum(np.log(C, out=C), out=C)
         # (1/(a+j))^2 underflows quietly where (a+j)^2 would overflow.
-        with np.errstate(over="ignore"):
-            np.cumsum(np.square(np.reciprocal(S, out=S), out=S), out=S)
-        if not math.isfinite(S[-1]):
-            raise RuntimeError(f"alpha information overflows at shape {a:g}")
+        np.cumsum(np.square(np.reciprocal(S, out=S), out=S), out=S)
         work = np.empty_like(S)
         for i in rows:
             mi, K = float(m[i]), int(terms[i])
