@@ -339,7 +339,7 @@ def test_read_csv_long_file_matches_per_row_loop(tmp_path):
 
 
 def test_read_csv_memory_stays_within_a_block(tmp_path):
-    # One block's text at a time. The per-row reader peaked at 3.44 MB
+    # One block's text at a time. The per-row reader peaked at 3.42 MB
     # on this file; holding every row's text at once costs more than that.
     target = tmp_path / "wide.csv"
     target.write_text("\n".join(wide_csv_lines(20_000)) + "\n", encoding="utf-8")
