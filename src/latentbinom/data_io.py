@@ -67,15 +67,6 @@ def _number(text: str, kind=float):
 _BLOCK_ROWS = 4096
 
 
-def _count(text: str) -> Union[int, float]:
-    """int(text), else the int of an integral float ("76.0"), else the float."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-    return int(value) if value.is_integer() else value
-
-
 def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float], int]:
     if len(fields) != n_cols:
         raise ValueError(
@@ -89,11 +80,17 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
         raise ValueError(f"line {line_no}: non-finite covariate")
     last = fields[-1].strip()
     try:
-        count = _number(last, _count)
+        count = _number(last, int)
     except ValueError:
-        raise ValueError(f"line {line_no}: non-numeric count {last!r}") from None
-    if isinstance(count, float):
-        raise ValueError(f"line {line_no}: count must be an integer, got {last!r}")
+        try:
+            as_float = _number(last)
+        except ValueError:
+            raise ValueError(
+                f"line {line_no}: non-numeric count {last!r}") from None
+        if not as_float.is_integer():
+            raise ValueError(
+                f"line {line_no}: count must be an integer, got {last!r}") from None
+        count = int(as_float)
     if count < 0:
         raise ValueError(f"line {line_no}: negative count {count}")
     return covariates, count
@@ -121,12 +118,7 @@ def _by_columns(rows: list[list[str]], n_cols: int):
         return None
     try:
         X = np.array([list(map(float, col)) for col in columns[:-1]]).T
-        try:
-            y = list(map(int, columns[-1]))
-        except ValueError:
-            y = list(map(_count, columns[-1]))
-            if float in set(map(type, y)):
-                return None
+        y = list(map(int, columns[-1]))
     except ValueError:
         return None
     return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None
