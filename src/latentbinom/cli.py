@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
                        help="Monte Carlo samples per setting (default 1000)")
     p_sim.add_argument("--seed", type=int, default=0,
                        help="RNG seed, echoed in the output (default 0)")
-    p_sim.add_argument("--level", type=float, default=0.05,
+    p_sim.add_argument("--level", type=_level, default=0.05,
                        help="1 - confidence level for coverage (default 0.05)")
     add_common(p_sim)
 
@@ -126,6 +126,15 @@ def _with_output(args: argparse.Namespace, write) -> int:
         return write(sys.stdout)
     with args.output.open("w", encoding="utf-8", newline="") as fh:
         return write(fh)
+
+
+def _write_table(args: argparse.Namespace, records: list, columns: list) -> int:
+    def write(out: TextIO) -> int:
+        write_records(out, records, columns, fmt=args.format,
+                      full_precision=args.full_precision)
+        return EXIT_OK
+
+    return _with_output(args, write)
 
 
 def _setting_row(index: int, setting) -> dict:
@@ -187,8 +196,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             if not (sub.converged and full.converged):
                 fits = [sub, full]
             else:
-                lrt = likelihood_ratio_test(data, level=args.level,
-                                            fits=(sub, full))
+                lrt = likelihood_ratio_test(sub, full, level=args.level)
                 print("likelihood-ratio test: statistic "
                       f"{format_number(lrt.statistic, args.full_precision)}, "
                       f"p-value {format_number(lrt.p_value, args.full_precision)}",
@@ -223,7 +231,9 @@ def _read_settings_file(path: Path) -> list:
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
                 raise ValueError(
                     f"{path}: header must contain columns design,beta1,mu,alpha")
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                # DictReader skips blank rows; take the underlying reader's line.
+                line_no = reader.reader.line_num
                 try:
                     design_id = _number(row["design"], int)
                     slope = _number(row["beta1"])
@@ -256,13 +266,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         rec.update(rho=res.rho, gamma=res.gamma, rho_gamma=res.rho_gamma)
         records.append(rec)
     columns = ["setting", "beta1", "mu", "alpha", "rho", "gamma", "rho_gamma"]
-
-    def write(out: TextIO) -> int:
-        write_records(out, records, fmt=args.format, columns=columns,
-                      full_precision=args.full_precision)
-        return EXIT_OK
-
-    return _with_output(args, write)
+    return _write_table(args, records, columns)
 
 
 # -- curves -------------------------------------------------------------------
@@ -294,13 +298,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
                                 "sd_beta0": sd0, "sd_beta1": sd1,
                                 "sd_mu": sd_mu})
         columns = ["beta1", "alpha", "mu", "sd_beta0", "sd_beta1", "sd_mu"]
-
-    def write(out: TextIO) -> int:
-        write_records(out, records, fmt=args.format, columns=columns,
-                      full_precision=args.full_precision)
-        return EXIT_OK
-
-    return _with_output(args, write)
+    return _write_table(args, records, columns)
 
 
 # -- simulate -----------------------------------------------------------------
@@ -330,14 +328,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records.append(rec)
     columns = ["setting", "beta1", "mu", "alpha", "samples", "seed",
                "bias", "mse", "coverage", "n_converged"]
-
-    def write(out: TextIO) -> int:
-        print(f"seed: {args.seed}", file=sys.stderr)
-        write_records(out, records, fmt=args.format, columns=columns,
-                      full_precision=args.full_precision)
-        return EXIT_OK
-
-    return _with_output(args, write)
+    print(f"seed: {args.seed}", file=sys.stderr)
+    return _write_table(args, records, columns)
 
 
 _COMMANDS = {

@@ -188,40 +188,24 @@ def format_number(value: object, full_precision: bool = False) -> str:
     return f"{x:.6g}"
 
 
-def write_records(path_or_file: Union[str, Path, TextIO],
-                  records: Iterable[Mapping[str, object]],
-                  fmt: str = "csv",
-                  columns: Union[Sequence[str], None] = None,
+def write_records(fh: TextIO, records: Iterable[Mapping[str, object]],
+                  columns: Sequence[str], fmt: str = "csv",
                   full_precision: bool = False) -> None:
-    """Write mapping records as CSV or line-delimited JSON.
-
-    Column order comes from ``columns`` when given, else from the first
-    record's key order; an empty record list still writes the header when
-    columns are known.
-    """
+    """Write mapping records to the open text file fh as CSV or
+    line-delimited JSON, with the given column order; an empty record list
+    still writes the CSV header."""
     if fmt not in ("csv", "structured"):
         raise ValueError(f"unknown format {fmt!r}")
-    records = list(records)
-    if columns is None:
-        columns = list(records[0].keys()) if records else []
-
-    def _write(fh: TextIO) -> None:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for rec in records:
-                writer.writerow([format_number(rec[c], full_precision)
-                                 for c in columns])
-        else:
-            for rec in records:
-                obj = {c: (float(format_number(rec[c], full_precision))
-                           if isinstance(rec[c], (float, np.floating))
-                           else rec[c])
-                       for c in columns}
-                fh.write(json.dumps(obj) + "\n")
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
+    if fmt == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([format_number(rec[c], full_precision)
+                             for c in columns])
     else:
-        with Path(path_or_file).open("w", encoding="utf-8", newline="") as fh:
-            _write(fh)
+        for rec in records:
+            obj = {c: (float(format_number(rec[c], full_precision))
+                       if isinstance(rec[c], (float, np.floating))
+                       else rec[c])
+                   for c in columns}
+            fh.write(json.dumps(obj) + "\n")

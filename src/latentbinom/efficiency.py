@@ -65,8 +65,6 @@ class EffSetting:
 
     def __post_init__(self) -> None:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if not (self.mu > 0 and self.alpha > 0):
-            raise ValueError("mu and alpha must be positive")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         X, r, _ = _design_arrays(self.X, self.r, self.params)

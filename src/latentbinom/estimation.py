@@ -238,6 +238,17 @@ def _standard_errors(data: Dataset, params: ModelParams,
     return se, cond, notes
 
 
+def _fit(data: Dataset, p0: np.ndarray, full: bool) -> FitResult:
+    """Optimize from the transformed start p0 and attach standard errors;
+    the alpha standard error is guarded only in the full model."""
+    params, ll, converged, n_iter = _optimize(data, p0, full)
+    se, cond, notes = _standard_errors(data, params, alpha_guard=full)
+    return FitResult(
+        params=params, std_errors=se, loglik=ll, converged=converged,
+        n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),
+    )
+
+
 def _boundary_result(data: Dataset, alpha: float) -> FitResult:
     params = ModelParams(beta=np.zeros(data.d), mu=1.0, alpha=alpha)
     return FitResult(
@@ -274,13 +285,7 @@ def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResul
         beta0, mu0 = np.asarray(init.beta, dtype=float), float(init.mu)
     else:
         beta0, mu0 = _default_beta_mu_init(data)
-    p0 = np.concatenate([beta0, [math.log(mu0)]])
-    params, ll, converged, n_iter = _optimize(data, p0, full=False)
-    se, cond, notes = _standard_errors(data, params, alpha_guard=False)
-    return FitResult(
-        params=params, std_errors=se, loglik=ll, converged=converged,
-        n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),
-    )
+    return _fit(data, np.concatenate([beta0, [math.log(mu0)]]), full=False)
 
 
 def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
@@ -303,35 +308,22 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     beta0, mu0 = np.asarray(init.beta, float), float(init.mu)
     alpha0 = 100.0 if init.is_poisson_size else float(init.alpha)
     p0 = np.concatenate([beta0, [math.log(mu0), math.log(alpha0)]])
-    params, ll, converged, n_iter = _optimize(data, p0, full=True)
-    se, cond, notes = _standard_errors(data, params, alpha_guard=True)
-    return FitResult(
-        params=params, std_errors=se, loglik=ll, converged=converged,
-        n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),
-    )
+    return _fit(data, p0, full=True)
 
 
-def likelihood_ratio_test(
-        data: Dataset, level: float = 0.05, *,
-        fits: tuple[FitResult, FitResult] | None = None) -> LrtResult:
-    """Test the Poisson-size submodel against the full model.
+def likelihood_ratio_test(sub: FitResult, full: FitResult,
+                          level: float = 0.05) -> LrtResult:
+    """Test the Poisson-size submodel against the full model, given a
+    converged fit of each to the same data.
 
     The submodel pins alpha at the edge of its range, so under the null the
     statistic is a half-half mixture of a point mass at zero and chi-square
     with one degree of freedom; the p-value uses that mixture.
-
-    ``fits`` passes existing (Poisson-size, full) fits of ``data`` to test
-    instead of fitting both models here.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if fits is None:
-        sub = fit_poisson_size(data)
-        full = fit_full(data, init=sub.params)
-    else:
-        sub, full = fits
-        if not sub.params.is_poisson_size or full.params.is_poisson_size:
-            raise ValueError("fits must be a (poisson_size, full) pair")
+    if not sub.params.is_poisson_size or full.params.is_poisson_size:
+        raise ValueError("fits must be a (poisson_size, full) pair")
     for fit in (sub, full):
         if not fit.converged:
             raise RuntimeError(

@@ -168,7 +168,10 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
     d = X.shape[1]
     mu = params.mu
     I = np.zeros((d + 2, d + 2))
-    I[:d + 1, :d + 1] = _gram(X, h, r * mu * h / (1.0 + mu * h / params.alpha), mu)
+    # mu h / alpha may overflow at a tiny shape; the weight's limit there is 0.
+    with np.errstate(over="ignore"):
+        w = r * mu * h / (1.0 + mu * h / params.alpha)
+    I[:d + 1, :d + 1] = _gram(X, h, w, mu)
     I[d + 1, d + 1] = r @ expected_alpha_info(X, params)
     return I
 

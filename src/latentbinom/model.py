@@ -356,12 +356,7 @@ def _loglik_terms(y: np.ndarray, m: np.ndarray, alpha: float,
 
 def log_pmf(y: int, x, params: ModelParams) -> float:
     """Log marginal probability of a single count at covariate row x."""
-    if y < 0 or y != int(y):
-        raise ValueError("y must be a non-negative integer")
-    h = link_h(x, params.beta)
-    m = np.asarray([params.mu * h])
-    y_arr = np.asarray([int(y)])
-    return float(_loglik_terms(y_arr, m, params.alpha, _log_gamma(y_arr + 1.0))[0])
+    return log_likelihood(Dataset([y], [x]), params)
 
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:

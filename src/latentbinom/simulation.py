@@ -25,7 +25,6 @@ __all__ = ["SimConfig", "SimSummary", "LatentRecord", "generate_dataset", "run_s
 @dataclass(frozen=True)
 class SimConfig:
     setting: EffSetting
-    replications_per_x: int = 10
     n_samples: int = 1000
     seed: int = 0
     ci_level: float = 0.95
@@ -33,8 +32,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.replications_per_x < 1:
-            raise ValueError("replications_per_x must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
         if not 0 <= self.seed < 2**64:
@@ -63,15 +60,16 @@ class LatentRecord:
     n: np.ndarray
 
 
-def generate_dataset(setting: EffSetting, replications: int,
+def generate_dataset(setting: EffSetting,
                      rng: np.random.Generator) -> tuple[Dataset, LatentRecord]:
     """Draw one dataset: per observation a gamma mean, a Poisson size, and a
-    binomial count through the logistic link.
+    binomial count through the logistic link. Design row i appears
+    setting.r[i] times, in row order.
 
     With alpha = INFINITE the gamma collapses and every latent mean equals mu
     exactly. A zero size simply yields a zero count.
     """
-    X = np.repeat(setting.X, replications, axis=0)
+    X = np.repeat(setting.X, setting.r, axis=0)
     h = _logistic(X @ setting.beta)
     n_obs = X.shape[0]
     if math.isinf(setting.alpha):
@@ -113,7 +111,6 @@ def run_study(config: SimConfig) -> SimSummary:
     slope_true = float(setting.beta[-1])
     slope_idx = setting.beta.size - 1
     z = NormalDist().inv_cdf(0.5 + config.ci_level / 2.0)
-    r = np.full(setting.r.size, config.replications_per_x)
 
     sum_err = 0.0
     sum_sq = 0.0
@@ -121,7 +118,7 @@ def run_study(config: SimConfig) -> SimSummary:
     n_converged = 0
     for i in range(config.n_samples):
         rng = _sample_rng(config.seed, i)
-        data, _ = generate_dataset(setting, config.replications_per_x, rng)
+        data, _ = generate_dataset(setting, rng)
         try:
             fit = fit_full(data)
         except np.linalg.LinAlgError:
@@ -129,7 +126,7 @@ def run_study(config: SimConfig) -> SimSummary:
         if not fit.converged:
             continue
         est = float(fit.params.beta[slope_idx])
-        se = _slope_se_expected(setting.X, r, slope_idx, fit)
+        se = _slope_se_expected(setting.X, setting.r, slope_idx, fit)
         if not math.isfinite(se):
             continue
         n_converged += 1

@@ -219,9 +219,9 @@ def test_criterion_8_distribution_suite():
     for number, setting in enumerate(table_settings(), start=1):
         value = setting.X[5, 1]
         single = make_setting((value,), float(setting.beta[1]), setting.mu,
-                              setting.alpha, replications=1)
+                              setting.alpha, replications=10**5)
         rng = np.random.default_rng(800 + number)
-        data, _ = generate_dataset(single, 10**5, rng)
+        data, _ = generate_dataset(single, rng)
         y = data.y.astype(float)
         h = link_h(np.array([1.0, value]), single.beta)
         m = single.mu * h

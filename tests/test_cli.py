@@ -13,7 +13,8 @@ import pytest
 from conftest import count_calls
 
 import latentbinom
-from latentbinom import builtin_designs, efficiency_measures, make_setting
+from latentbinom import (SimConfig, builtin_designs, efficiency_measures,
+                         make_setting, run_study, table_settings)
 from latentbinom import cli
 from latentbinom.cli import main
 
@@ -203,6 +204,20 @@ def test_output_matches_committed_reference(capsys, refs, key, argv):
     assert out == want
 
 
+@pytest.mark.parametrize("setting,entry,seed", [
+    (1, 0, 3481501194), (16, 0, 3481501194), (8, 3, 3690641509),
+    (9, 5, 3150004322),
+])
+def test_study_matches_committed_reference(setting, entry, seed):
+    want = json.loads((REFS / "study.json").read_text(encoding="utf-8"))
+    want = want[f"{setting}/{entry}"]
+    got = run_study(SimConfig(setting=table_settings()[setting - 1],
+                              n_samples=2, seed=seed))
+    assert got.n_converged == want["n_converged"]
+    assert abs(got.bias - want["bias"]) <= 1e-12
+    assert abs(got.mse - want["mse"]) <= 1e-12
+
+
 def test_import_leaves_scipy_stats_unloaded():
     src = Path(latentbinom.__file__).resolve().parents[1]
     probe = "import sys, latentbinom; print('scipy.stats' in sys.modules)"
@@ -246,6 +261,14 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
         assert "line 3: non-numeric field" in err, row
         assert out == ""
 
+    # The csv module skips the blank row; the line number must not.
+    blank_row = tmp_path / "bad4.csv"
+    blank_row.write_text("design,beta1,mu,alpha\n\n1,1,100,abc\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["efficiency", "--settings", str(blank_row)])
+    assert code == 1
+    assert "line 3: non-numeric field" in err
+    assert out == ""
+
 
 def test_efficiency_settings_saturated_link(capsys, tmp_path):
     # At slope 8 or 10 the link at x = 5 rounds to exactly 1, and at slope
@@ -281,12 +304,15 @@ def run_settings_row(capsys, tmp_path, row):
         return run_cli(capsys, ["efficiency", "--settings", str(settings)])
 
 
-@pytest.mark.parametrize("alpha", ["1e200", "1e300", "1e-300", "1e-200"])
-def test_efficiency_settings_huge_alpha(capsys, tmp_path, alpha):
-    # (alpha + j)^2 overflows at a huge shape and (1/(alpha + j))^2 at a tiny
-    # one; the alpha information must not print numpy warnings on the way to
-    # its answer or its diagnostic.
-    code, out, err = run_settings_row(capsys, tmp_path, f"1,1,100,{alpha}")
+@pytest.mark.parametrize("mu,alpha", [
+    ("100", "1e200"), ("100", "1e300"), ("100", "1e-300"), ("100", "1e-200"),
+    ("1e10", "1e-299"), ("100", "5e-324"),
+], ids=["1e200", "1e300", "1e-300", "1e-200", "1e10-1e-299", "5e-324"])
+def test_efficiency_settings_huge_alpha(capsys, tmp_path, mu, alpha):
+    # (alpha + j)^2 overflows at a huge shape, and (1/(alpha + j))^2 and
+    # mu h / alpha at a tiny one; the information must not print numpy
+    # warnings on the way to its answer or its diagnostic.
+    code, out, err = run_settings_row(capsys, tmp_path, f"1,1,{mu},{alpha}")
     if code == 2:
         assert out == ""
         (line,) = err.splitlines()
@@ -401,6 +427,17 @@ def test_simulate_thousand_samples_seed42_coverage(capsys):
     row = parse_csv(out)[0]
     assert 0.93 <= float(row["coverage"]) <= 0.97
     assert int(row["n_converged"]) > 950
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+def test_simulate_level_outside_unit_interval_exits_one_before_running(
+        capsys, monkeypatch, level):
+    calls = count_calls(monkeypatch, cli, ("run_study",))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--setting", "1", "--samples", "1", "--level", level])
+    assert excinfo.value.code == 1
+    assert "--level" in capsys.readouterr().err
+    assert calls == {"run_study": 0}
 
 
 def test_simulate_rejects_bad_setting(capsys):

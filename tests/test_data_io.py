@@ -374,28 +374,29 @@ def test_write_records_empty_gives_header_only():
     assert buf.getvalue() == "a,b\n"
 
 
-def test_write_records_rendered_precision_round_trip(tmp_path):
+def test_write_records_rendered_precision_round_trip():
     records = [{"x": 0.12345678901234, "n": 3}]
-    target = tmp_path / "out.csv"
-    write_records(target, records, fmt="csv")
-    lines = target.read_text(encoding="utf-8").splitlines()
+    buf = io.StringIO()
+    write_records(buf, records, ["x", "n"], fmt="csv")
+    lines = buf.getvalue().splitlines()
     assert lines == ["x,n", "0.123457,3"]
-    write_records(target, records, fmt="csv", full_precision=True)
-    row = target.read_text(encoding="utf-8").splitlines()[1]
+    buf = io.StringIO()
+    write_records(buf, records, ["x", "n"], fmt="csv", full_precision=True)
+    row = buf.getvalue().splitlines()[1]
     assert float(row.split(",")[0]) == 0.12345678901234
 
 
 def test_write_records_structured_round_trip():
     records = [{"name": "row1", "value": 2.5}, {"name": "row2", "value": -1.0}]
     buf = io.StringIO()
-    write_records(buf, records, fmt="structured")
+    write_records(buf, records, ["name", "value"], fmt="structured")
     parsed = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert parsed == records
 
 
 def test_write_records_rejects_unknown_format():
     with pytest.raises(ValueError):
-        write_records(io.StringIO(), [], fmt="tsv")
+        write_records(io.StringIO(), [], ["a"], fmt="tsv")
 
 
 def test_format_number():

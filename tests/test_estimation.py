@@ -20,6 +20,13 @@ def seeded(entropy, i):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(i,)))
 
 
+def lrt(data, level=0.05):
+    """The LRT of data as the CLI's auto mode runs it: the submodel first,
+    then the full fit started from it."""
+    sub = fit_poisson_size(data)
+    return likelihood_ratio_test(sub, fit_full(data, init=sub.params), level)
+
+
 def assert_same_fit(a, b):
     assert a.model == b.model
     assert np.array_equal(a.params.as_array(), b.params.as_array())
@@ -73,8 +80,9 @@ def test_poisson_fit_initialization_invariant():
 
 def test_poisson_fit_zero_noise_limit_recovers_beta():
     rng = np.random.default_rng(2024)
-    setting = make_setting((-2.0, -1.0, 0.0, 1.0, 2.0), -0.8, 5000.0, INFINITE)
-    data, _ = generate_dataset(setting, 40, rng)
+    setting = make_setting((-2.0, -1.0, 0.0, 1.0, 2.0), -0.8, 5000.0, INFINITE,
+                           replications=40)
+    data, _ = generate_dataset(setting, rng)
     fit = fit_poisson_size(data)
     assert fit.converged
     cis = wald_ci(fit, 0.05)
@@ -126,7 +134,7 @@ def test_full_fit_alpha_interval_covers_truth():
     assert setting.mu == 100.0 and setting.alpha == 25.0
     hits = usable = 0
     for i in range(200):
-        data, _ = generate_dataset(setting, 10, seeded(1234, i))
+        data, _ = generate_dataset(setting, seeded(1234, i))
         fit = fit_full(data)
         if not fit.converged or not np.isfinite(fit.std_errors[-1]):
             continue
@@ -145,7 +153,7 @@ def test_full_fit_from_poisson_fit_matches_fresh_fit(monkeypatch, case):
     else:
         setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0,
                                100.0, 5.0)
-        data, _ = generate_dataset(setting, 10, seeded(31, 0))
+        data, _ = generate_dataset(setting, seeded(31, 0))
     fresh = fit_full(data)
     sub = fit_poisson_size(data)
     calls = count_calls(monkeypatch, estimation, ("fit_poisson_size",))
@@ -186,7 +194,7 @@ def test_converged_fits_have_small_score():
         assert np.max(np.abs(score(data, fit.params))) < 1e-6
     rng = np.random.default_rng(4)
     setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0, 100.0, 5.0)
-    data, _ = generate_dataset(setting, 10, rng)
+    data, _ = generate_dataset(setting, rng)
     fit = fit_full(data)
     assert fit.converged
     assert np.max(np.abs(score(data, fit.params))) < 1e-6
@@ -194,7 +202,7 @@ def test_converged_fits_have_small_score():
 
 def test_observed_and_expected_standard_errors_agree_loosely():
     setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0, 100.0, 5.0)
-    data, _ = generate_dataset(setting, 10, np.random.default_rng(31))
+    data, _ = generate_dataset(setting, np.random.default_rng(31))
 
     full = fit_full(data)
     inv, cond, flagged = inverse_with_condition(info_full(setting.X, setting.r, full.params))
@@ -220,7 +228,7 @@ def test_fit_result_validation():
 
 
 def test_lrt_keeps_poisson_submodel_on_crypt_data():
-    res = likelihood_ratio_test(jejunal_dataset(), 0.05)
+    res = lrt(jejunal_dataset(), 0.05)
     assert not res.reject_poisson
     assert res.significance_level == 0.05
     assert res.statistic == pytest.approx(0.00282429, abs=1e-5)
@@ -229,7 +237,7 @@ def test_lrt_keeps_poisson_submodel_on_crypt_data():
 
 def test_lrt_statistic_nonnegative_and_init_independent():
     data = jejunal_dataset()
-    res = likelihood_ratio_test(data, 0.05)
+    res = lrt(data, 0.05)
     assert res.statistic >= 0.0
     assert 0.0 <= res.p_value <= 1.0
     # The statistic depends on the fitted likelihoods only, so it must not
@@ -243,15 +251,14 @@ def test_lrt_statistic_nonnegative_and_init_independent():
 
 def test_lrt_with_existing_fits_matches_refitting(monkeypatch):
     data = jejunal_dataset()
-    expected = likelihood_ratio_test(data, 0.05)
     sub = fit_poisson_size(data)
     full = fit_full(data, init=sub.params)
     calls = count_calls(monkeypatch, estimation, ("fit_poisson_size", "fit_full"))
-    got = likelihood_ratio_test(data, 0.05, fits=(sub, full))
-    assert got == expected
+    got = likelihood_ratio_test(sub, full, 0.05)
+    assert got.statistic == max(2.0 * (full.loglik - sub.loglik), 0.0)
     assert calls == {"fit_poisson_size": 0, "fit_full": 0}
     with pytest.raises(ValueError, match="pair"):
-        likelihood_ratio_test(data, 0.05, fits=(full, sub))
+        likelihood_ratio_test(full, sub, 0.05)
 
 
 def test_lrt_size_stays_at_or_below_level():
@@ -261,8 +268,8 @@ def test_lrt_size_stays_at_or_below_level():
     setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0, 100.0, INFINITE)
     rejections = 0
     for i in range(150):
-        data, _ = generate_dataset(setting, 10, seeded(555, i))
-        rejections += likelihood_ratio_test(data, 0.05).reject_poisson
+        data, _ = generate_dataset(setting, seeded(555, i))
+        rejections += lrt(data, 0.05).reject_poisson
     assert 0 < rejections <= 0.09 * 150
 
 
@@ -270,8 +277,8 @@ def test_lrt_power_under_strong_overdispersion():
     setting = make_setting(tuple(float(t) for t in range(-5, 6)), 1.0, 100.0, 5.0)
     rejections = 0
     for i in range(60):
-        data, _ = generate_dataset(setting, 10, seeded(777, i))
-        rejections += likelihood_ratio_test(data, 0.05).reject_poisson
+        data, _ = generate_dataset(setting, seeded(777, i))
+        rejections += lrt(data, 0.05).reject_poisson
     assert rejections >= 0.9 * 60
 
 

@@ -57,9 +57,9 @@ def test_array_holding_records_compare_by_identity():
     # hash() impossible; each compares and hashes by identity instead.
     def build():
         params = ModelParams(beta=np.array([1.0, 2.0]), mu=5.0, alpha=3.0)
-        setting = make_setting([1, 2, 3], 1, 100, 25)
+        setting = make_setting([1, 2, 3], 1, 100, 25, replications=2)
         fit = FitResult(params, np.full(4, 0.1), -1.0, True, 1, 1.0)
-        _, latent = generate_dataset(setting, 2, np.random.default_rng(0))
+        _, latent = generate_dataset(setting, np.random.default_rng(0))
         return [params, setting, fit, latent]
 
     first = build()
@@ -479,7 +479,7 @@ def test_hessian_negative_definite_at_simulated_mle():
     x1, _ = builtin_designs()
     setting = make_setting(x1, 1.0, 100.0, 25.0)
     rng = np.random.default_rng(31)
-    data, _ = generate_dataset(setting, 10, rng)
+    data, _ = generate_dataset(setting, rng)
     fit = fit_full(data)
     assert fit.converged
     eigs = np.linalg.eigvalsh(hessian(data, fit.params))

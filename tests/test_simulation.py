@@ -8,11 +8,12 @@ import pytest
 from latentbinom import (INFINITE, LatentRecord, SimConfig, SimSummary,
                          builtin_designs, generate_dataset, link_h,
                          make_setting, run_study, table_settings)
-from latentbinom import information
+from latentbinom import information, simulation
 
 
 def single_point_setting(x_value, slope, mu, alpha):
-    return make_setting((x_value,), slope, mu, alpha, replications=1)
+    """One covariate value, replicated for 10**5 draws per sample."""
+    return make_setting((x_value,), slope, mu, alpha, replications=10**5)
 
 
 # -- configuration containers ----------------------------------------------------
@@ -22,10 +23,10 @@ def test_sim_config_validation():
     setting = table_settings()[0]
     ok = SimConfig(setting=setting, n_samples=5, seed=3)
     assert ok.ci_level == 0.95
+    # Replications live in the setting; test_information.py's
+    # test_design_arrays_rejects[r-zero] covers r < 1.
     with pytest.raises(ValueError):
         SimConfig(setting=setting, n_samples=0)
-    with pytest.raises(ValueError):
-        SimConfig(setting=setting, replications_per_x=0)
     with pytest.raises(ValueError):
         SimConfig(setting=setting, ci_level=1.0)
     with pytest.raises(ValueError):
@@ -48,15 +49,15 @@ def test_sim_summary_validation():
 
 def test_generate_dataset_layout_and_latent_consistency():
     rng = np.random.default_rng(12)
-    setting = table_settings()[0]
-    data, latent = generate_dataset(setting, 4, rng)
+    x1, _ = builtin_designs()
+    setting = make_setting(x1, 1.0, 100.0, 25.0, replications=4)
+    data, latent = generate_dataset(setting, rng)
     assert len(data) == 44
     assert isinstance(latent, LatentRecord)
     assert latent.lam.shape == (44,) and latent.n.shape == (44,)
     # Counts cannot exceed their latent sizes.
     assert np.all(data.y <= latent.n)
     assert np.all(data.y >= 0)
-    x1, _ = builtin_designs()
     for block, value in enumerate(x1):
         rows = data.X[4 * block:4 * (block + 1)]
         assert np.all(rows[:, 0] == 1.0)
@@ -65,8 +66,8 @@ def test_generate_dataset_layout_and_latent_consistency():
 
 def test_generate_dataset_degenerate_gamma_path():
     rng = np.random.default_rng(5)
-    setting = make_setting((-1.0, 2.0), 1.0, 150.0, INFINITE)
-    _, latent = generate_dataset(setting, 6, rng)
+    setting = make_setting((-1.0, 2.0), 1.0, 150.0, INFINITE, replications=6)
+    _, latent = generate_dataset(setting, rng)
     assert np.all(latent.lam == 150.0)
 
 
@@ -77,7 +78,7 @@ def test_generate_dataset_degenerate_gamma_path():
 def test_generated_moments_match_model(x_value, slope, mu, alpha):
     rng = np.random.default_rng(2718)
     setting = single_point_setting(x_value, slope, mu, alpha)
-    data, _ = generate_dataset(setting, 10**5, rng)
+    data, _ = generate_dataset(setting, rng)
     y = data.y.astype(float)
     h = link_h(np.array([1.0, x_value]), setting.beta)
     m = mu * h
@@ -91,7 +92,7 @@ def test_generated_moments_match_model(x_value, slope, mu, alpha):
 def test_generated_moments_poisson_path():
     rng = np.random.default_rng(31415)
     setting = single_point_setting(0.2, 1.0, 200.0, INFINITE)
-    data, _ = generate_dataset(setting, 10**5, rng)
+    data, _ = generate_dataset(setting, rng)
     y = data.y.astype(float)
     m = 200.0 * link_h(np.array([1.0, 0.2]), setting.beta)
     assert abs(y.mean() - m) < 4.0 * math.sqrt(m / y.size)
@@ -110,6 +111,29 @@ def test_run_study_deterministic():
     assert first == second
     other = run_study(SimConfig(setting=table_settings()[0], n_samples=25, seed=12))
     assert other != first
+
+
+def test_run_study_simulates_the_settings_replications(monkeypatch):
+    # The study reads its design from the setting's X and r, the same ones
+    # efficiency_measures reads: 11 rows x 3 replications per sample.
+    setting = make_setting(builtin_designs()[0], 1.0, 100.0, 25.0, replications=3)
+    rows, replications = [], []
+    real_fit, real_info = simulation.fit_full, simulation.info_full
+
+    def recording_fit(data, *args, **kwargs):
+        rows.append(len(data))
+        return real_fit(data, *args, **kwargs)
+
+    def recording_info(X, r, params):
+        replications.append(np.array(r))
+        return real_info(X, r, params)
+
+    monkeypatch.setattr(simulation, "fit_full", recording_fit)
+    monkeypatch.setattr(simulation, "info_full", recording_info)
+    out = run_study(SimConfig(setting=setting, n_samples=3, seed=1))
+    assert rows == [33, 33, 33] and int(setting.r.sum()) == 33
+    assert out.n_converged > 0 and replications
+    assert all(np.array_equal(r, setting.r) for r in replications)
 
 
 def test_run_study_aggregates_sane():
