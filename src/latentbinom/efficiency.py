@@ -148,6 +148,16 @@ def efficiency_measures(setting: EffSetting) -> EffResult:
     return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
 
 
+def _ascending_grid(values: Sequence[float], name: str) -> list[float]:
+    """values as floats, checked positive and strictly ascending."""
+    grid = [float(v) for v in values]
+    if any(v <= 0 for v in grid):
+        raise ValueError(f"{name} grid must be positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} grid must be strictly ascending")
+    return grid
+
+
 def gamma_curve(setting: EffSetting,
                 alpha_grid: Sequence[float]) -> list[tuple[float, float]]:
     """gamma evaluated along an ascending grid of shape values.
@@ -155,11 +165,7 @@ def gamma_curve(setting: EffSetting,
     The design, slope, and size mean come from the setting; its alpha is
     ignored in favor of the grid.
     """
-    grid = [float(a) for a in alpha_grid]
-    if any(a <= 0 for a in grid):
-        raise ValueError("alpha grid must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly ascending")
+    grid = _ascending_grid(alpha_grid, "alpha")
     base = setting.params
     v_poisson = _slope_variance(info_poisson_size(setting.X, setting.r, base))
     out = []
@@ -179,11 +185,7 @@ def sd_vs_mu_curves(setting: EffSetting,
     mean's own column nondecreasing: more latent counts pin the response
     probabilities down better while the mean itself gets harder to separate.
     """
-    grid = [float(m) for m in mu_grid]
-    if any(m <= 0 for m in grid):
-        raise ValueError("mu grid must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("mu grid must be strictly ascending")
+    grid = _ascending_grid(mu_grid, "mu")
     base = setting.params
     out = []
     for mu in grid:

@@ -265,20 +265,30 @@ def _boundary_result(data: Dataset, alpha: float) -> FitResult:
     )
 
 
-def _require_full_rank(data: Dataset) -> None:
+def _require_identifiable(data: Dataset) -> None:
     rank = int(np.linalg.matrix_rank(data.X))
     if rank < data.d:
         raise ValueError(
             f"rank-deficient design: the {data.d} covariate columns have rank "
             f"{rank}, so the regression coefficients are not identifiable")
+    # mu h(x'beta) takes one value per distinct row: d or fewer leave (beta,
+    # mu) a flat direction. Each pass drops the copies of the first row left.
+    columns, left, distinct = data.X.T.copy(), np.ones(data.n_obs, bool), 0
+    while distinct <= data.d and left.any():
+        left &= np.logical_or.reduce(columns != columns[:, [left.argmax()]])
+        distinct += 1
+    if distinct <= data.d:
+        raise ValueError(
+            f"non-identifiable design: {distinct} distinct covariate rows for "
+            f"{data.d + 1} parameters (beta, mu)")
 
 
 def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResult:
     """Fit the Poisson-size submodel (alpha = INFINITE) over (beta, mu).
 
-    Raises ValueError when the design matrix has rank below its column count.
+    Raises ValueError when the design cannot identify (beta, mu).
     """
-    _require_full_rank(data)
+    _require_identifiable(data)
     if int(data.y.max()) == 0:
         return _boundary_result(data, INFINITE)
     if init is not None:
@@ -298,9 +308,9 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     A full-model init is used as given. When the shape direction is too flat
     to carry information (huge variance or severe ill-conditioning), the
     alpha standard error is reported as NaN and a diagnostic explains why.
-    Raises ValueError when the design matrix has rank below its column count.
+    Raises ValueError when the design cannot identify (beta, mu).
     """
-    _require_full_rank(data)
+    _require_identifiable(data)
     if int(data.y.max()) == 0:
         return _boundary_result(data, 1.0)
     if init is None:

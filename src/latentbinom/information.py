@@ -1,11 +1,11 @@
 """Expected (Fisher) information matrices for the latent-size model.
 
-Four variants are provided, ordered from least to most informative about the
-slope: the full latent-size model (gamma-mixed Poisson sizes), the
-Poisson-size submodel, the hypothetical case where only the common size mean
-is known, and the case where every size is observed. A closed-form block
-partition of the Poisson-size inverse is included because the generic
-inverse loses the structure that makes its mu-scaling visible.
+Three variants are provided, ordered from least to most informative about
+the slope: the full latent-size model (gamma-mixed Poisson sizes), the
+Poisson-size submodel, and the hypothetical case where only the common size
+mean is known. A closed-form block partition of the Poisson-size inverse is
+included because the generic inverse loses the structure that makes its
+mu-scaling visible.
 
 A design is given as arrays: the covariate rows X (n x d) and the number
 of observations r (n positive integers) sharing each row. Every (beta, mu)
@@ -13,20 +13,19 @@ block is one weighted Gram product over the rows,
 
     I = sum_i w_i u_i u_i',    u_i = ((1 - h_i) x_i, 1 / mu),
 
-with h_i the logistic link at row x_i; the beta-only variants use
+with h_i the logistic link at row x_i; the beta-only variant uses
 u_i = x_i. The variants differ only in the weights:
 
     full model             r mu h / (1 + mu h / alpha)
     Poisson sizes          r mu h
     size mean known        r mu h (1 - h)             beta block only
-    sizes known            n_sum h (1 - h)            beta block only
 
-where n_sum is the total observed size at the row. No weight divides by
-h or 1 - h, so a row whose link saturates to exactly 0 or 1 adds nothing
-instead of 0/0. The block partition uses the Poisson-size matrix at
-mu = 1. The full model adds the alpha curvature, which has no closed form,
-on the diagonal: r @ expected_alpha_info(X), one series per row, summed in
-one pass over the design against alpha-only tables that every row shares.
+No weight divides by h or 1 - h, so a row whose link saturates to exactly
+0 or 1 adds nothing instead of 0/0. The block partition uses the
+Poisson-size matrix at mu = 1. The full model adds the alpha curvature,
+which has no closed form, on the diagonal: r @ expected_alpha_info(X), one
+series per row, summed in one pass over the design against alpha-only
+tables that every row shares.
 
 Matrices are ordered (beta..., mu, alpha) like every parameter vector in
 this package.
@@ -35,8 +34,6 @@ this package.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from .model import ModelParams, _logistic, _mirrored
@@ -45,7 +42,6 @@ __all__ = [
     "info_full",
     "info_poisson_size",
     "info_known_mean",
-    "info_known_sizes",
     "expected_alpha_info",
     "block_variance_partition",
     "inverse_with_condition",
@@ -187,23 +183,6 @@ def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
     """Expected information about beta when only the size mean is known."""
     X, r, h = _design_arrays(X, r, params)
     return _gram(X, h, r * params.mu * h * (1.0 - h))
-
-
-def info_known_sizes(X, r, sizes: Sequence[int], params: ModelParams) -> np.ndarray:
-    """Information about beta when every size n_i is observed.
-
-    sizes must align with the design expanded one observation per
-    replication, in row order.
-    """
-    X, r, h = _design_arrays(X, r, params)
-    total = int(r.sum())
-    if len(sizes) != total:
-        raise ValueError(f"expected {total} sizes, got {len(sizes)}")
-    sizes = np.asarray(sizes, dtype=float)
-    if np.any(sizes < 0):
-        raise ValueError("sizes must be non-negative")
-    n_sum = np.add.reduceat(sizes, np.cumsum(r) - r)
-    return _gram(X, h, n_sum * h * (1.0 - h))
 
 
 def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, float]:

@@ -120,8 +120,9 @@ def test_fit_numerical_failure_exits_two_without_warnings(capsys, tmp_path):
     # A count of 2**62 drives the Hessian's eigenvalue solver to fail. That
     # LinAlgError is a numerical failure (exit 2), not a usage error, and the
     # overflow on the way there must not leak numpy warnings onto stderr.
+    # Three doses, so the design identifies (beta, mu).
     target = tmp_path / "big.csv"
-    target.write_text("dose,count\n1,5\n1,4611686018427387904\n2,3\n",
+    target.write_text("dose,count\n1,5\n1,4611686018427387904\n2,3\n2.5,3\n",
                       encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -144,6 +145,33 @@ def test_fit_rank_deficient_design_exits_one(capsys, tmp_path, model):
     assert code == 1
     assert "rank-deficient design" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("count", ["1000000000000000", "4611686018427387904"])
+def test_fit_huge_count_exits_two_naming_it(capsys, tmp_path, count):
+    # The full fit's shift tables would need 8 PB at 10**15, which numpy
+    # refuses at once; at 2**62 their byte size overflows numpy's intp.
+    target = tmp_path / "huge.csv"
+    target.write_text(f"dose,count\n1,3\n2,{count}\n3,2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"latentbinom: error: count {count} ")
+
+
+@pytest.mark.parametrize("rows", ["1,3\n2,5\n", "1,3\n2,5\n" * 12],
+                         ids=["two-rows", "two-doses-24-rows"])
+@pytest.mark.parametrize("model", ["poisson", "full", "auto"])
+def test_fit_non_identifiable_design_exits_one(capsys, tmp_path, rows, model):
+    target = tmp_path / "two_doses.csv"
+    target.write_text("dose,count\n" + rows, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target),
+                                      "--model", model])
+    assert code == 1
+    assert out == ""
+    assert err == ("latentbinom: error: non-identifiable design: 2 distinct "
+                   "covariate rows for 3 parameters (beta, mu)\n")
 
 
 @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan", "abc"])

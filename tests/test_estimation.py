@@ -187,6 +187,21 @@ def test_rank_deficient_design_rejected(fit):
         fit(collinear)
 
 
+@pytest.mark.parametrize("fit", [fit_poisson_size, fit_full])
+def test_fewer_distinct_rows_than_parameters_rejected(fit):
+    # Full rank, but mu h(x'beta) takes one value per distinct row: two
+    # doses cannot pin down (beta0, beta1, mu), nor three rows four.
+    two_doses = Dataset([3, 5] * 12, [[1.0, 1.0], [1.0, 2.0]] * 12)
+    with pytest.raises(ValueError, match="2 distinct covariate rows for 3 "):
+        fit(two_doses)
+    three_rows = Dataset([4, 6, 8], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                     [1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="3 distinct covariate rows for 4 "):
+        fit(three_rows)
+    three_doses = Dataset([3, 5, 9], [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    assert fit(three_doses).params.beta.size == 2
+
+
 def test_converged_fits_have_small_score():
     data = jejunal_dataset()
     for fit in (fit_poisson_size(data), fit_full(data)):

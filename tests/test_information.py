@@ -9,8 +9,8 @@ from scipy import special, stats
 
 from latentbinom import (ModelParams, block_variance_partition, builtin_designs,
                          expected_alpha_info, info_full, info_known_mean,
-                         info_known_sizes, info_poisson_size,
-                         inverse_with_condition, link_h, make_setting)
+                         info_poisson_size, inverse_with_condition, link_h,
+                         make_setting)
 from latentbinom import information
 from latentbinom.information import _design_arrays
 
@@ -267,15 +267,6 @@ def test_poisson_size_single_point_singular():
     assert np.min(np.abs(eigs)) < 1e-10 * np.trace(info)
 
 
-def test_known_mean_equals_known_sizes_at_mu():
-    X, r = dose_design(replications=2)
-    params = ModelParams(beta=np.array([0.5, 0.3]), mu=100.0, alpha=25.0)
-    sizes = [100] * int(r.sum())
-    mean_info = info_known_mean(X, r, params)
-    sized_info = info_known_sizes(X, r, sizes, params)
-    assert np.allclose(mean_info, sized_info, rtol=1e-12)
-
-
 def test_known_mean_half_logit_terms():
     X, r = design((-1.0, 0.5, 2.0), 2)
     params = ModelParams(beta=np.array([0.0, 0.0]), mu=80.0, alpha=10.0)
@@ -293,48 +284,6 @@ def test_known_mean_scales_linearly_in_mu():
     scaled = info_known_mean(
         X, r, ModelParams(beta=SETTING_ONE.beta, mu=350.0, alpha=25.0))
     assert np.allclose(scaled, 3.5 * base, rtol=1e-14)
-
-
-def test_known_sizes_zero_sizes_give_zero_matrix():
-    info = info_known_sizes([[1.0, 1.5], [1.0, -0.5]], [2, 1], [0, 0, 0], SETTING_ONE)
-    assert info.shape == (2, 2)
-    assert np.all(info == 0.0)
-
-
-def test_known_sizes_doubling_doubles_matrix():
-    X, r = dose_design(replications=1)
-    sizes = list(range(90, 101))
-    one = info_known_sizes(X, r, sizes, SETTING_ONE)
-    two = info_known_sizes(X, r, [2 * n for n in sizes], SETTING_ONE)
-    assert np.array_equal(two, 2.0 * one)
-
-
-def test_known_sizes_misaligned_raises():
-    with pytest.raises(ValueError):
-        info_known_sizes(*dose_design(replications=2), [100] * 5, SETTING_ONE)
-    with pytest.raises(ValueError):
-        info_known_sizes(*dose_design(replications=1), [100] * 11 + [-1], SETTING_ONE)
-
-
-def test_known_sizes_poisson_average_matches_known_mean():
-    rng = np.random.default_rng(99)
-    X, r = design((-2.0, 0.0, 2.0), 2)
-    params = ModelParams(beta=np.array([0.4, 0.6]), mu=50.0, alpha=25.0)
-    total = int(r.sum())
-    n_vectors = 10**4
-    acc = np.zeros((2, 2))
-    for sizes in rng.poisson(params.mu, size=(n_vectors, total)):
-        acc += info_known_sizes(X, r, sizes, params)
-    avg = acc / n_vectors
-    want = info_known_mean(X, r, params)
-    # Per-entry Monte Carlo error bound: each size has variance mu.
-    coeff = np.zeros((2, 2))
-    for x, ri in zip(X, r):
-        h = link_h(x, params.beta)
-        gh = grad_h(x, params.beta)
-        coeff += ri * np.abs(np.outer(gh, gh)) / (h * (1.0 - h))
-    bound = 4.0 * math.sqrt(params.mu / n_vectors) * coeff
-    assert np.all(np.abs(avg - want) < bound)
 
 
 # -- block variance partition ---------------------------------------------------
@@ -393,12 +342,10 @@ def test_all_variants_positive_semidefinite():
         params = random_params(rng)
         rows = [(rng.uniform(-3.0, 3.0), int(rng.integers(1, 5))) for _ in range(4)]
         X, r = design([t for t, _ in rows], [n for _, n in rows])
-        sizes = list(rng.poisson(params.mu, size=int(r.sum())))
         matrices = [
             info_full(X, r, params),
             info_poisson_size(X, r, params),
             info_known_mean(X, r, params),
-            info_known_sizes(X, r, sizes, params),
         ]
         for m in matrices:
             assert np.max(np.abs(m - m.T)) == 0.0
@@ -425,12 +372,9 @@ def test_kernel_matches_per_row_loop_three_covariates():
     X = np.array([x for x, _ in rows])
     r = np.array([n for _, n in rows])
     params = ModelParams(beta=np.array([0.3, -0.8, 0.5]), mu=120.0, alpha=4.0)
-    sizes = rng.poisson(params.mu, size=int(r.sum()))
     mu, a = params.mu, params.alpha
     full = np.zeros((4, 4))
     known_mean = np.zeros((3, 3))
-    known_sizes = np.zeros((3, 3))
-    pos = 0
     for x, ri in zip(X, r):
         h = link_h(x, params.beta)
         gh = grad_h(x, params.beta)
@@ -439,10 +383,7 @@ def test_kernel_matches_per_row_loop_three_covariates():
         full[:3, 3] += ri * gh / shrink
         full[3, 3] += ri * h / (mu * shrink)
         known_mean += ri * mu * np.outer(gh, gh) / (h * (1.0 - h))
-        known_sizes += sizes[pos:pos + ri].sum() * np.outer(gh, gh) / (h * (1.0 - h))
-        pos += ri
     full[3, :3] = full[:3, 3]
     for got, want in ((info_full(X, r, params)[:4, :4], full),
-                      (info_known_mean(X, r, params), known_mean),
-                      (info_known_sizes(X, r, sizes, params), known_sizes)):
+                      (info_known_mean(X, r, params), known_mean)):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -29,8 +29,6 @@ def test_package_exports_resolve():
 def test_model_params_accessors():
     p = ModelParams(beta=np.array([1.0, -2.0]), mu=50.0, alpha=25.0)
     assert not p.is_poisson_size
-    assert p.gamma_rate == pytest.approx(0.5)
-    assert p.size_variance == pytest.approx(100.0)
     assert p.n_params == 4
     assert np.array_equal(p.as_array(), [1.0, -2.0, 50.0, 25.0])
 
