@@ -67,8 +67,6 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", type=Path, default=None,
                        help="output file (default: standard output)")
-        p.add_argument("--format", choices=("csv", "structured"),
-                       default="csv", help="record format (default csv)")
         p.add_argument("--full-precision", action="store_true",
                        help="render numbers at full precision instead of "
                             "6 significant digits")
@@ -118,6 +116,10 @@ def _build_parser() -> _Parser:
                        help="1 - confidence level for coverage (default 0.05)")
     add_common(p_sim)
 
+    # fit prints a report; only the record-writing subcommands pick a format.
+    for p in (p_eff, p_cur, p_sim):
+        p.add_argument("--format", choices=("csv", "structured"),
+                       default="csv", help="record format (default csv)")
     return parser
 
 

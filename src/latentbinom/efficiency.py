@@ -126,9 +126,10 @@ def table_settings() -> list[EffSetting]:
     return out
 
 
-def _slope_variance(matrix: np.ndarray) -> float:
-    inv, _, _ = inverse_with_condition(matrix)
-    return float(inv[1, 1])
+def _slope_variance(matrix: np.ndarray) -> tuple[float, float]:
+    """The slope's marginal variance and the matrix's condition number."""
+    inv, cond, _ = inverse_with_condition(matrix)
+    return float(inv[1, 1]), cond
 
 
 def efficiency_measures(setting: EffSetting) -> EffResult:
@@ -138,13 +139,22 @@ def efficiency_measures(setting: EffSetting) -> EffResult:
     slope diagonal entry taken. The measures are fourth roots of the variance
     ratios known-mean/Poisson-size (rho) and Poisson-size/full (gamma), so
     smaller values mean more efficiency lost to the weaker scenario.
+    Raises RuntimeError when a measure falls outside (0, 1], which only an
+    unstable inverse of an ill-conditioned information matrix produces.
     """
     params = setting.params
-    v_known = _slope_variance(info_known_mean(setting.X, setting.r, params))
-    v_poisson = _slope_variance(info_poisson_size(setting.X, setting.r, params))
-    v_full = _slope_variance(info_full(setting.X, setting.r, params))
+    (v_known, c_known), (v_poisson, c_poisson), (v_full, c_full) = (
+        _slope_variance(info(setting.X, setting.r, params))
+        for info in (info_known_mean, info_poisson_size, info_full))
     rho = (v_known / v_poisson) ** 0.25
     gamma = (v_poisson / v_full) ** 0.25
+    for name, v in (("rho", rho), ("gamma", gamma)):
+        # A negative variance ratio has a complex fourth root.
+        if isinstance(v, complex) or not 0.0 < v <= 1.0 + 1e-12:
+            raise RuntimeError(
+                f"{name} = {v!r} lies outside (0, 1]: the information "
+                "matrices are too ill-conditioned to invert stably (largest "
+                f"condition {max(c_known, c_poisson, c_full):.3e})")
     return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
 
 
@@ -167,11 +177,11 @@ def gamma_curve(setting: EffSetting,
     """
     grid = _ascending_grid(alpha_grid, "alpha")
     base = setting.params
-    v_poisson = _slope_variance(info_poisson_size(setting.X, setting.r, base))
+    v_poisson, _ = _slope_variance(info_poisson_size(setting.X, setting.r, base))
     out = []
     for a in grid:
         params = ModelParams(beta=base.beta, mu=base.mu, alpha=a)
-        v_full = _slope_variance(info_full(setting.X, setting.r, params))
+        v_full, _ = _slope_variance(info_full(setting.X, setting.r, params))
         out.append((a, (v_poisson / v_full) ** 0.25))
     return out
 

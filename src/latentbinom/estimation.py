@@ -94,33 +94,34 @@ class LrtResult:
     significance_level: float
 
 
-def _unpack(p: np.ndarray, d: int, full: bool) -> ModelParams:
+def _unpack(p: np.ndarray, d: int) -> ModelParams:
+    """The full model when p holds log alpha after (beta, log mu)."""
     beta = p[:d]
     mu = math.exp(min(max(p[d], -_LOG_MU_BOUND), _LOG_MU_BOUND))
-    if not full:
+    if p.size == d + 1:
         return ModelParams(beta=beta, mu=mu, alpha=INFINITE)
     alpha = math.exp(min(max(p[d + 1], -_LOG_ALPHA_BOUND), _LOG_ALPHA_BOUND))
     return ModelParams(beta=beta, mu=mu, alpha=alpha)
 
 
-def _transformed_grad(params: ModelParams, raw: np.ndarray, full: bool) -> np.ndarray:
+def _transformed_grad(params: ModelParams, raw: np.ndarray) -> np.ndarray:
     g = raw.copy()
     d = params.beta.size
     g[d] *= params.mu
-    if full:
+    if not params.is_poisson_size:
         g[d + 1] *= params.alpha
     return g
 
 
-def _transformed_hess(params: ModelParams, raw_h: np.ndarray, raw_g: np.ndarray,
-                      full: bool) -> np.ndarray:
+def _transformed_hess(params: ModelParams, raw_h: np.ndarray,
+                      raw_g: np.ndarray) -> np.ndarray:
     d = params.beta.size
     mu = params.mu
     H = raw_h.copy()
     H[d, :] *= mu
     H[:, d] *= mu
     H[d, d] += mu * raw_g[d]
-    if full:
+    if not params.is_poisson_size:
         a = params.alpha
         H[d + 1, :] *= a
         H[:, d + 1] *= a
@@ -142,20 +143,20 @@ def _default_beta_mu_init(data: Dataset) -> tuple[np.ndarray, float]:
     return beta, mu
 
 
-def _optimize(data: Dataset, p0: np.ndarray, full: bool):
+def _optimize(data: Dataset, p0: np.ndarray):
     d = data.d
 
     def objective(p):
-        params = _unpack(p, d, full)
+        params = _unpack(p, d)
         ll = log_likelihood(data, params)
-        g = _transformed_grad(params, score(data, params), full)
+        g = _transformed_grad(params, score(data, params))
         return -ll, -g
 
     with np.errstate(**_QUIET):
         res = minimize(objective, p0, jac=True, method="BFGS",
                        options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITER})
         p = res.x.copy()
-        params = _unpack(p, d, full)
+        params = _unpack(p, d)
         ll = log_likelihood(data, params)
         n_iter = int(res.nit)
 
@@ -170,11 +171,11 @@ def _optimize(data: Dataset, p0: np.ndarray, full: bool):
         g_norm = math.inf
         for _ in range(_POLISH_STEPS):
             raw_g = score(data, params)
-            g = _transformed_grad(params, raw_g, full)
+            g = _transformed_grad(params, raw_g)
             g_norm = np.max(np.abs(g))
             if g_norm < _GRAD_TOL:
                 break
-            Ht = _transformed_hess(params, hessian(data, params), raw_g, full)
+            Ht = _transformed_hess(params, hessian(data, params), raw_g)
             try:
                 delta = np.linalg.solve(Ht, -g)
             except np.linalg.LinAlgError:
@@ -188,12 +189,12 @@ def _optimize(data: Dataset, p0: np.ndarray, full: bool):
             improved = False
             for _ in range(30):
                 cand = p + step * delta
-                cand_params = _unpack(cand, d, full)
+                cand_params = _unpack(cand, d)
                 cand_ll = log_likelihood(data, cand_params)
                 accept = cand_ll > ll
                 if not accept and cand_ll >= ll - ll_slack:
                     cand_g = _transformed_grad(
-                        cand_params, score(data, cand_params), full)
+                        cand_params, score(data, cand_params))
                     accept = np.max(np.abs(cand_g)) < 0.9 * g_norm
                 if accept:
                     p, params, ll = cand, cand_params, cand_ll
@@ -205,15 +206,15 @@ def _optimize(data: Dataset, p0: np.ndarray, full: bool):
                 break
 
     raw_g = score(data, params)
-    g = _transformed_grad(params, raw_g, full)
+    g = _transformed_grad(params, raw_g)
     converged = bool(
         np.max(np.abs(g)) < _GRAD_TOL or np.max(np.abs(raw_g)) < _RAW_SCORE_TOL
     )
     return params, ll, converged, n_iter
 
 
-def _standard_errors(data: Dataset, params: ModelParams,
-                     alpha_guard: bool) -> tuple[np.ndarray, float, list[str]]:
+def _standard_errors(data: Dataset,
+                     params: ModelParams) -> tuple[np.ndarray, float, list[str]]:
     notes: list[str] = []
     with np.errstate(**_QUIET):
         neg_h = -hessian(data, params)
@@ -224,7 +225,7 @@ def _standard_errors(data: Dataset, params: ModelParams,
         notes.append("indefinite Hessian: some standard errors unavailable")
     if near_singular:
         notes.append(f"near-singular Hessian (condition {cond:.3e})")
-    if alpha_guard:
+    if not params.is_poisson_size:
         a_idx = params.beta.size + 1
         a_var = cov[a_idx, a_idx]
         if (a_var > _ALPHA_VAR_FACTOR * params.alpha**2
@@ -238,30 +239,14 @@ def _standard_errors(data: Dataset, params: ModelParams,
     return se, cond, notes
 
 
-def _fit(data: Dataset, p0: np.ndarray, full: bool) -> FitResult:
-    """Optimize from the transformed start p0 and attach standard errors;
-    the alpha standard error is guarded only in the full model."""
-    params, ll, converged, n_iter = _optimize(data, p0, full)
-    se, cond, notes = _standard_errors(data, params, alpha_guard=full)
+def _fit(data: Dataset, p0: np.ndarray) -> FitResult:
+    """Optimize from the transformed start p0, whose length names the model
+    (see _unpack), and attach standard errors."""
+    params, ll, converged, n_iter = _optimize(data, p0)
+    se, cond, notes = _standard_errors(data, params)
     return FitResult(
         params=params, std_errors=se, loglik=ll, converged=converged,
         n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),
-    )
-
-
-def _boundary_result(data: Dataset, alpha: float) -> FitResult:
-    params = ModelParams(beta=np.zeros(data.d), mu=1.0, alpha=alpha)
-    return FitResult(
-        params=params,
-        std_errors=np.full(params.n_params, math.nan),
-        loglik=math.nan,
-        converged=False,
-        n_iterations=0,
-        info_condition=math.inf,
-        diagnostics=(
-            "boundary: all counts are zero, the likelihood increases without "
-            "bound as the intercept decreases; no finite maximum exists",
-        ),
     )
 
 
@@ -281,21 +266,23 @@ def _require_identifiable(data: Dataset) -> None:
         raise ValueError(
             f"non-identifiable design: {distinct} distinct covariate rows for "
             f"{data.d + 1} parameters (beta, mu)")
+    if not data.y.any():
+        raise ValueError(
+            "all counts are zero: the likelihood rises toward 1 as mu falls "
+            "to 0, so no finite maximum exists")
 
 
 def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResult:
     """Fit the Poisson-size submodel (alpha = INFINITE) over (beta, mu).
 
-    Raises ValueError when the design cannot identify (beta, mu).
+    Raises ValueError on non-identifiable (beta, mu) or all-zero counts.
     """
     _require_identifiable(data)
-    if int(data.y.max()) == 0:
-        return _boundary_result(data, INFINITE)
     if init is not None:
         beta0, mu0 = np.asarray(init.beta, dtype=float), float(init.mu)
     else:
         beta0, mu0 = _default_beta_mu_init(data)
-    return _fit(data, np.concatenate([beta0, [math.log(mu0)]]), full=False)
+    return _fit(data, np.concatenate([beta0, [math.log(mu0)]]))
 
 
 def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
@@ -308,17 +295,16 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     A full-model init is used as given. When the shape direction is too flat
     to carry information (huge variance or severe ill-conditioning), the
     alpha standard error is reported as NaN and a diagnostic explains why.
-    Raises ValueError when the design cannot identify (beta, mu).
+    Raises ValueError on non-identifiable (beta, mu) or all-zero counts.
     """
-    _require_identifiable(data)
-    if int(data.y.max()) == 0:
-        return _boundary_result(data, 1.0)
     if init is None:
         init = fit_poisson_size(data).params
+    else:
+        _require_identifiable(data)
     beta0, mu0 = np.asarray(init.beta, float), float(init.mu)
     alpha0 = 100.0 if init.is_poisson_size else float(init.alpha)
     p0 = np.concatenate([beta0, [math.log(mu0), math.log(alpha0)]])
-    return _fit(data, p0, full=True)
+    return _fit(data, p0)
 
 
 def likelihood_ratio_test(sub: FitResult, full: FitResult,

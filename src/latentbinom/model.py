@@ -66,11 +66,6 @@ class ModelParams:
     def is_poisson_size(self) -> bool:
         return math.isinf(self.alpha)
 
-    @property
-    def n_params(self) -> int:
-        """Length of the free parameter vector (alpha dropped at INFINITE)."""
-        return self.beta.size + (1 if self.is_poisson_size else 2)
-
     def as_array(self) -> np.ndarray:
         """(beta..., mu) for the Poisson-size submodel, else (beta..., mu, alpha)."""
         if self.is_poisson_size:

@@ -14,7 +14,8 @@ from conftest import count_calls
 
 import latentbinom
 from latentbinom import (SimConfig, builtin_designs, efficiency_measures,
-                         make_setting, run_study, table_settings)
+                         jejunal_dataset, make_setting, run_study,
+                         table_settings)
 from latentbinom import cli
 from latentbinom.cli import main
 
@@ -174,6 +175,38 @@ def test_fit_non_identifiable_design_exits_one(capsys, tmp_path, rows, model):
                    "covariate rows for 3 parameters (beta, mu)\n")
 
 
+@pytest.mark.parametrize("model", ["poisson", "full", "auto"])
+def test_fit_all_zero_counts_exits_one(capsys, tmp_path, model):
+    # No finite maximum exists, so no fit may print estimates.
+    target = tmp_path / "zeros.csv"
+    target.write_text("dose,count\n" + "1,0\n2,0\n3,0\n" * 4, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target),
+                                      "--model", model])
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("latentbinom: error: all counts are zero")
+
+
+def test_fit_non_convergence_prints_both_reports_and_exits_two(capsys, tmp_path):
+    # Jejunal doses with counts near 1e5: the full fit ends at condition
+    # 7e14 still above the absolute gradient bound, so auto mode prints both
+    # reports, skips the LRT and exits 2. ROADMAP item 1's scale-aware
+    # stopping rule is expected to make this input converge.
+    data = jejunal_dataset()
+    target = tmp_path / "large_counts.csv"
+    target.write_text("dose,count\n" + "".join(
+        f"{dose},{1000 * int(y) + i}\n"
+        for i, (dose, y) in enumerate(zip(data.X[:, 1], data.y))),
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert code == 2
+    assert err == "error: fit did not converge\n"
+    assert out.startswith("model: poisson_size\nconverged: yes\n")
+    assert "\nmodel: full\nconverged: no\n" in out
+    assert "likelihood-ratio test" not in out
+
+
 @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan", "abc"])
 @pytest.mark.parametrize("model", ["poisson", "auto"])
 def test_fit_level_outside_unit_interval_exits_one_before_fitting(
@@ -310,7 +343,7 @@ def test_efficiency_settings_saturated_link(capsys, tmp_path):
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
         if slope == 200:
-            assert code in (1, 2)
+            assert code == 2
             assert out == ""
             (line,) = err.splitlines()
             assert line.startswith("latentbinom: error: ")
@@ -351,6 +384,21 @@ def test_efficiency_settings_huge_alpha(capsys, tmp_path, mu, alpha):
     (row,) = parse_csv(out)
     for name in ("rho", "gamma", "rho_gamma"):
         assert 0.0 < float(row[name]) <= 1.0, name
+
+
+@pytest.mark.parametrize("row,measure", [
+    ("1,35,100,25", "gamma"), ("1,40,100,25", "rho"), ("2,50,0.001,1", "rho"),
+])
+def test_efficiency_settings_unstable_inverse_exits_two(capsys, tmp_path, row,
+                                                        measure):
+    # Condition numbers of 1e14 and beyond push a variance ratio past 1, or
+    # below 0 where it has no real fourth root: a numerical failure.
+    code, out, err = run_settings_row(capsys, tmp_path, row)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"latentbinom: error: {measure} = ")
+    assert "lies outside (0, 1]" in line and "largest condition" in line
 
 
 def test_efficiency_settings_condition_overflow(capsys, tmp_path):
@@ -487,6 +535,20 @@ def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as excinfo:
         main(["fit", "--builtin", "jejunal", "--bogus"])
     assert excinfo.value.code == 1
+
+
+def test_format_belongs_to_the_record_subcommands(capsys):
+    # fit prints a report, so it has no --format to ignore.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", "--builtin", "jejunal", "--format", "csv"])
+    assert excinfo.value.code == 1
+    assert "--format" in capsys.readouterr().err
+    for argv in (["efficiency"], ["curves", "--kind", "sd-by-mu"],
+                 ["simulate", "--setting", "1", "--samples", "1"]):
+        code, out, _ = run_cli(capsys, argv + ["--format", "structured"])
+        assert code == 0
+        assert all(isinstance(json.loads(line), dict)
+                   for line in out.splitlines())
 
 
 def test_fit_requires_a_data_source():

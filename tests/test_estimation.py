@@ -91,16 +91,17 @@ def test_poisson_fit_zero_noise_limit_recovers_beta():
         assert hi - lo < 0.1
 
 
-def test_all_zero_counts_hit_boundary():
-    X = [[1.0, t] for t in (-1.0, 0.0, 1.0, 2.0)]
-    data = Dataset.from_arrays([0, 0, 0, 0], X)
-    for fitter, model, n_params in ((fit_poisson_size, "poisson_size", 3),
-                                    (fit_full, "full", 4)):
-        fit = fitter(data)
-        assert not fit.converged
-        assert any("boundary" in note for note in fit.diagnostics)
-        assert fit.model == model
-        assert fit.std_errors.shape == (n_params,)
+def test_all_zero_counts_rejected():
+    # Every P(y = 0) rises toward 1 as mu falls to 0: no finite maximum, so
+    # no fit may report estimates, with or without a start.
+    data = Dataset([0, 0, 0, 0], [[1.0, t] for t in (-1.0, 0.0, 1.0, 2.0)])
+    starts = (ModelParams(beta=np.array([0.0, 1.0]), mu=5.0, alpha=INFINITE),
+              ModelParams(beta=np.array([0.0, 1.0]), mu=5.0, alpha=20.0))
+    calls = [lambda: fit_poisson_size(data), lambda: fit_full(data)]
+    calls += [lambda init=init: fit_full(data, init=init) for init in starts]
+    for call in calls:
+        with pytest.raises(ValueError, match="all counts are zero"):
+            call()
 
 
 # -- full-model fit ---------------------------------------------------------------

@@ -29,12 +29,10 @@ def test_package_exports_resolve():
 def test_model_params_accessors():
     p = ModelParams(beta=np.array([1.0, -2.0]), mu=50.0, alpha=25.0)
     assert not p.is_poisson_size
-    assert p.n_params == 4
     assert np.array_equal(p.as_array(), [1.0, -2.0, 50.0, 25.0])
 
     q = ModelParams(beta=np.array([0.3]), mu=10.0, alpha=INFINITE)
     assert q.is_poisson_size
-    assert q.n_params == 2
     assert np.array_equal(q.as_array(), [0.3, 10.0])
 
 

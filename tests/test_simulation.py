@@ -1,9 +1,11 @@
 """Dataset generation under the latent-size model and the Monte Carlo study."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
 from latentbinom import (INFINITE, LatentRecord, SimConfig, SimSummary,
                          builtin_designs, generate_dataset, link_h,
@@ -145,6 +147,41 @@ def test_run_study_aggregates_sane():
     assert out.mse >= out.bias**2 - 1e-12
     # The slope estimates should scatter near the generating value.
     assert abs(out.bias) < 0.1
+
+
+def test_run_study_skips_all_zero_samples(monkeypatch):
+    # At mu = 1e-9 every sample is all zero. Such data has no finite maximum,
+    # so each sample is skipped before fitting and nothing is averaged.
+    setting = make_setting(builtin_designs()[0], 1.0, 1e-9, 25.0)
+    calls = count_calls(monkeypatch, simulation, ("fit_full",))
+    out = run_study(SimConfig(setting=setting, n_samples=5, seed=3))
+    assert out.n_converged == 0
+    assert math.isnan(out.bias) and math.isnan(out.mse)
+    assert math.isnan(out.coverage)
+    assert calls == {"fit_full": 0}
+
+
+@pytest.mark.parametrize("failure", ["not-converged", "LinAlgError"])
+def test_run_study_drops_failed_fits(monkeypatch, failure):
+    # Each sample has its own RNG stream, so failing every fit after the
+    # first must leave exactly the one-sample study of sample 0.
+    setting = table_settings()[0]
+    first_only = run_study(SimConfig(setting=setting, n_samples=1, seed=5))
+    real_fit, calls = simulation.fit_full, []
+
+    def failing_fit(data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_fit(data)
+        if failure == "LinAlgError":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return dataclasses.replace(real_fit(data), converged=False)
+
+    monkeypatch.setattr(simulation, "fit_full", failing_fit)
+    out = run_study(SimConfig(setting=setting, n_samples=4, seed=5))
+    assert len(calls) == 4
+    assert first_only.n_converged == 1
+    assert out == first_only
 
 
 def test_run_study_keeps_samples_whose_expected_se_is_too_costly(monkeypatch):
