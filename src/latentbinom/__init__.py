@@ -18,8 +18,7 @@ from .efficiency import (EffResult, EffSetting, builtin_designs,
 from .estimation import (FitResult, LrtResult, fit_full, fit_poisson_size,
                          likelihood_ratio_test, wald_ci)
 from .information import (NEAR_SINGULAR_CONDITION, block_variance_partition,
-                          expected_alpha_info, info_full, info_known_mean,
-                          info_poisson_size, inverse_with_condition)
+                          info_full, info_known_mean, inverse_with_condition)
 from .model import (Dataset, INFINITE, ModelParams, hessian, link_h,
                     log_likelihood, log_pmf, score)
 from .simulation import (LatentRecord, SimConfig, SimSummary,
@@ -35,8 +34,7 @@ __all__ = [
     "FitResult", "LrtResult", "fit_full", "fit_poisson_size",
     "likelihood_ratio_test", "wald_ci",
     "NEAR_SINGULAR_CONDITION", "block_variance_partition",
-    "expected_alpha_info", "info_full", "info_known_mean", "info_poisson_size",
-    "inverse_with_condition",
+    "info_full", "info_known_mean", "inverse_with_condition",
     "Dataset", "INFINITE", "ModelParams", "hessian",
     "link_h", "log_likelihood", "log_pmf", "score",
     "LatentRecord", "SimConfig", "SimSummary", "generate_dataset", "run_study",

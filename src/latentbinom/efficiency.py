@@ -14,7 +14,7 @@ The two built-in 11-point covariate sets and the 2^4 grid of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,10 +23,9 @@ from .information import (
     _design_arrays,
     info_full,
     info_known_mean,
-    info_poisson_size,
     inverse_with_condition,
 )
-from .model import ModelParams
+from .model import INFINITE, ModelParams
 
 __all__ = [
     "EffSetting",
@@ -132,29 +131,39 @@ def _slope_variance(matrix: np.ndarray) -> tuple[float, float]:
     return float(inv[1, 1]), cond
 
 
+def _measure(name: str, ratio: float, cond: float) -> float:
+    """The fourth root of a variance ratio, refused with RuntimeError outside
+    (0, 1], which only an unstable inverse of an ill-conditioned information
+    matrix produces; cond is the largest condition number behind the ratio."""
+    v = ratio ** 0.25
+    # A negative variance ratio has a complex fourth root.
+    if isinstance(v, complex) or not 0.0 < v <= 1.0 + 1e-12:
+        raise RuntimeError(
+            f"{name} = {v!r} lies outside (0, 1]: the information "
+            "matrices are too ill-conditioned to invert stably (largest "
+            f"condition {cond:.3e})")
+    return v
+
+
 def efficiency_measures(setting: EffSetting) -> EffResult:
     """rho, gamma, and their product for the slope coefficient.
 
     Variances are marginal: each information matrix is inverted whole and the
     slope diagonal entry taken. The measures are fourth roots of the variance
     ratios known-mean/Poisson-size (rho) and Poisson-size/full (gamma), so
-    smaller values mean more efficiency lost to the weaker scenario.
-    Raises RuntimeError when a measure falls outside (0, 1], which only an
-    unstable inverse of an ill-conditioned information matrix produces.
+    smaller values mean more efficiency lost to the weaker scenario. The full
+    model is read from the setting's alpha: at INFINITE it is the Poisson-size
+    model and gamma is 1. Raises RuntimeError when a measure falls outside
+    (0, 1].
     """
-    params = setting.params
-    (v_known, c_known), (v_poisson, c_poisson), (v_full, c_full) = (
-        _slope_variance(info(setting.X, setting.r, params))
-        for info in (info_known_mean, info_poisson_size, info_full))
-    rho = (v_known / v_poisson) ** 0.25
-    gamma = (v_poisson / v_full) ** 0.25
-    for name, v in (("rho", rho), ("gamma", gamma)):
-        # A negative variance ratio has a complex fourth root.
-        if isinstance(v, complex) or not 0.0 < v <= 1.0 + 1e-12:
-            raise RuntimeError(
-                f"{name} = {v!r} lies outside (0, 1]: the information "
-                "matrices are too ill-conditioned to invert stably (largest "
-                f"condition {max(c_known, c_poisson, c_full):.3e})")
+    X, r, params = setting.X, setting.r, setting.params
+    v_known, c_known = _slope_variance(info_known_mean(X, r, params))
+    v_poisson, c_poisson = _slope_variance(
+        info_full(X, r, replace(params, alpha=INFINITE)))
+    v_full, c_full = _slope_variance(info_full(X, r, params))
+    cond = max(c_known, c_poisson, c_full)
+    rho = _measure("rho", v_known / v_poisson, cond)
+    gamma = _measure("gamma", v_poisson / v_full, cond)
     return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
 
 
@@ -173,16 +182,18 @@ def gamma_curve(setting: EffSetting,
     """gamma evaluated along an ascending grid of shape values.
 
     The design, slope, and size mean come from the setting; its alpha is
-    ignored in favor of the grid.
+    ignored in favor of the grid. Raises RuntimeError when a gamma falls
+    outside (0, 1], as efficiency_measures does.
     """
     grid = _ascending_grid(alpha_grid, "alpha")
     base = setting.params
-    v_poisson, _ = _slope_variance(info_poisson_size(setting.X, setting.r, base))
+    v_poisson, c_poisson = _slope_variance(
+        info_full(setting.X, setting.r, replace(base, alpha=INFINITE)))
     out = []
     for a in grid:
-        params = ModelParams(beta=base.beta, mu=base.mu, alpha=a)
-        v_full, _ = _slope_variance(info_full(setting.X, setting.r, params))
-        out.append((a, (v_poisson / v_full) ** 0.25))
+        v_full, c_full = _slope_variance(
+            info_full(setting.X, setting.r, replace(base, alpha=a)))
+        out.append((a, _measure("gamma", v_poisson / v_full, max(c_poisson, c_full))))
     return out
 
 
@@ -194,17 +205,19 @@ def sd_vs_mu_curves(setting: EffSetting,
     The intercept and slope columns are nonincreasing in the mean and the
     mean's own column nondecreasing: more latent counts pin the response
     probabilities down better while the mean itself gets harder to separate.
+    Raises RuntimeError when an unstable inverse gives a non-positive
+    variance.
     """
     grid = _ascending_grid(mu_grid, "mu")
     base = setting.params
     out = []
     for mu in grid:
-        params = ModelParams(beta=base.beta, mu=mu, alpha=base.alpha)
-        inv, _, _ = inverse_with_condition(info_full(setting.X, setting.r, params))
-        out.append((
-            mu,
-            float(np.sqrt(inv[0, 0])),
-            float(np.sqrt(inv[1, 1])),
-            float(np.sqrt(inv[2, 2])),
-        ))
+        inv, cond, _ = inverse_with_condition(
+            info_full(setting.X, setting.r, replace(base, mu=mu)))
+        var = np.diag(inv)[:3]
+        if not np.all(var > 0.0):
+            raise RuntimeError(
+                f"non-positive variance at mu = {mu!r}: the information matrix "
+                f"is too ill-conditioned to invert stably (condition {cond:.3e})")
+        out.append((mu, *(float(v) for v in np.sqrt(var))))
     return out

@@ -97,7 +97,7 @@ def _slope_se_expected(X, r, slope_idx: int, fit) -> float:
     try:
         inv, _, _ = inverse_with_condition(info_full(X, r, fit.params))
         var = float(inv[slope_idx, slope_idx])
-    except (ValueError, RuntimeError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         var = math.nan
     if math.isfinite(var) and var > 0.0:
         return math.sqrt(var)

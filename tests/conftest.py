@@ -1,13 +1,15 @@
-"""Shared helpers: random model instances, finite-difference oracles and the
-profile log-likelihood in the shape parameter."""
+"""Shared helpers: random model instances, finite-difference oracles, the
+expected information from the model's own Hessian and the profile
+log-likelihood in the shape parameter."""
 
 import math
 
 import numpy as np
+from scipy import stats
 from scipy.optimize import minimize
 
 from latentbinom import Dataset, INFINITE, ModelParams, link_h
-from latentbinom import log_likelihood, score
+from latentbinom import hessian, log_likelihood, log_pmf, score
 
 
 def random_instance(rng, poisson_size=False):
@@ -86,6 +88,23 @@ def relative_errors(got, want):
     scale = max(np.max(np.abs(want)), 1.0)
     denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-6 * scale)
     return np.abs(got - want) / denom
+
+
+def expected_information(X, r, params):
+    """Minus the expected Hessian, ordered (beta..., mu, alpha), at the design
+    rows X with replications r: each row's one-count hessian summed over the
+    counts against exp(log_pmf), truncated where the tail provably holds
+    less than 1e-12."""
+    a = params.alpha
+    out = 0.0
+    for x, ri in zip(np.asarray(X, dtype=float), r):
+        p = a / (a + params.mu * link_h(x, params.beta))
+        y_star = int(stats.nbinom.ppf(1.0 - 1e-13, a, p)) + 50
+        assert stats.nbinom.sf(y_star, a, p) < 1e-12
+        for y in range(y_star + 1):
+            weight = ri * math.exp(log_pmf(y, x, params))
+            out = out - weight * hessian(Dataset([y], [x]), params)
+    return out
 
 
 def profile_loglik(data, alpha, start):

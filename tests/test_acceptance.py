@@ -16,14 +16,14 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
-from conftest import (numeric_gradient, numeric_hessian, profile_loglik,
-                      random_instance, relative_errors)
+from conftest import (expected_information, numeric_gradient, numeric_hessian,
+                      profile_loglik, random_instance, relative_errors)
 
-from latentbinom import (ModelParams, SimConfig,
+from latentbinom import (INFINITE, ModelParams, SimConfig,
                          block_variance_partition, builtin_designs,
                          efficiency_measures, fit_full, fit_poisson_size,
                          gamma_curve, generate_dataset, hessian, info_full,
-                         info_poisson_size, jejunal_dataset, link_h, log_pmf,
+                         jejunal_dataset, link_h, log_pmf,
                          make_setting, run_study, score, sd_vs_mu_curves,
                          table_settings, wald_ci)
 
@@ -181,16 +181,19 @@ def test_criterion_7_structure_suite():
     r = np.full(11, 10)
     params = ModelParams(beta=np.array([1.0, 1.0]), mu=100.0, alpha=25.0)
 
+    # The model's own expected Hessian: alpha is orthogonal to (beta, mu),
+    # and its (beta, mu) block is info_full.
+    expected = expected_information(X, r, params)
     full = info_full(X, r, params)
-    assert np.all(full[3, :3] == 0.0) and np.all(full[:3, 3] == 0.0)
+    assert np.max(np.abs(expected[3, :3])) <= 1e-12 * np.max(np.abs(expected[:3, :3]))
+    assert np.max(np.abs(expected[:3, :3] - full)) <= 1e-12 * np.max(np.abs(full))
 
-    high = ModelParams(beta=params.beta, mu=100.0, alpha=1e8)
-    block = info_full(X, r, high)[:3, :3]
-    poisson = info_poisson_size(X, r, high)
-    assert np.max(np.abs(block - poisson)) <= 1e-6 * np.max(np.abs(poisson))
+    high = info_full(X, r, ModelParams(beta=params.beta, mu=100.0, alpha=1e8))
+    poisson = info_full(X, r, ModelParams(beta=params.beta, mu=100.0, alpha=INFINITE))
+    assert np.max(np.abs(high - poisson)) <= 1e-6 * np.max(np.abs(poisson))
 
     v11, v22 = block_variance_partition(X, r, params)
-    generic = np.linalg.inv(info_poisson_size(X, r, params))
+    generic = np.linalg.inv(poisson)
     assert np.max(relative_errors(v11, generic[:2, :2])) < 1e-8
     assert abs(v22 - generic[2, 2]) <= 1e-8 * abs(generic[2, 2])
 

@@ -290,14 +290,18 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_efficiency_custom_settings_file(capsys, tmp_path):
     settings = tmp_path / "settings.csv"
-    settings.write_text("design,beta1,mu,alpha\n1,1,100,25\n", encoding="utf-8")
+    settings.write_text("design,beta1,mu,alpha\n1,1,100,25\n1,1,100,inf\n",
+                        encoding="utf-8")
     code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
     assert code == 0
     rows = parse_csv(out)
-    assert len(rows) == 1
+    assert len(rows) == 2
     x1, _ = builtin_designs()
     res = efficiency_measures(make_setting(x1, 1.0, 100.0, 25.0))
     assert float(rows[0]["gamma"]) == pytest.approx(res.gamma, rel=1e-5)
+    # At alpha = inf the full model is the Poisson-size model: gamma is 1.
+    assert rows[1]["alpha"] == "inf" and rows[1]["gamma"] == "1"
+    assert rows[1]["rho"] == rows[0]["rho"] == rows[1]["rho_gamma"] == "0.706414"
 
 
 def test_efficiency_settings_file_errors(capsys, tmp_path):
@@ -367,12 +371,14 @@ def run_settings_row(capsys, tmp_path, row):
 
 @pytest.mark.parametrize("mu,alpha", [
     ("100", "1e200"), ("100", "1e300"), ("100", "1e-300"), ("100", "1e-200"),
-    ("1e10", "1e-299"), ("100", "5e-324"),
-], ids=["1e200", "1e300", "1e-300", "1e-200", "1e10-1e-299", "5e-324"])
+    ("1e10", "1e-299"), ("100", "5e-324"), ("1e-310", "25"), ("5e-324", "1"),
+], ids=["1e200", "1e300", "1e-300", "1e-200", "1e10-1e-299", "5e-324",
+        "mu1e-310-25", "mu5e-324-1"])
 def test_efficiency_settings_huge_alpha(capsys, tmp_path, mu, alpha):
-    # (alpha + j)^2 overflows at a huge shape, and (1/(alpha + j))^2 and
-    # mu h / alpha at a tiny one; the information must not print numpy
-    # warnings on the way to its answer or its diagnostic.
+    # mu h / alpha overflows at a tiny shape, 1 / mu at a tiny size mean, and
+    # an eigenvalue's reciprocal at a tiny information matrix; the
+    # information must not print numpy warnings on the way to its answer or
+    # its diagnostic.
     code, out, err = run_settings_row(capsys, tmp_path, f"1,1,{mu},{alpha}")
     if code == 2:
         assert out == ""

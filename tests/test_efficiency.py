@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from latentbinom import (EffResult, builtin_designs, efficiency_measures,
-                         gamma_curve, info_poisson_size, make_setting,
-                         sd_vs_mu_curves, table_settings)
+from latentbinom import (INFINITE, EffResult, ModelParams, builtin_designs,
+                         efficiency_measures, gamma_curve, info_full,
+                         make_setting, sd_vs_mu_curves, table_settings)
 
 # Reference (rho, gamma, rho*gamma) triples for the 16 tabulated settings.
 REFERENCE_ROWS = [
@@ -168,6 +168,19 @@ def test_gamma_curve_grid_validation():
         gamma_curve(setting, [-1.0, 25.0])
 
 
+@pytest.mark.parametrize("curve,design,slope,mu,alpha,grid", [
+    (gamma_curve, 1, 50.0, 0.001, 1.0, [1.0, 25.0]),
+    (gamma_curve, 0, 35.0, 100.0, 25.0, [25.0]),
+    (sd_vs_mu_curves, 1, 50.0, 0.001, 1.0, [0.001, 1.0]),
+], ids=["gamma-complex", "gamma-above-one", "sd-negative-variance"])
+def test_curves_refuse_unstable_inverses(curve, design, slope, mu, alpha, grid):
+    # Condition numbers of 1e14 and beyond turn a variance ratio complex or
+    # past 1, and a variance negative: numerical failures, not curve points.
+    setting = make_setting(builtin_designs()[design], slope, mu, alpha)
+    with pytest.raises(RuntimeError):
+        curve(setting, grid)
+
+
 # -- sd-versus-mu curve ------------------------------------------------------------
 
 
@@ -198,7 +211,8 @@ def test_sd_curves_poisson_submodel_mu_factorization():
     scaled = []
     for mu in (50.0, 100.0, 200.0, 400.0):
         setting = make_setting(x1, 1.0, mu, 25.0)
-        inv = np.linalg.inv(info_poisson_size(setting.X, setting.r, setting.params))
+        params = ModelParams(beta=setting.beta, mu=mu, alpha=INFINITE)
+        inv = np.linalg.inv(info_full(setting.X, setting.r, params))
         scaled.append((mu * inv[0, 0], mu * inv[1, 1], inv[2, 2] / mu))
     for other in scaled[1:]:
         assert other == pytest.approx(scaled[0], rel=1e-10)

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from conftest import count_calls
+from conftest import count_calls, expected_information
 
 from latentbinom import estimation
 from latentbinom import (Dataset, FitResult, INFINITE,
                          ModelParams, builtin_designs, fit_full,
                          fit_poisson_size, generate_dataset, info_full,
-                         info_poisson_size, inverse_with_condition,
+                         inverse_with_condition,
                          jejunal_dataset, likelihood_ratio_test, make_setting,
                          score, table_settings, wald_ci)
 
@@ -223,11 +223,13 @@ def test_observed_and_expected_standard_errors_agree_loosely():
     full = fit_full(data)
     inv, cond, flagged = inverse_with_condition(info_full(setting.X, setting.r, full.params))
     assert not flagged
-    ratios = full.std_errors / np.sqrt(np.diag(inv))
+    # alpha is orthogonal to (beta, mu), so its variance is 1 / its information.
+    alpha_info = expected_information(setting.X, setting.r, full.params)[-1, -1]
+    ratios = full.std_errors / np.append(np.sqrt(np.diag(inv)), alpha_info ** -0.5)
     assert np.all((0.75 < ratios) & (ratios < 1.25))
 
     pois = fit_poisson_size(data)
-    expected = np.linalg.inv(info_poisson_size(setting.X, setting.r, pois.params))
+    expected = np.linalg.inv(info_full(setting.X, setting.r, pois.params))
     ratios = pois.std_errors / np.sqrt(np.diag(expected))
     assert np.all((0.75 < ratios) & (ratios < 1.25))
 

@@ -1,18 +1,15 @@
 """Expected information matrices and the block variance partition."""
 
+import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special, stats
 
-from latentbinom import (ModelParams, block_variance_partition, builtin_designs,
-                         expected_alpha_info, info_full, info_known_mean,
-                         info_poisson_size, inverse_with_condition, link_h,
-                         make_setting)
-from latentbinom import information
-from latentbinom.information import _design_arrays
+from latentbinom import (INFINITE, ModelParams, block_variance_partition,
+                         info_full, info_known_mean, inverse_with_condition,
+                         link_h)
+from latentbinom.information import _design_arrays, _gram
 
 
 def design(doses, replications):
@@ -36,14 +33,10 @@ def grad_h(x, beta):
 SETTING_ONE = ModelParams(beta=np.array([1.0, 1.0]), mu=100.0, alpha=25.0)
 
 
-def alpha_info_brute_force(x, params, y_max):
-    """Untruncated-sum oracle built from scipy's pmf and trigamma."""
-    a = params.alpha
-    m = params.mu * link_h(np.asarray(x, dtype=float), params.beta)
-    ys = np.arange(y_max + 1)
-    pmf = stats.nbinom.pmf(ys, a, a / (a + m))
-    tri = special.polygamma(1, a) - special.polygamma(1, a + ys)
-    return float(pmf @ tri - m / (a * (a + m)))
+def poisson_size(params):
+    """params with alpha = INFINITE, where info_full is the Poisson-size
+    information."""
+    return dataclasses.replace(params, alpha=INFINITE)
 
 
 def random_params(rng, d=2):
@@ -91,14 +84,6 @@ def test_design_arrays_rejects(X, r):
 # -- full-model information ----------------------------------------------------
 
 
-def test_full_alpha_cross_entries_exactly_zero():
-    m = info_full(*dose_design(), SETTING_ONE)
-    assert m.shape == (4, 4)
-    assert np.all(m[3, :3] == 0.0)
-    assert np.all(m[:3, 3] == 0.0)
-    assert m[3, 3] > 0.0
-
-
 def test_full_single_point_large_alpha_beta_entry():
     # At h = 1/2 the slope-free entry is r * mu * (grad h)^2 / h.
     params = ModelParams(beta=np.array([0.0]), mu=100.0, alpha=1e10)
@@ -110,9 +95,9 @@ def test_full_single_point_large_alpha_beta_entry():
 def test_full_reduces_to_poisson_size_block(alpha, rel):
     X, r = dose_design()
     params = ModelParams(beta=SETTING_ONE.beta, mu=100.0, alpha=alpha)
-    full_block = info_full(X, r, params)[:3, :3]
-    poisson = info_poisson_size(X, r, params)
-    assert np.max(np.abs(full_block - poisson)) <= rel * np.max(np.abs(poisson))
+    full = info_full(X, r, params)
+    poisson = info_full(X, r, poisson_size(params))
+    assert np.max(np.abs(full - poisson)) <= rel * np.max(np.abs(poisson))
 
 
 def slope_variance(info_matrix):
@@ -121,16 +106,15 @@ def slope_variance(info_matrix):
 
 def test_full_setting_one_gamma_ratio():
     X, r = dose_design()
-    # alpha is orthogonal, so the (beta, mu) block inverts independently.
-    full = info_full(X, r, SETTING_ONE)[:3, :3]
-    poisson = info_poisson_size(X, r, SETTING_ONE)
+    full = info_full(X, r, SETTING_ONE)
+    poisson = info_full(X, r, poisson_size(SETTING_ONE))
     gamma = (slope_variance(poisson) / slope_variance(full)) ** 0.25
     assert gamma == pytest.approx(0.837, abs=5e-4)
 
 
 def test_poisson_size_setting_one_rho_ratio():
     X, r = dose_design()
-    poisson = info_poisson_size(X, r, SETTING_ONE)
+    poisson = info_full(X, r, poisson_size(SETTING_ONE))
     known = info_known_mean(X, r, SETTING_ONE)
     v_known = np.linalg.inv(known)[1, 1]
     rho = (v_known / slope_variance(poisson)) ** 0.25
@@ -142,127 +126,27 @@ def test_variance_ordering_known_poisson_full():
     for params in (SETTING_ONE,
                    ModelParams(beta=np.array([1.0, 0.5]), mu=300.0, alpha=1.0)):
         v_known = np.linalg.inv(info_known_mean(X, r, params))[1, 1]
-        v_poisson = slope_variance(info_poisson_size(X, r, params))
-        v_full = slope_variance(info_full(X, r, params)[:3, :3])
+        v_poisson = slope_variance(info_full(X, r, poisson_size(params)))
+        v_full = slope_variance(info_full(X, r, params))
         assert v_known <= v_poisson * (1 + 1e-12)
         assert v_poisson <= v_full * (1 + 1e-12)
 
 
-def test_full_rejects_infinite_alpha():
-    from latentbinom import INFINITE
-    params = ModelParams(beta=np.array([1.0, 1.0]), mu=100.0, alpha=INFINITE)
-    with pytest.raises(ValueError):
-        info_full(*dose_design(), params)
+def test_full_at_infinite_alpha_is_poisson_size_gram():
+    # At alpha = INFINITE the full-model weight r mu h / (1 + mu h / alpha)
+    # divides by exactly 1.0, so it is the Poisson-size weight r mu h.
+    X, r = dose_design()
+    params = poisson_size(SETTING_ONE)
+    X, r, h = _design_arrays(X, r, params)
+    want = _gram(X, h, r * params.mu * h, params.mu)
+    assert np.array_equal(info_full(X, r, params), want)
 
-
-# -- expected alpha information ------------------------------------------------
-
-
-def test_alpha_info_positive():
-    x = np.array([1.0, 0.5])
-    for alpha in (0.5, 2.0, 25.0, 1e4):
-        for mu in (5.0, 60.0, 400.0):
-            params = ModelParams(beta=np.array([0.2, -0.4]), mu=mu, alpha=alpha)
-            assert expected_alpha_info([x], params)[0] > 0.0
-
-
-def test_alpha_info_matches_untruncated_sum():
-    x = np.array([1.0, 0.4])
-    params = ModelParams(beta=np.array([0.3, -0.6]), mu=40.0, alpha=6.0)
-    got = expected_alpha_info([x], params)[0]
-    assert abs(got - alpha_info_brute_force(x, params, 10**6)) < 1e-10
-
-
-def test_alpha_info_matches_untruncated_sum_random_draws():
-    rng = np.random.default_rng(424)
-    for _ in range(20):
-        params = random_params(rng)
-        x = np.array([1.0, rng.uniform(-2.0, 2.0)])
-        got = expected_alpha_info([x], params)[0]
-        want = alpha_info_brute_force(x, params, 10**6)
-        assert abs(got - want) < 1e-10, (params.mu, params.alpha)
-
-
-def test_alpha_info_matches_monte_carlo():
-    rng = np.random.default_rng(77)
-    x = np.array([1.0, 0.4])
-    params = ModelParams(beta=np.array([0.3, -0.6]), mu=40.0, alpha=6.0)
-    a = params.alpha
-    m = params.mu * link_h(x, params.beta)
-    lam = rng.gamma(shape=a, scale=m / a, size=10**6)
-    y = rng.poisson(lam)
-    # Per-draw negative curvature of the log density in alpha.
-    draws = -(special.polygamma(1, a + y) - special.polygamma(1, a)
-              + 1.0 / a - 2.0 / (a + m) + (a + y) / (a + m) ** 2)
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - expected_alpha_info([x], params)[0]) < 3 * se
-
-
-def test_alpha_info_term_budget_enforced(monkeypatch):
-    params = ModelParams(beta=np.array([2.0, 0.0]), mu=900.0, alpha=0.6)
-    monkeypatch.setattr(information, "_ALPHA_MAX_TERMS", 8)
-    with pytest.raises(RuntimeError):
-        expected_alpha_info(np.array([[1.0, 0.0]]), params)
-
-
-# Rows whose count mean m = mu h is exactly 0 (saturated link), about 1e-8,
-# about 100 and exactly 1e4, at beta = (0, 1) and mu = 2e4.
-SPAN_X = np.array([[1.0, -800.0], [1.0, -28.3], [1.0, -5.29], [1.0, 0.0]])
-
-
-@pytest.mark.parametrize("alpha", [0.5, 5.0, 100.0, 1e4])
-def test_alpha_info_rows_match_untruncated_sum(alpha):
-    params = ModelParams(beta=np.array([0.0, 1.0]), mu=2e4, alpha=alpha)
-    m = params.mu * np.array([link_h(x, params.beta) for x in SPAN_X])
-    assert m[0] == 0.0 and 1e-9 < m[1] < 1e-7 and 90 < m[2] < 110 and m[3] == 1e4
-    got = expected_alpha_info(SPAN_X, params)
-    want = np.array([alpha_info_brute_force(x, params, 10**6) for x in SPAN_X])
-    assert got.shape == (4,) and got[0] == 0.0
-    assert np.all(np.abs(got - want) < 1e-10), got - want
-    # The alpha entry of the full information sums the rows' values.
-    r = np.array([3, 1, 2, 5])
-    entry = info_full(SPAN_X, r, params)[-1, -1]
-    per_row = sum(int(ri) * w for ri, w in zip(r, want))
-    scale = float(r @ (m / (alpha * (alpha + m))))
-    assert abs(entry - per_row) < 1e-10 * scale
-
-
-def test_alpha_info_rows_that_need_more_terms():
-    # At alpha = 0.01 the tail is so heavy that m + 50 sd + 10 terms leave
-    # about 1e-5 of it for the rows with m = 5 and 25, so those are summed
-    # again with more terms, while the row with m near 1e-8 is done at once.
-    params = ModelParams(beta=np.array([0.0, 1.0]), mu=50.0, alpha=0.01)
-    X = np.array([[1.0, -22.0], [1.0, -2.2], [1.0, 0.0]])
-    got = expected_alpha_info(X, params)
-    want = np.array([alpha_info_brute_force(x, params, 10**6) for x in X])
-    # The truncated tail is worth up to _ALPHA_TAIL_TOL times S ~ alpha^-2.
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-10), got - want
-
-
-def test_alpha_info_working_memory_stays_linear_in_terms():
-    # The alpha-only tables are shared by every row and the per-row work is
-    # done in place, so the peak is a few arrays of the longest row's term
-    # count; an n x terms array would be about 11 of them here.
-    x1, _ = builtin_designs()
-    setting = make_setting(x1, 1.0, 1e4, 5.0)
-    a = setting.alpha
-    m = setting.mu * np.array([link_h(x, setting.beta) for x in setting.X])
-    k_max = max(max(math.ceil(mi + 50.0 * math.sqrt(mi * (1.0 + mi / a))) + 10, 64)
-                for mi in m)
-    info_full(setting.X, setting.r, setting.params)
-    tracemalloc.start()
-    try:
-        info_full(setting.X, setting.r, setting.params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 8 * k_max, peak / (8 * k_max)
 
 # -- reduced-information variants ----------------------------------------------
 
 
 def test_poisson_size_single_point_singular():
-    info = info_poisson_size([[1.0, 2.0]], [5], SETTING_ONE)
+    info = info_full([[1.0, 2.0]], [5], poisson_size(SETTING_ONE))
     eigs = np.linalg.eigvalsh(info)
     assert np.min(np.abs(eigs)) < 1e-10 * np.trace(info)
 
@@ -292,7 +176,7 @@ def test_known_mean_scales_linearly_in_mu():
 def test_block_partition_matches_generic_inverse():
     X, r = dose_design()
     v11, v22 = block_variance_partition(X, r, SETTING_ONE)
-    generic = np.linalg.inv(info_poisson_size(X, r, SETTING_ONE))
+    generic = np.linalg.inv(info_full(X, r, poisson_size(SETTING_ONE)))
     assert np.allclose(v11, generic[:2, :2], rtol=1e-8)
     assert v22 == pytest.approx(generic[2, 2], rel=1e-8)
 
@@ -344,7 +228,7 @@ def test_all_variants_positive_semidefinite():
         X, r = design([t for t, _ in rows], [n for _, n in rows])
         matrices = [
             info_full(X, r, params),
-            info_poisson_size(X, r, params),
+            info_full(X, r, poisson_size(params)),
             info_known_mean(X, r, params),
         ]
         for m in matrices:
@@ -373,7 +257,7 @@ def test_kernel_matches_per_row_loop_three_covariates():
     r = np.array([n for _, n in rows])
     params = ModelParams(beta=np.array([0.3, -0.8, 0.5]), mu=120.0, alpha=4.0)
     mu, a = params.mu, params.alpha
-    full = np.zeros((4, 4))
+    full = np.zeros((4, 4))  # (beta0, beta1, beta2, mu)
     known_mean = np.zeros((3, 3))
     for x, ri in zip(X, r):
         h = link_h(x, params.beta)
@@ -384,6 +268,6 @@ def test_kernel_matches_per_row_loop_three_covariates():
         full[3, 3] += ri * h / (mu * shrink)
         known_mean += ri * mu * np.outer(gh, gh) / (h * (1.0 - h))
     full[3, :3] = full[:3, 3]
-    for got, want in ((info_full(X, r, params)[:4, :4], full),
+    for got, want in ((info_full(X, r, params), full),
                       (info_known_mean(X, r, params), known_mean)):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -10,7 +10,7 @@ from conftest import count_calls
 from latentbinom import (INFINITE, LatentRecord, SimConfig, SimSummary,
                          builtin_designs, generate_dataset, link_h,
                          make_setting, run_study, table_settings)
-from latentbinom import information, simulation
+from latentbinom import simulation
 
 
 def single_point_setting(x_value, slope, mu, alpha):
@@ -185,12 +185,18 @@ def test_run_study_drops_failed_fits(monkeypatch, failure):
 
 
 def test_run_study_keeps_samples_whose_expected_se_is_too_costly(monkeypatch):
-    # A sample whose alpha information hits the term cap falls back to the
-    # fit's observed standard error instead of aborting the whole study.
+    # A sample whose expected information cannot be inverted falls back to
+    # the fit's observed standard error instead of aborting the whole study.
     config = SimConfig(setting=table_settings()[0], n_samples=6, seed=5)
     unpatched = run_study(config)
-    monkeypatch.setattr(information, "_ALPHA_MAX_TERMS", 8)
-    capped = run_study(config)
-    assert unpatched.n_converged > 0
-    assert capped.n_converged == unpatched.n_converged
-    assert capped.bias == unpatched.bias and capped.mse == unpatched.mse
+    calls = []
+
+    def uninvertible(matrix):
+        calls.append(matrix.shape)
+        raise np.linalg.LinAlgError("information matrix has a non-finite entry")
+
+    monkeypatch.setattr(simulation, "inverse_with_condition", uninvertible)
+    fallback = run_study(config)
+    assert unpatched.n_converged > 0 and len(calls) == unpatched.n_converged
+    assert fallback.n_converged == unpatched.n_converged
+    assert fallback.bias == unpatched.bias and fallback.mse == unpatched.mse
