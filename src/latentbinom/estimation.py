@@ -4,10 +4,12 @@ submodel.
 
 Optimization runs in unconstrained coordinates (beta, log mu[, log alpha])
 with the analytic score: a quasi-Newton stage (BFGS) followed by a damped
-Newton polish using the analytic Hessian. Standard errors come from the
-inverse of the negated observed Hessian at the estimate, which is also what
-reproduces the reference results; the expected-information matrices in the
-information module stay available for cross-checks.
+Newton polish using the analytic Hessian. The likelihood, score and Hessian
+at one ModelParams object share one link evaluation, which the dataset keeps
+until the fit returns. Standard errors come from the inverse of the negated
+observed Hessian at the estimate, which is also what reproduces the
+reference results; the expected-information matrices in the information
+module stay available for cross-checks.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def _optimize(data: Dataset, p0: np.ndarray):
             if not improved:
                 break
 
-    raw_g = score(data, params)
+        raw_g = score(data, params)
     g = _transformed_grad(params, raw_g)
     converged = bool(
         np.max(np.abs(g)) < _GRAD_TOL or np.max(np.abs(raw_g)) < _RAW_SCORE_TOL
@@ -242,8 +244,11 @@ def _standard_errors(data: Dataset,
 def _fit(data: Dataset, p0: np.ndarray) -> FitResult:
     """Optimize from the transformed start p0, whose length names the model
     (see _unpack), and attach standard errors."""
-    params, ll, converged, n_iter = _optimize(data, p0)
-    se, cond, notes = _standard_errors(data, params)
+    try:
+        params, ll, converged, n_iter = _optimize(data, p0)
+        se, cond, notes = _standard_errors(data, params)
+    finally:
+        data._last_point = None  # hold no n-length arrays past the fit
     return FitResult(
         params=params, std_errors=se, loglik=ll, converged=converged,
         n_iterations=n_iter, info_condition=cond, diagnostics=tuple(notes),

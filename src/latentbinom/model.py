@@ -50,7 +50,9 @@ class ModelParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        # A copy: the caller's array stays writable, and writing to it later
+        # cannot change these parameters (evaluations are cached by object).
+        beta = np.array(self.beta, dtype=float, ndmin=1)
         if beta.ndim != 1 or beta.size < 1 or not np.all(np.isfinite(beta)):
             raise ValueError("beta must be a finite vector of length >= 1")
         if not (self.mu > 0 and math.isfinite(self.mu)):
@@ -156,6 +158,8 @@ class Dataset:
             raise ValueError("dataset must contain at least one observation")
         self._y = y
         self._X = X
+        # (params, arrays) of the last point evaluated; see _point.
+        self._last_point = None
 
     @classmethod
     def from_arrays(cls, y, X) -> "Dataset":
@@ -174,13 +178,25 @@ class Dataset:
     def d(self) -> int:
         return self._X.shape[1]
 
+    # These are the same at every parameter value, so the optimizer's
+    # repeated evaluations compute them once per dataset.
     @cached_property
     def _log_y_factorial(self) -> np.ndarray:
-        # log(y!) is the same at every parameter value, so the optimizer's
-        # repeated likelihood evaluations compute it once per dataset.
-        out = _log_gamma(self._y + 1.0)
+        out = _log_gamma(self._yf + 1.0)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _yf(self) -> np.ndarray:
+        return self._y.astype(float)
+
+    @cached_property
+    def _positive(self) -> np.ndarray:
+        return self._y > 0
+
+    @cached_property
+    def _y_max(self) -> int:
+        return int(self._y.max())
 
     @property
     def n_obs(self) -> int:
@@ -215,12 +231,26 @@ def link_h(x, beta) -> float:
     return float(_logistic(t)[0])
 
 
-def _h_vector(dataset: Dataset, params: ModelParams) -> np.ndarray:
-    if dataset.d != params.beta.size:
+def _point(data: Dataset, params: ModelParams) -> tuple:
+    """(h, m = mu h, alpha + m, log1p(m / alpha)) over the rows at params;
+    the last two are None when alpha is INFINITE.
+
+    The dataset keeps the last point, so the optimizer's likelihood and
+    score at one ModelParams object share one link evaluation.
+    """
+    cached = data._last_point
+    if cached is not None and cached[0] is params:
+        return cached[1]
+    if data.d != params.beta.size:
         raise ValueError(
-            f"dimension mismatch: dataset d={dataset.d}, beta has {params.beta.size}"
+            f"dimension mismatch: dataset d={data.d}, beta has {params.beta.size}"
         )
-    return _logistic(dataset.X @ params.beta)
+    h = _logistic(data.X @ params.beta)
+    m = params.mu * h
+    a = params.alpha
+    point = (h, m, None, None) if math.isinf(a) else (h, m, a + m, np.log1p(m / a))
+    data._last_point = (params, point)
+    return point
 
 
 def _shift_table(y_max: int, alpha: float, power: int) -> np.ndarray:
@@ -315,22 +345,6 @@ def _log_gamma(z: np.ndarray) -> np.ndarray:
     )
 
 
-def _loglik_terms(y: np.ndarray, m: np.ndarray, alpha: float,
-                  lgy1: np.ndarray) -> np.ndarray:
-    """Per-observation log density of y given its negative-binomial mean m;
-    lgy1 holds log(y!)."""
-    if math.isinf(alpha):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ylogm = np.where(y > 0, y * np.log(np.where(m > 0, m, 1.0)), 0.0)
-            ylogm = np.where((y > 0) & (m == 0.0), -np.inf, ylogm)
-        return ylogm - m - lgy1
-    lg_diff = _shift_table(int(y.max()), alpha, 0)[y]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(y > 0, y * np.log(np.where(m > 0, m, 1.0) / (alpha + m)), 0.0)
-        ratio = np.where((y > 0) & (m == 0.0), -np.inf, ratio)
-    return lg_diff + ratio - lgy1 - alpha * np.log1p(m / alpha)
-
-
 def log_pmf(y: int, x, params: ModelParams) -> float:
     """Log marginal probability of a single count at covariate row x."""
     return log_likelihood(Dataset([y], [x]), params)
@@ -338,9 +352,17 @@ def log_pmf(y: int, x, params: ModelParams) -> float:
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sum of log_pmf over the dataset."""
-    m = params.mu * _h_vector(data, params)
-    return float(np.sum(_loglik_terms(data.y, m, params.alpha,
-                                      data._log_y_factorial)))
+    _, m, am, log1p_ma = _point(data, params)
+    y, pos, lgy1 = data._yf, data._positive, data._log_y_factorial
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_safe = np.where(m > 0, m, 1.0)
+        ylog = np.where(pos, y * np.log(m_safe if am is None else m_safe / am), 0.0)
+        ylog = np.where(pos & (m == 0.0), -np.inf, ylog)
+    if am is None:
+        return float(np.sum(ylog - m - lgy1))
+    a = params.alpha
+    lg_diff = _shift_table(data._y_max, a, 0)[data.y]
+    return float(np.sum(lg_diff + ylog - lgy1 - a * log1p_ma))
 
 
 def score(data: Dataset, params: ModelParams) -> np.ndarray:
@@ -349,23 +371,22 @@ def score(data: Dataset, params: ModelParams) -> np.ndarray:
     For alpha = INFINITE the returned vector has length d + 1 (no alpha
     component exists in the submodel).
     """
-    y = data.y
-    h = _h_vector(data, params)
+    y = data._yf
+    h, m, am, log1p_ma = _point(data, params)
     mu = params.mu
-    m = mu * h
     dh = h * (1.0 - h)
-    if params.is_poisson_size:
+    if am is None:
         dbeta = data.X.T @ ((y / h - mu) * dh)
         dmu = float(np.sum(y / mu - h))
         return np.concatenate([dbeta, [dmu]])
     a = params.alpha
-    w = (a + y) / (a + m)
+    w = (a + y) / am
     dbeta = data.X.T @ ((y / h - w * mu) * dh)
     dmu = float(np.sum(y / mu - w * h))
     # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which stays
     # accurate when alpha dwarfs m; the digamma difference is a shift table.
-    psi_diff = _shift_table(int(y.max()), a, 1)[y]
-    dalpha = float(np.sum(psi_diff - np.log1p(m / a) - (y - m) / (a + m)))
+    psi_diff = _shift_table(data._y_max, a, 1)[data.y]
+    dalpha = float(np.sum(psi_diff - log1p_ma - (y - m) / am))
     return np.concatenate([dbeta, [dmu, dalpha]])
 
 
@@ -383,16 +404,15 @@ def hessian(data: Dataset, params: ModelParams) -> np.ndarray:
     (d+1) x (d+1) matrix when alpha = INFINITE, else (d+2) x (d+2). The
     result is symmetric by construction.
     """
-    y = data.y
+    y = data._yf
     X = data.X
     d = data.d
-    h = _h_vector(data, params)
+    h, m, am, _ = _point(data, params)
     mu = params.mu
-    m = mu * h
     dh = h * (1.0 - h)
     d2h = dh * (1.0 - 2.0 * h)
 
-    if params.is_poisson_size:
+    if am is None:
         H = np.zeros((d + 1, d + 1))
         cb = (y / h - mu) * d2h - (y / h**2) * dh**2
         H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
@@ -403,14 +423,13 @@ def hessian(data: Dataset, params: ModelParams) -> np.ndarray:
         return H
 
     a = params.alpha
-    am = a + m
     w = (a + y) / am
     H = np.zeros((d + 2, d + 2))
     cb = (y / h - w * mu) * d2h + ((a + y) * mu**2 / am**2 - y / h**2) * dh**2
     H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
     H[d, d] = float(np.sum(-y / mu**2 + (a + y) * h**2 / am**2))
     # trigamma difference as a shift table; 1/a - 1/(a+m) written m/(a(a+m)).
-    psi1_diff = -_shift_table(int(y.max()), a, 2)[y]
+    psi1_diff = -_shift_table(data._y_max, a, 2)[data.y]
     H[d + 1, d + 1] = float(np.sum(psi1_diff + m / (a * am) + (y - m) / am**2))
     bm = (-(a + y) * a / am**2 * dh) @ X
     H[:d, d] = bm

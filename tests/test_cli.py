@@ -1,6 +1,7 @@
 """Command-line interface: fit, efficiency, curves, and simulate."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -20,8 +21,13 @@ from latentbinom import cli
 from latentbinom.cli import main
 
 
-# Outputs recorded by the benchmark at its seed commit; read only.
+# Outputs recorded by the benchmark at its seed commit, and the generator of
+# its fit inputs; both read only.
 REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
+_spec = importlib.util.spec_from_file_location("bench_inputs",
+                                               REFS.parent / "inputs.py")
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)
 
 
 def run_cli(capsys, argv):
@@ -47,6 +53,26 @@ def test_fit_auto_selects_poisson_submodel(capsys):
                      "0.765365", "0.0634076", "47.4873"):
         assert fragment in out
     assert "converged: yes" in out
+
+
+@pytest.mark.parametrize("model", ["poisson", "auto", "full"])
+def test_fit_link_underflow_exits_two_with_one_line(capsys, tmp_path, model):
+    # At the estimate the link underflows to 0 on zero-count rows, so the
+    # final score divides 0 by 0 and the information is not finite.
+    x = [-701127, 374665, -58741, -1446824, -3347, -597648, -248905, 861803,
+         -625873, -593925, 806948, 64952, 863535, 181241, -494268, -37145,
+         688836, 527203, 497, 27324, -63046, -324040, 1082125, 4029, -633681,
+         -267233, 406949, 359400]
+    y = [0, 27, 0, 0, 0, 0, 0, 41, 0, 0, 12, 66, 66, 43, 0, 0, 18, 59, 32, 63,
+         0, 0, 71, 68, 0, 0, 63, 60]
+    path = tmp_path / "underflow.csv"
+    path.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(x, y)),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(path),
+                                      "--model", model])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("latentbinom: error: ") and err.count("\n") == 1
 
 
 def test_fit_missing_file_exits_one_naming_path(capsys):
@@ -254,12 +280,21 @@ def test_efficiency_output_byte_identical_across_runs(capsys):
     ("design", "gamma-by-alpha", ["curves", "--kind", "gamma-by-alpha"]),
     ("design", "sd-by-mu", ["curves", "--kind", "sd-by-mu"]),
     ("fit", "jejunal", ["fit", "--builtin", "jejunal"]),
+    # Benchmark fit inputs, one per kernel path: full and Poisson-size model
+    # selected (small/0, small/1), 2e4 rows (wide), counts above 1e4 (big).
+    ("fit", "small/0", None), ("fit", "small/1", None),
+    ("fit", "wide/0", None), ("fit", "wide/4", None), ("fit", "big/14", None),
 ])
-def test_output_matches_committed_reference(capsys, refs, key, argv):
+def test_output_matches_committed_reference(capsys, tmp_path, refs, key, argv):
     want = json.loads((REFS / f"{refs}.json").read_text(encoding="utf-8"))[key]
     if refs == "fit":
         assert want["rc"] == 0
         want = want["stdout"]
+    if argv is None:
+        kind, k = key.split("/")
+        path = tmp_path / "fit.csv"
+        bench_inputs.write_fit_csv(path, kind, int(k))
+        argv = ["fit", "--input", str(path)]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == want

@@ -12,9 +12,9 @@ from conftest import (count_calls, numeric_gradient, numeric_hessian,
 
 import latentbinom
 from latentbinom import (Dataset, FitResult, INFINITE, LatentRecord,
-                         ModelParams, generate_dataset, hessian,
-                         jejunal_dataset, link_h, log_likelihood, log_pmf,
-                         make_setting, score)
+                         ModelParams, fit_full, fit_poisson_size,
+                         generate_dataset, hessian, jejunal_dataset, link_h,
+                         log_likelihood, log_pmf, make_setting, score)
 from latentbinom.model import _logistic
 
 
@@ -34,6 +34,17 @@ def test_model_params_accessors():
     q = ModelParams(beta=np.array([0.3]), mu=10.0, alpha=INFINITE)
     assert q.is_poisson_size
     assert np.array_equal(q.as_array(), [0.3, 10.0])
+
+
+def test_model_params_copy_beta():
+    # Evaluations are cached per ModelParams object, so its beta must not
+    # follow later writes to the caller's array.
+    source = np.array([1.0, -2.0, 7.0])
+    p = ModelParams(beta=source[:2], mu=50.0, alpha=25.0)
+    assert source.flags.writeable
+    source[0] = 9.0
+    assert p.beta.tolist() == [1.0, -2.0]
+    assert not p.beta.flags.writeable
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -490,3 +501,66 @@ def test_large_alpha_log_likelihood_consistent_with_poisson():
     limit = ModelParams(beta=beta, mu=196.3, alpha=INFINITE)
     assert log_likelihood(data, near) == pytest.approx(
         log_likelihood(data, limit), abs=1e-6)
+
+
+# -- one evaluation per point -------------------------------------------------
+
+_KERNELS = (log_likelihood, score, hessian)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5),
+                                st.integers(0, 2)), min_size=1, max_size=16))
+def test_cached_point_matches_fresh_evaluation(seed, calls):
+    # Two datasets evaluated alternately, at finite alpha and at INFINITE,
+    # through distinct but equal-valued ModelParams objects and through
+    # points that differ only in beta or only in alpha: every result equals,
+    # bit for bit, that of a fresh Dataset and ModelParams.
+    rng = np.random.default_rng(seed)
+    full_data, full = random_instance(rng)
+    sub_data, sub = random_instance(rng, poisson_size=True)
+    datasets = (full_data, sub_data)
+    points = (full, ModelParams(full.beta, full.mu, full.alpha),
+              ModelParams(full.beta + 0.25, full.mu, full.alpha),
+              ModelParams(full.beta, full.mu, INFINITE),
+              sub, ModelParams(sub.beta, sub.mu, sub.alpha))
+    for i, j, k in calls:
+        data, params, kernel = datasets[i], points[j], _KERNELS[k]
+        got = kernel(data, params)
+        want = kernel(Dataset(data.y, data.X),
+                      ModelParams(params.beta, params.mu, params.alpha))
+        assert _bits(got) == _bits(want), (i, j, kernel.__name__)
+
+
+def test_dimension_mismatch_raises_after_cached_point():
+    data, params = random_instance(np.random.default_rng(31))
+    log_likelihood(data, params)
+    wider = ModelParams(np.append(params.beta, 0.5), params.mu, params.alpha)
+    for kernel in _KERNELS:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernel(data, wider)
+    assert _bits(score(data, params)) == _bits(score(Dataset(data.y, data.X),
+                                                     params))
+
+
+def test_fits_leave_no_cached_point(monkeypatch):
+    data = jejunal_dataset()
+    sub = fit_poisson_size(data)
+    assert data._last_point is None
+    fit_full(data, init=sub.params)
+    assert data._last_point is None
+
+    def fail(data, params):
+        hessian(data, params)
+        raise np.linalg.LinAlgError("information matrix has a non-finite entry")
+
+    # Also when the fit raises after its last evaluation.
+    monkeypatch.setattr(latentbinom.estimation, "_standard_errors", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        fit_poisson_size(data)
+    assert data._last_point is None
