@@ -8,7 +8,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
-import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -16,8 +16,8 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .data_io import (_number, format_number, jejunal_dataset, read_csv,
-                      write_records)
+from .data_io import (_number, _table, format_number, jejunal_dataset,
+                      read_csv, write_records)
 from .efficiency import (builtin_designs, efficiency_measures, gamma_curve,
                          make_setting, sd_vs_mu_curves, table_settings)
 from .estimation import (FitResult, fit_full, fit_poisson_size,
@@ -123,20 +123,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _with_output(args: argparse.Namespace, write) -> int:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    """Write a finished command's text to --output, or to standard output."""
     if args.output is None:
-        return write(sys.stdout)
-    with args.output.open("w", encoding="utf-8", newline="") as fh:
-        return write(fh)
+        sys.stdout.write(text)
+    else:
+        args.output.write_text(text, encoding="utf-8", newline="")
 
 
 def _write_table(args: argparse.Namespace, records: list, columns: list) -> int:
-    def write(out: TextIO) -> int:
-        write_records(out, records, columns, fmt=args.format,
-                      full_precision=args.full_precision)
-        return EXIT_OK
-
-    return _with_output(args, write)
+    out = io.StringIO()
+    write_records(out, records, columns, fmt=args.format,
+                  full_precision=args.full_precision)
+    _emit(args, out.getvalue())
+    return EXIT_OK
 
 
 def _setting_row(index: int, setting) -> dict:
@@ -186,71 +186,66 @@ def cmd_fit(args: argparse.Namespace) -> int:
         data = jejunal_dataset()
     else:
         data = read_csv(args.input, intercept=not args.no_intercept)
-
-    def write(out: TextIO) -> int:
-        if args.model == "poisson":
-            fits = [fit_poisson_size(data)]
-        elif args.model == "full":
-            fits = [fit_full(data)]
-        else:
-            sub = fit_poisson_size(data)
-            full = fit_full(data, init=sub.params)
-            if not (sub.converged and full.converged):
-                fits = [sub, full]
-            else:
-                lrt = likelihood_ratio_test(sub, full, level=args.level)
-                print("likelihood-ratio test: statistic "
-                      f"{format_number(lrt.statistic, args.full_precision)}, "
-                      f"p-value {format_number(lrt.p_value, args.full_precision)}",
-                      file=out)
-                verdict = "rejected" if lrt.reject_poisson else "not rejected"
-                print(f"poisson-size submodel {verdict} at level "
-                      f"{format_number(lrt.significance_level, args.full_precision)}",
-                      file=out)
-                selected = full if lrt.reject_poisson else sub
-                print(f"selected model: {selected.model}", file=out)
-                fits = [selected]
-        for fit in fits:
-            _print_fit(fit, args.level, args.full_precision, out)
-        if not all(fit.converged for fit in fits):
-            print("error: fit did not converge", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        return EXIT_OK
-
-    return _with_output(args, write)
+    lrt, out = None, io.StringIO()
+    if args.model == "poisson":
+        fits = [fit_poisson_size(data)]
+    elif args.model == "full":
+        fits = [fit_full(data)]
+    else:
+        sub = fit_poisson_size(data)
+        full = fit_full(data, init=sub.params)
+        fits = [sub, full]
+        if sub.converged and full.converged:
+            lrt = likelihood_ratio_test(sub, full, level=args.level)
+            fits = [full if lrt.reject_poisson else sub]
+    if lrt is not None:
+        fmt = lambda v: format_number(v, args.full_precision)  # noqa: E731
+        verdict = "rejected" if lrt.reject_poisson else "not rejected"
+        print(f"likelihood-ratio test: statistic {fmt(lrt.statistic)}, "
+              f"p-value {fmt(lrt.p_value)}", file=out)
+        print(f"poisson-size submodel {verdict} at level "
+              f"{fmt(lrt.significance_level)}", file=out)
+        print(f"selected model: {fits[0].model}", file=out)
+    for fit in fits:
+        _print_fit(fit, args.level, args.full_precision, out)
+    _emit(args, out.getvalue())
+    if not all(fit.converged for fit in fits):
+        print("error: fit did not converge", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 # -- efficiency ---------------------------------------------------------------
 
 
 def _read_settings_file(path: Path) -> list:
-    designs = builtin_designs()
-    out = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"design", "beta1", "mu", "alpha"}
-        try:
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+    designs, out = builtin_designs(), []
+    columns = ("design", "beta1", "mu", "alpha")
+    try:
+        for header, first_line, rows in _table(path):
+            if any(header.count(c) != 1 for c in columns):
                 raise ValueError(
-                    f"{path}: header must contain columns design,beta1,mu,alpha")
-            for row in reader:
-                # DictReader skips blank rows; take the underlying reader's line.
-                line_no = reader.reader.line_num
+                    "header must contain columns design,beta1,mu,alpha once each")
+            at = [header.index(c) for c in columns]
+            for line_no, fields in enumerate(rows, start=first_line):
+                if not "".join(fields).strip():
+                    continue  # a blank row, as in read_csv
+                if len(fields) != len(header):
+                    raise ValueError(f"line {line_no}: expected {len(header)} "
+                                     f"fields, got {len(fields)}")
                 try:
-                    design_id = _number(row["design"], int)
-                    slope = _number(row["beta1"])
-                    mu = _number(row["mu"])
-                    alpha = _number(row["alpha"])
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{path}: line {line_no}: non-numeric field") from None
-                if design_id not in (1, 2):
-                    raise ValueError(
-                        f"{path}: line {line_no}: design must be 1 or 2")
-                out.append(make_setting(designs[design_id - 1], slope, mu, alpha))
-        except csv.Error as exc:
-            raise ValueError(
-                f"{path}: line {reader.reader.line_num}: {exc}") from None
+                    design_id = _number(fields[at[0]], int)
+                    slope, mu, alpha = (_number(fields[i]) for i in at[1:])
+                except ValueError:
+                    raise ValueError(f"line {line_no}: non-numeric field") from None
+                try:
+                    if design_id not in (1, 2):
+                        raise ValueError("design must be 1 or 2")
+                    out.append(make_setting(designs[design_id - 1], slope, mu, alpha))
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no settings")
     return out

@@ -2,8 +2,10 @@
 reading, and record writing for the CLI.
 
 The embedded data are compiled in as constants so golden tests never depend
-on the working directory. The CSV dialect is deliberately rigid: header
-required, comma delimiter, period decimal separator.
+on the working directory. Data and settings files share one deliberately
+rigid CSV dialect (_table): comma delimiter, period decimal separator, the
+first row that is not blank as the header, blank rows skipped, every other
+row as many fields as the header, and errors naming the 1-based line.
 """
 
 from __future__ import annotations
@@ -96,18 +98,29 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
     return covariates, count
 
 
-def _blocks(reader) -> Iterator[list[list[str]]]:
-    """Blocks of rows; a csv.Error yields those before it and raises ValueError."""
-    while True:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, _BLOCK_ROWS))
-        except csv.Error as exc:
-            yield rows
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-        if not rows:
-            return
-        yield rows
+def _table(path: Path) -> Iterator[tuple[list[str], int, list[list[str]]]]:
+    """(header, first line number, rows) per block of up to _BLOCK_ROWS rows
+    after the header, the first row that is not blank; a file without one
+    yields nothing. A csv.Error raises ValueError after the rows before it."""
+    header, line_no, error = None, 0, None
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        while error is None:
+            rows: list[list[str]] = []  # drops the last block before reading on
+            try:
+                rows.extend(islice(reader, _BLOCK_ROWS))
+            except csv.Error as exc:
+                error = ValueError(f"line {reader.line_num}: {exc}")
+            if not rows and error is None:
+                return
+            first_line, line_no = line_no + 1, line_no + len(rows)
+            if header is None:
+                at = next((i for i, f in enumerate(rows) if "".join(f).strip()), None)
+                if at is None:
+                    continue
+                header, rows, first_line = rows[at], rows[at + 1:], first_line + at + 1
+            yield header, first_line, rows
+    raise error
 
 
 def _by_columns(rows: list[list[str]], n_cols: int):
@@ -136,11 +149,9 @@ def _by_rows(rows: list[list[str]], first_line: int, n_cols: int):
 
 def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     """Read a header-plus-rows CSV where the last column is the count and
-    every other column is a covariate.
-
-    Blank lines are skipped. Errors carry the 1-based line number of the
-    offending row. With ``intercept`` (the default) a constant 1 column is
-    prepended to the covariates.
+    every other column is a covariate, in the module's CSV dialect. With
+    ``intercept`` (the default) a constant 1 column is prepended to the
+    covariates.
 
     Rows are converted _BLOCK_ROWS at a time, one whole-column step per
     check. A block that any step refuses goes through _parse_row, the
@@ -148,23 +159,15 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     no row it refuses is accepted.
     """
     path = Path(path)
-    n_cols, line_no, y, blocks = 0, 0, [], []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for rows in _blocks(csv.reader(fh)):
-            first_line, line_no = line_no + 1, line_no + len(rows)
-            if not n_cols:
-                # The first row that is not blank is the header.
-                at = next((i for i, f in enumerate(rows) if "".join(f).strip()), None)
-                if at is None:
-                    continue
-                n_cols, rows, first_line = len(rows[at]), rows[at + 1:], first_line + at + 1
-                if n_cols < 2:
-                    raise ValueError(
-                        f"line {first_line - 1}: header needs at least two columns")
-            X, counts = _by_columns(rows, n_cols) or _by_rows(rows, first_line, n_cols)
-            blocks.append(X)
-            y.extend(counts)
-            del rows  # before the next block is read
+    n_cols, y, blocks = 0, [], []
+    for header, first_line, rows in _table(path):
+        n_cols = len(header)
+        if n_cols < 2:  # raised at the first block, where the header precedes first_line
+            raise ValueError(f"line {first_line - 1}: header needs at least two columns")
+        X, counts = _by_columns(rows, n_cols) or _by_rows(rows, first_line, n_cols)
+        blocks.append(X)
+        y.extend(counts)
+        del rows  # before the next block is read
     if not n_cols:
         raise ValueError(f"{path}: empty file, expected a header row")
     if not y:

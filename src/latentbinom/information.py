@@ -71,7 +71,8 @@ def _design_arrays(X, r, params: ModelParams):
     r = r.astype(np.int64)
     X.setflags(write=False)
     r.setflags(write=False)
-    return X, r, _logistic(X @ params.beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # +-inf saturates the link
+        return X, r, _logistic(X @ params.beta)
 
 
 def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:

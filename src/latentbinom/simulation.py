@@ -70,7 +70,8 @@ def generate_dataset(setting: EffSetting,
     exactly. A zero size simply yields a zero count.
     """
     X = np.repeat(setting.X, setting.r, axis=0)
-    h = _logistic(X @ setting.beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # +-inf saturates the link
+        h = _logistic(X @ setting.beta)
     n_obs = X.shape[0]
     if math.isinf(setting.alpha):
         lam = np.full(n_obs, setting.mu)

@@ -114,6 +114,27 @@ def test_fit_output_file(capsys, tmp_path):
     assert "6.7014" in target.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+@pytest.mark.parametrize("model", ["auto", "poisson", "full"])
+def test_fit_refused_leaves_output_file_alone(capsys, tmp_path, model, existing):
+    # The fits run before --output is opened, so a refusal neither truncates
+    # an earlier result nor leaves an empty file behind.
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("dose,count\n1,0\n2,0\n3,0\n", encoding="utf-8")
+    target = tmp_path / "fit.txt"
+    if existing:
+        target.write_bytes(b"model: full\r\nearlier result\n")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(zeros), "--model",
+                                      model, "--output", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("latentbinom: error: all counts are zero")
+    if existing:
+        assert target.read_bytes() == b"model: full\r\nearlier result\n"
+    else:
+        assert not target.exists()
+
+
 def test_fit_auto_fits_each_model_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, cli, ("fit_poisson_size", "fit_full"))
     code, out, err = run_cli(capsys, ["fit", "--builtin", "jejunal"])
@@ -370,18 +391,57 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("text,message", [
+    ("design,beta1,mu,alpha\n1,1,100,25,7\n", "line 2: expected 4 fields, got 5"),
+    ("design,beta1,mu,alpha\n1,1,100,25\n1,1,100\n",
+     "line 3: expected 4 fields, got 3"),
+    ("design,beta1,mu,alpha,mu\n1,1,100,25,300\n",
+     "header must contain columns design,beta1,mu,alpha once each"),
+    ("design,beta1,mu,alpha\n1,1,nan,25\n", "line 2: mu must be positive and finite"),
+    ("design,beta1,mu,alpha\n\n1,1,100,nan\n",
+     "line 3: alpha must be positive (or INFINITE)"),
+    ("", "no settings"),
+    ("\n \n", "no settings"),
+    ("design,beta1,mu,alpha\n\n", "no settings"),
+], ids=["extra-field", "short-row", "duplicate-mu", "mu-nan",
+        "alpha-nan", "empty", "blank", "header-only"])
+def test_efficiency_settings_rows_follow_data_file_rules(capsys, tmp_path, text,
+                                                         message):
+    settings = tmp_path / "settings.csv"
+    settings.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+    assert (code, out, err) == (1, "", f"latentbinom: error: {settings}: {message}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "\ndesign,beta1,mu,alpha\n1,1,100,25\n",
+    " , \ndesign,beta1,mu,alpha\n1,1,100,25\n",
+    "design,beta1,mu,alpha\n1,1,100,25\n,,,\n",
+    "design,beta1,mu,alpha\n , ,, \n1,1,100,25\n\n,,\n",
+], ids=["leading-blank-line", "leading-blank-fields", "trailing-comma-row",
+        "inner-blank-rows"])
+def test_efficiency_settings_blank_rows_skipped(capsys, tmp_path, text):
+    settings = tmp_path / "settings.csv"
+    settings.write_text("design,beta1,mu,alpha\n1,1,100,25\n", encoding="utf-8")
+    want = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+    assert want[0] == 0 and want[2] == ""
+    settings.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, ["efficiency", "--settings", str(settings)]) == want
+
+
 def test_efficiency_settings_saturated_link(capsys, tmp_path):
     # At slope 8 or 10 the link at x = 5 rounds to exactly 1, and at slope
-    # 200 nearly every row saturates. A saturated row adds no information;
-    # it must not turn into 0/0 and numpy warnings.
+    # 200 nearly every row saturates; at +-1e308 the products x * slope
+    # overflow to +-inf. A saturated row adds no information; it must not
+    # turn into 0/0 and numpy warnings.
     settings = tmp_path / "steep.csv"
-    for slope in (8, 10, 200):
+    for slope in (8, 10, 200, 1e308, -1e308):
         settings.write_text(f"design,beta1,mu,alpha\n1,{slope},100,25\n",
                             encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
-        if slope == 200:
+        if abs(slope) >= 200:
             assert code == 2
             assert out == ""
             (line,) = err.splitlines()
@@ -555,6 +615,13 @@ def test_simulate_level_outside_unit_interval_exits_one_before_running(
     assert excinfo.value.code == 1
     assert "--level" in capsys.readouterr().err
     assert calls == {"run_study": 0}
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_simulate_rejects_no_samples(capsys, samples):
+    code, out, err = run_cli(capsys, ["simulate", "--setting", "1",
+                                      "--samples", samples])
+    assert (code, out, err) == (1, "", "latentbinom: error: --samples must be >= 1\n")
 
 
 def test_simulate_rejects_bad_setting(capsys):

@@ -1,5 +1,6 @@
 """Maximum-likelihood fitting, standard errors, Wald intervals, and the LRT."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,36 @@ def test_lrt_with_existing_fits_matches_refitting(monkeypatch):
     assert calls == {"fit_poisson_size": 0, "fit_full": 0}
     with pytest.raises(ValueError, match="pair"):
         likelihood_ratio_test(full, sub, 0.05)
+
+
+def test_lrt_refuses_unconverged_or_worse_full_fit():
+    data = jejunal_dataset()
+    sub = fit_poisson_size(data)
+    full = fit_full(data, init=sub.params)
+    with pytest.raises(RuntimeError, match="^poisson_size fit did not converge: "):
+        likelihood_ratio_test(dataclasses.replace(sub, converged=False), full)
+    with pytest.raises(RuntimeError, match="^full fit did not converge: "):
+        likelihood_ratio_test(sub, dataclasses.replace(full, converged=False))
+    worse = dataclasses.replace(full, loglik=sub.loglik - 1e-3)
+    with pytest.raises(RuntimeError, match="fell 1.000e-03 below the submodel's"):
+        likelihood_ratio_test(sub, worse)
+    # A deficit within the optimizer's noise is a statistic of exactly 0.
+    for deficit in (0.0, 4e-7):
+        res = likelihood_ratio_test(
+            sub, dataclasses.replace(full, loglik=sub.loglik - deficit))
+        assert (res.statistic, res.p_value, res.reject_poisson) == (0.0, 1.0, False)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_lrt_and_wald_ci_refuse_level_outside_unit_interval(level):
+    params = ModelParams(beta=np.array([2.0]), mu=7.0, alpha=INFINITE)
+    sub = FitResult(params, np.array([0.1, 0.1]), -1.0, True, 1, 1.0)
+    full = FitResult(dataclasses.replace(params, alpha=3.0),
+                     np.array([0.1, 0.1, 0.1]), -1.0, True, 1, 1.0)
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+        likelihood_ratio_test(sub, full, level)
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+        wald_ci(sub, level)
 
 
 def test_lrt_size_stays_at_or_below_level():

@@ -187,6 +187,14 @@ def test_object_counts_with_non_finite_follow_per_row_rule(y):
         Dataset.from_arrays(y, X)
 
 
+def test_dataset_covariate_dimensions():
+    data = Dataset([3, 0, 5], [0.5, 1.5, -1.0])
+    assert data.d == 1
+    assert data.X.tolist() == [[0.5], [1.5], [-1.0]]
+    with pytest.raises(ValueError, match="X must be a 1-D or 2-D array"):
+        Dataset([3, 0], np.ones((2, 1, 1)))
+
+
 def test_dataset_copies_inputs_into_read_only_arrays():
     y = np.array([3, 1])
     X = np.asfortranarray([[1.0, 0.5], [1.0, 1.5]])

@@ -73,6 +73,20 @@ def test_generate_dataset_degenerate_gamma_path():
     assert np.all(latent.lam == 150.0)
 
 
+@pytest.mark.parametrize("slope", [1e308, -1e308])
+def test_generate_dataset_saturated_link(slope):
+    # x * slope overflows to +-inf, where the link is exactly 0 or 1: every
+    # unit of a latent size survives on one side of x = 0 and none on the
+    # other, without numpy warnings.
+    x1, _ = builtin_designs()
+    setting = make_setting(x1, slope, 100.0, 25.0, replications=3)
+    data, latent = generate_dataset(setting, np.random.default_rng(3))
+    x = data.X[:, 1]
+    survive = np.sign(x) == np.sign(slope)
+    assert np.array_equal(data.y[survive], latent.n[survive])
+    assert np.all(data.y[(x != 0) & ~survive] == 0)
+
+
 @pytest.mark.parametrize("x_value,slope,mu,alpha", [
     (0.7, 1.0, 100.0, 25.0),
     (-0.4, 2.0, 300.0, 49.0),
