@@ -222,12 +222,12 @@ def _read_settings_file(path: Path) -> list:
     designs, out = builtin_designs(), []
     columns = ("design", "beta1", "mu", "alpha")
     try:
-        for header, first_line, rows in _table(path):
+        for header, _, rows, lines in _table(path):
             if any(header.count(c) != 1 for c in columns):
                 raise ValueError(
                     "header must contain columns design,beta1,mu,alpha once each")
             at = [header.index(c) for c in columns]
-            for line_no, fields in enumerate(rows, start=first_line):
+            for line_no, fields in zip(lines, rows):
                 if not "".join(fields).strip():
                     continue  # a blank row, as in read_csv
                 if len(fields) != len(header):

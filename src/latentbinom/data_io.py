@@ -54,7 +54,7 @@ def jejunal_dataset() -> Dataset:
     counts = list(JEJUNAL_CRYPT_COUNTS.values())
     dose = np.repeat(list(JEJUNAL_CRYPT_COUNTS), [len(c) for c in counts])
     y = np.concatenate(counts)
-    return Dataset.from_arrays(y, np.column_stack([np.ones(dose.size), dose]))
+    return Dataset(y, np.column_stack([np.ones(dose.size), dose]))
 
 
 def _number(text: str, kind=float):
@@ -98,28 +98,31 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
     return covariates, count
 
 
-def _table(path: Path) -> Iterator[tuple[list[str], int, list[list[str]]]]:
-    """(header, first line number, rows) per block of up to _BLOCK_ROWS rows
-    after the header, the first row that is not blank; a file without one
-    yields nothing. A csv.Error raises ValueError after the rows before it."""
-    header, line_no, error = None, 0, None
+def _table(path: Path) -> Iterator[tuple[list[str], int, list[list[str]], list[int]]]:
+    """(header, its line, rows, their lines) per block of up to _BLOCK_ROWS
+    rows after the header, the first non-blank row; no header yields nothing.
+    Lines are physical, the count a csv.Error names; a csv.Error raises
+    ValueError after the rows before it."""
+    header, header_line, error = None, 0, None
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         while error is None:
-            rows: list[list[str]] = []  # drops the last block before reading on
+            rows, lines = [], []  # drops the last block before reading on
             try:
-                rows.extend(islice(reader, _BLOCK_ROWS))
+                for fields in islice(reader, _BLOCK_ROWS):
+                    rows.append(fields)
+                    lines.append(reader.line_num)
             except csv.Error as exc:
                 error = ValueError(f"line {reader.line_num}: {exc}")
             if not rows and error is None:
                 return
-            first_line, line_no = line_no + 1, line_no + len(rows)
             if header is None:
                 at = next((i for i, f in enumerate(rows) if "".join(f).strip()), None)
                 if at is None:
                     continue
-                header, rows, first_line = rows[at], rows[at + 1:], first_line + at + 1
-            yield header, first_line, rows
+                header, header_line = rows[at], lines[at]
+                rows, lines = rows[at + 1:], lines[at + 1:]
+            yield header, header_line, rows, lines
     raise error
 
 
@@ -137,11 +140,11 @@ def _by_columns(rows: list[list[str]], n_cols: int):
     return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None
 
 
-def _by_rows(rows: list[list[str]], first_line: int, n_cols: int):
+def _by_rows(rows: list[list[str]], lines: list[int], n_cols: int):
     """(covariate rows, counts) of rows converted one at a time by
     _parse_row, blank rows skipped; the first offending line raises."""
     parsed = [_parse_row(fields, line_no, n_cols)
-              for line_no, fields in enumerate(rows, start=first_line)
+              for line_no, fields in zip(lines, rows)
               if "".join(fields).strip()]
     X = np.array([x for x, _ in parsed], dtype=float).reshape(-1, n_cols - 1)
     return X, [count for _, count in parsed]
@@ -160,11 +163,11 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     """
     path = Path(path)
     n_cols, y, blocks = 0, [], []
-    for header, first_line, rows in _table(path):
+    for header, header_line, rows, lines in _table(path):
         n_cols = len(header)
-        if n_cols < 2:  # raised at the first block, where the header precedes first_line
-            raise ValueError(f"line {first_line - 1}: header needs at least two columns")
-        X, counts = _by_columns(rows, n_cols) or _by_rows(rows, first_line, n_cols)
+        if n_cols < 2:
+            raise ValueError(f"line {header_line}: header needs at least two columns")
+        X, counts = _by_columns(rows, n_cols) or _by_rows(rows, lines, n_cols)
         blocks.append(X)
         y.extend(counts)
         del rows  # before the next block is read
@@ -175,7 +178,7 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     X = np.concatenate(blocks)
     if intercept:
         X = np.column_stack([np.ones(X.shape[0]), X])
-    return Dataset.from_arrays(y, X)
+    return Dataset(y, X)
 
 
 def format_number(value: object, full_precision: bool = False) -> str:

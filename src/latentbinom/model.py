@@ -51,7 +51,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         # A copy: the caller's array stays writable, and writing to it later
-        # cannot change these parameters (evaluations are cached by object).
+        # cannot change these parameters.
         beta = np.array(self.beta, dtype=float, ndmin=1)
         if beta.ndim != 1 or beta.size < 1 or not np.all(np.isfinite(beta)):
             raise ValueError("beta must be a finite vector of length >= 1")
@@ -158,13 +158,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one observation")
         self._y = y
         self._X = X
-        # (params, arrays) of the last point evaluated; see _point.
-        self._last_point = None
-
-    @classmethod
-    def from_arrays(cls, y, X) -> "Dataset":
-        """The Dataset of counts y and covariate rows X; same as Dataset(y, X)."""
-        return cls(y, X)
 
     @property
     def y(self) -> np.ndarray:
@@ -233,14 +226,8 @@ def link_h(x, beta) -> float:
 
 def _point(data: Dataset, params: ModelParams) -> tuple:
     """(h, m = mu h, alpha + m, log1p(m / alpha)) over the rows at params;
-    the last two are None when alpha is INFINITE.
-
-    The dataset keeps the last point, so the optimizer's likelihood and
-    score at one ModelParams object share one link evaluation.
-    """
-    cached = data._last_point
-    if cached is not None and cached[0] is params:
-        return cached[1]
+    the last two are None when alpha is INFINITE. The kernels take it as an
+    argument, so one link evaluation can serve several of them."""
     if data.d != params.beta.size:
         raise ValueError(
             f"dimension mismatch: dataset d={data.d}, beta has {params.beta.size}"
@@ -248,9 +235,7 @@ def _point(data: Dataset, params: ModelParams) -> tuple:
     h = _logistic(data.X @ params.beta)
     m = params.mu * h
     a = params.alpha
-    point = (h, m, None, None) if math.isinf(a) else (h, m, a + m, np.log1p(m / a))
-    data._last_point = (params, point)
-    return point
+    return (h, m, None, None) if math.isinf(a) else (h, m, a + m, np.log1p(m / a))
 
 
 def _shift_table(y_max: int, alpha: float, power: int) -> np.ndarray:
@@ -352,7 +337,11 @@ def log_pmf(y: int, x, params: ModelParams) -> float:
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sum of log_pmf over the dataset."""
-    _, m, am, log1p_ma = _point(data, params)
+    return _log_likelihood(data, params, _point(data, params))
+
+
+def _log_likelihood(data: Dataset, params: ModelParams, point: tuple) -> float:
+    _, m, am, log1p_ma = point
     y, pos, lgy1 = data._yf, data._positive, data._log_y_factorial
     with np.errstate(divide="ignore", invalid="ignore"):
         m_safe = np.where(m > 0, m, 1.0)
@@ -371,8 +360,12 @@ def score(data: Dataset, params: ModelParams) -> np.ndarray:
     For alpha = INFINITE the returned vector has length d + 1 (no alpha
     component exists in the submodel).
     """
+    return _score(data, params, _point(data, params))
+
+
+def _score(data: Dataset, params: ModelParams, point: tuple) -> np.ndarray:
     y = data._yf
-    h, m, am, log1p_ma = _point(data, params)
+    h, m, am, log1p_ma = point
     mu = params.mu
     dh = h * (1.0 - h)
     if am is None:
@@ -404,10 +397,14 @@ def hessian(data: Dataset, params: ModelParams) -> np.ndarray:
     (d+1) x (d+1) matrix when alpha = INFINITE, else (d+2) x (d+2). The
     result is symmetric by construction.
     """
+    return _hessian(data, params, _point(data, params))
+
+
+def _hessian(data: Dataset, params: ModelParams, point: tuple) -> np.ndarray:
     y = data._yf
     X = data.X
     d = data.d
-    h, m, am, _ = _point(data, params)
+    h, m, am, _ = point
     mu = params.mu
     dh = h * (1.0 - h)
     d2h = dh * (1.0 - 2.0 * h)

@@ -80,7 +80,7 @@ def generate_dataset(setting: EffSetting,
                         size=n_obs)
     n = rng.poisson(lam)
     y = rng.binomial(n, h)
-    return Dataset.from_arrays(y, X), LatentRecord(lam=lam, n=n)
+    return Dataset(y, X), LatentRecord(lam=lam, n=n)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:

@@ -28,7 +28,7 @@ def random_instance(rng, poisson_size=False):
         lam = rng.gamma(shape=alpha, scale=mu / alpha, size=n)
     y = rng.binomial(rng.poisson(lam), h)
     params = ModelParams(beta=beta, mu=mu, alpha=alpha)
-    return Dataset.from_arrays(y, X), params
+    return Dataset(y, X), params
 
 
 def _unpacker(params):

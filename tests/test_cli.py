@@ -305,6 +305,10 @@ def test_efficiency_output_byte_identical_across_runs(capsys):
     # selected (small/0, small/1), 2e4 rows (wide), counts above 1e4 (big).
     ("fit", "small/0", None), ("fit", "small/1", None),
     ("fit", "wide/0", None), ("fit", "wide/4", None), ("fit", "big/14", None),
+    # The polish carries each accepted point into the next step: big/22's
+    # Poisson-size fit accepts one step within the slack, its full fit three
+    # ascent steps in a row.
+    ("fit", "big/22", None),
 ])
 def test_output_matches_committed_reference(capsys, tmp_path, refs, key, argv):
     want = json.loads((REFS / f"{refs}.json").read_text(encoding="utf-8"))[key]
@@ -403,8 +407,14 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
     ("", "no settings"),
     ("\n \n", "no settings"),
     ("design,beta1,mu,alpha\n\n", "no settings"),
+    # Physical lines: the last row is on line 4, after a field spanning two.
+    ('design,beta1,mu,alpha\n"1\n",1,100,25\n1,1,100,abc\n',
+     "line 4: non-numeric field"),
+    ('design,beta1,mu,alpha\n"1\n",1,100,25\n1,1,100,' + "9" * 200_000 + "\n",
+     "line 4: field larger than field limit (131072)"),
 ], ids=["extra-field", "short-row", "duplicate-mu", "mu-nan",
-        "alpha-nan", "empty", "blank", "header-only"])
+        "alpha-nan", "empty", "blank", "header-only", "multiline-then-bad",
+        "multiline-then-oversized"])
 def test_efficiency_settings_rows_follow_data_file_rules(capsys, tmp_path, text,
                                                          message):
     settings = tmp_path / "settings.csv"

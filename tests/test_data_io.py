@@ -174,11 +174,14 @@ def _per_row_fields(fields, line_no, n_cols):
 
 def per_row_read_csv(path, intercept=True):
     """The reader as one _parse_row call per row: the reference the block
-    reader must match on every file, accepted or refused."""
+    reader must match on every file, accepted or refused. A row is numbered
+    by the physical line it ends on."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = None
         y, rows, n_cols = [], [], 0
-        for line_no, fields in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for fields in reader:
+            line_no = reader.line_num
             if not fields or all(not f.strip() for f in fields):
                 continue
             if header is None:
@@ -198,7 +201,7 @@ def per_row_read_csv(path, intercept=True):
     X = np.asarray(rows, dtype=float)
     if intercept:
         X = np.column_stack([np.ones(X.shape[0]), X])
-    return Dataset.from_arrays(y, X)
+    return Dataset(y, X)
 
 
 def outcome(reader, path, intercept=True):
@@ -228,11 +231,12 @@ _GOOD_COVARIATES = st.one_of(
     st.floats(-1e3, 1e3).map(repr),
     st.integers(-50, 50).map(str),
     st.sampled_from(["6.25", " 7.5 ", "-0", "+4", "\u0663", '"8.25"', "1e-320",
-                     "-0.0"]),
+                     "-0.0", '"7\n"']),
 )
 _GOOD_COUNTS = st.one_of(
     st.integers(0, 300).map(str),
-    st.sampled_from(["76.0", "-0", "+4", "\u0663", "-0.0", '"9"', str(2**63 - 1)]),
+    st.sampled_from(["76.0", "-0", "+4", "\u0663", "-0.0", '"9"', '"\r\n9"',
+                     str(2**63 - 1)]),
     st.tuples(st.sampled_from(_SPACES), st.integers(0, 99),
               st.sampled_from(_SPACES)).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
 )
@@ -294,6 +298,10 @@ def test_read_csv_matches_per_row_loop(tmp_path, text, block_rows, intercept):
 @pytest.mark.parametrize("before,message", [
     ("", "line 3: field larger than field limit (131072)"),
     ("1,abc\n", "line 2: non-numeric count 'abc'"),
+    # Lines are physical: after a field spanning lines 2-3, a csv.Error and
+    # a bad count on line 4 both name it.
+    ('"1\n",5\n', "line 4: field larger than field limit (131072)"),
+    ('"1\n",5\n1,abc\n', "line 4: non-numeric count 'abc'"),
 ])
 def test_read_csv_oversized_field_names_its_line(tmp_path, before, message):
     # Rows before the oversized one are checked first, as one at a time.

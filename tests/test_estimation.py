@@ -167,24 +167,27 @@ def test_full_fit_from_poisson_fit_matches_fresh_fit(monkeypatch, case):
 def test_optimizer_evaluates_through_module_names(monkeypatch):
     # Call counts per layer are read by wrapping these names in the
     # estimation namespace; a fit that bypassed them would read as zero.
+    # Every trial point has one link evaluation and one likelihood.
     data = jejunal_dataset()
     calls = count_calls(monkeypatch, estimation,
-                        ("log_likelihood", "score", "hessian"))
+                        ("_point", "_log_likelihood", "_score", "_hessian"))
     sub = fit_poisson_size(data)
     assert all(n > 0 for n in calls.values()), calls
+    assert calls["_point"] == calls["_log_likelihood"], calls
     calls.update(dict.fromkeys(calls, 0))
     fit_full(data, init=sub.params)
     assert all(n > 0 for n in calls.values()), calls
+    assert calls["_point"] == calls["_log_likelihood"], calls
 
 
 @pytest.mark.parametrize("fit", [fit_poisson_size, fit_full])
 def test_rank_deficient_design_rejected(fit):
-    one_dose = Dataset.from_arrays([70, 75, 80, 60], [[1.0, 6.5]] * 4)
+    one_dose = Dataset([70, 75, 80, 60], [[1.0, 6.5]] * 4)
     with pytest.raises(ValueError, match="rank-deficient"):
         fit(one_dose)
-    collinear = Dataset.from_arrays([9, 7, 4, 2],
-                                    [[1.0, 1.0, 2.0], [1.0, 2.0, 4.0],
-                                     [1.0, 3.0, 6.0], [1.0, 4.0, 8.0]])
+    collinear = Dataset([9, 7, 4, 2],
+                        [[1.0, 1.0, 2.0], [1.0, 2.0, 4.0],
+                         [1.0, 3.0, 6.0], [1.0, 4.0, 8.0]])
     with pytest.raises(ValueError, match="rank 2"):
         fit(collinear)
 

@@ -86,27 +86,27 @@ def test_observation_validation():
 
 
 def test_dataset_construction():
-    data = Dataset.from_arrays([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
+    data = Dataset([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
     assert len(data) == 3
     assert data.d == 2
     assert data.n_obs == 3
     assert data.y.tolist() == [3, 0, 5]
-    same = Dataset.from_arrays([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
+    same = Dataset([3, 0, 5], [[1.0, 0.5], [1.0, 1.5], [1.0, -1.0]])
     assert data == same
     with pytest.raises(ValueError):
-        Dataset.from_arrays([], np.empty((0, 2)))
+        Dataset([], np.empty((0, 2)))
     with pytest.raises(ValueError):
-        Dataset.from_arrays([1, 2], [[1.0, 2.0]])
+        Dataset([1, 2], [[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("y", [[2.7, 3], [-0.5, 3]])
 def test_dataset_from_arrays_rejects_non_integer_counts(y):
     with pytest.raises(ValueError):
-        Dataset.from_arrays(y, [[1.0, 0.5], [1.0, 1.5]])
+        Dataset(y, [[1.0, 0.5], [1.0, 1.5]])
 
 
 def test_dataset_from_arrays_accepts_integral_floats():
-    data = Dataset.from_arrays(np.array([2.0, 0.0]), [[1.0, 0.5], [1.0, 1.5]])
+    data = Dataset(np.array([2.0, 0.0]), [[1.0, 0.5], [1.0, 1.5]])
     assert data.y.tolist() == [2, 0]
 
 
@@ -171,9 +171,9 @@ def test_from_arrays_matches_per_row_rule(case):
     message = per_row_rule(y, X)
     if message is not None:
         with pytest.raises(ValueError, match=re.escape(message)):
-            Dataset.from_arrays(y, X)
+            Dataset(y, X)
         return
-    data = Dataset.from_arrays(y, X)
+    data = Dataset(y, X)
     assert data.y.tolist() == [int(v) for v in np.asarray(y).tolist()]
     assert np.array_equal(data.X, np.asarray(X, dtype=float))
 
@@ -184,7 +184,7 @@ def test_object_counts_with_non_finite_follow_per_row_rule(y):
     # Counts beyond uint64 make an object array, where numpy warns on NaN.
     X = [[0.0, 0.0]] * len(y)
     with pytest.raises(ValueError, match=re.escape(per_row_rule(y, X))):
-        Dataset.from_arrays(y, X)
+        Dataset(y, X)
 
 
 def test_dataset_covariate_dimensions():
@@ -373,14 +373,14 @@ def test_log_pmf_normalizes():
 def test_log_likelihood_single_observation():
     x = np.array([1.0, 2.0])
     params = ModelParams(beta=np.array([0.1, 0.2]), mu=40.0, alpha=9.0)
-    data = Dataset.from_arrays([17], [x])
+    data = Dataset([17], [x])
     assert log_likelihood(data, params) == log_pmf(17, x, params)
 
 
 def test_log_likelihood_additivity():
     rng = np.random.default_rng(24)
     data, params = random_instance(rng)
-    doubled = Dataset.from_arrays(
+    doubled = Dataset(
         np.concatenate([data.y, data.y]), np.vstack([data.X, data.X]))
     one = log_likelihood(data, params)
     two = log_likelihood(doubled, params)
@@ -446,7 +446,7 @@ def test_score_mean_matching_observation():
     mu = 84.0
     m = mu * link_h(x, beta)  # 42.0
     assert m == pytest.approx(42.0)
-    data = Dataset.from_arrays([42], [x])
+    data = Dataset([42], [x])
     params = ModelParams(beta=beta, mu=mu, alpha=INFINITE)
     g = score(data, params)
     assert abs(g[-1]) < 1e-12
@@ -525,10 +525,11 @@ def _bits(value):
        calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5),
                                 st.integers(0, 2)), min_size=1, max_size=16))
 def test_cached_point_matches_fresh_evaluation(seed, calls):
-    # Two datasets evaluated alternately, at finite alpha and at INFINITE,
-    # through distinct but equal-valued ModelParams objects and through
-    # points that differ only in beta or only in alpha: every result equals,
-    # bit for bit, that of a fresh Dataset and ModelParams.
+    # Results do not depend on call history. Two datasets evaluated
+    # alternately, at finite alpha and at INFINITE, through distinct but
+    # equal-valued ModelParams objects and through points that differ only
+    # in beta or only in alpha: every result equals, bit for bit, that of a
+    # fresh Dataset and ModelParams.
     rng = np.random.default_rng(seed)
     full_data, full = random_instance(rng)
     sub_data, sub = random_instance(rng, poisson_size=True)
@@ -546,6 +547,8 @@ def test_cached_point_matches_fresh_evaluation(seed, calls):
 
 
 def test_dimension_mismatch_raises_after_cached_point():
+    # A mismatch raises whatever was evaluated before it, and leaves the
+    # next result as a fresh Dataset gives it.
     data, params = random_instance(np.random.default_rng(31))
     log_likelihood(data, params)
     wider = ModelParams(np.append(params.beta, 0.5), params.mu, params.alpha)
@@ -557,18 +560,20 @@ def test_dimension_mismatch_raises_after_cached_point():
 
 
 def test_fits_leave_no_cached_point(monkeypatch):
+    # A Dataset holds its arrays and what follows from them alone, never a
+    # point a fit evaluated.
+    arrays = {"_y", "_X", "_yf", "_positive", "_y_max", "_log_y_factorial"}
     data = jejunal_dataset()
     sub = fit_poisson_size(data)
-    assert data._last_point is None
+    assert set(vars(data)) <= arrays
     fit_full(data, init=sub.params)
-    assert data._last_point is None
+    assert set(vars(data)) <= arrays
 
-    def fail(data, params):
-        hessian(data, params)
+    def fail(params, raw_h):
         raise np.linalg.LinAlgError("information matrix has a non-finite entry")
 
     # Also when the fit raises after its last evaluation.
     monkeypatch.setattr(latentbinom.estimation, "_standard_errors", fail)
     with pytest.raises(np.linalg.LinAlgError):
         fit_poisson_size(data)
-    assert data._last_point is None
+    assert set(vars(data)) <= arrays
