@@ -5,10 +5,13 @@ submodel.
 Optimization runs in unconstrained coordinates (beta, log mu[, log alpha])
 with the analytic score: a quasi-Newton stage (BFGS) followed by a damped
 Newton polish using the analytic Hessian. Each trial point's link is
-evaluated once and passed to the kernels that need it. Standard errors come
-from the inverse of the negated observed Hessian at the estimate, which is
-also what reproduces the reference results; the expected-information
-matrices in the information module stay available for cross-checks.
+evaluated once and passed to one derivative pass of the order it needs: the
+score in the quasi-Newton stage, the value alone at a polish trial, and the
+Hessian too at each accepted point, which the next step and the result
+read. Standard errors come from the inverse of the negated observed Hessian
+at the estimate, which is also what reproduces the reference results; the
+expected-information matrices in the information module stay available for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .information import NEAR_SINGULAR_CONDITION, inverse_with_condition
-from .model import (Dataset, ModelParams, INFINITE, _hessian, _log_likelihood,
-                    _point, _score)
+from .model import Dataset, ModelParams, INFINITE, _derivatives, _point
 
 __all__ = [
     "FitResult",
@@ -155,9 +157,8 @@ def _optimize(data: Dataset, p0: np.ndarray):
         nonlocal point
         params = _unpack(p, d)
         point = _point(data, params)
-        ll = _log_likelihood(data, params, point)
-        g = _transformed_grad(params, _score(data, params, point))
-        return -ll, -g
+        ll, raw_g = _derivatives(data, params, point, 1)
+        return -ll, -_transformed_grad(params, raw_g)
 
     with np.errstate(**_QUIET):
         res = minimize(objective, p0, jac=True, method="BFGS",
@@ -165,7 +166,7 @@ def _optimize(data: Dataset, p0: np.ndarray):
         p = res.x.copy()
         params = _unpack(p, d)
         point = _point(data, params)  # drops the objective's last point
-        ll = _log_likelihood(data, params, point)
+        ll, raw_g, raw_h = _derivatives(data, params, point, 2)
         n_iter = int(res.nit)
 
         # Damped Newton refinement with the analytic Hessian. The quasi-Newton
@@ -174,16 +175,15 @@ def _optimize(data: Dataset, p0: np.ndarray):
         # Near the maximum the objective is flat to float resolution while
         # the gradient is still computable accurately, so a step that leaves
         # the log-likelihood unchanged within evaluation noise but clearly
-        # shrinks the gradient is also accepted.
+        # shrinks the gradient is also accepted. Each accepted point gets one
+        # order-2 pass, which the next step and the result both read.
         ll_slack = 1e3 * np.finfo(float).eps * (1.0 + abs(ll))
-        g_norm = math.inf
         for _ in range(_POLISH_STEPS):
-            raw_g = _score(data, params, point)
             g = _transformed_grad(params, raw_g)
             g_norm = np.max(np.abs(g))
             if g_norm < _GRAD_TOL:
                 break
-            Ht = _transformed_hess(params, _hessian(data, params, point), raw_g)
+            Ht = _transformed_hess(params, raw_h, raw_g)
             try:
                 delta = np.linalg.solve(Ht, -g)
             except np.linalg.LinAlgError:
@@ -199,14 +199,15 @@ def _optimize(data: Dataset, p0: np.ndarray):
                 cand = p + step * delta
                 cand_params = _unpack(cand, d)
                 cand_point = _point(data, cand_params)
-                cand_ll = _log_likelihood(data, cand_params, cand_point)
+                (cand_ll,) = _derivatives(data, cand_params, cand_point, 0)
                 accept = cand_ll > ll
                 if not accept and cand_ll >= ll - ll_slack:
-                    cand_g = _transformed_grad(
-                        cand_params, _score(data, cand_params, cand_point))
-                    accept = np.max(np.abs(cand_g)) < 0.9 * g_norm
+                    _, cand_g = _derivatives(data, cand_params, cand_point, 1)
+                    accept = (np.max(np.abs(_transformed_grad(cand_params, cand_g)))
+                              < 0.9 * g_norm)
                 if accept:
-                    p, params, ll, point = cand, cand_params, cand_ll, cand_point
+                    p, params, point = cand, cand_params, cand_point
+                    ll, raw_g, raw_h = _derivatives(data, params, point, 2)
                     improved = True
                     break
                 step *= 0.5
@@ -214,8 +215,6 @@ def _optimize(data: Dataset, p0: np.ndarray):
             if not improved:
                 break
 
-        raw_g = _score(data, params, point)
-        raw_h = _hessian(data, params, point)
     g = _transformed_grad(params, raw_g)
     converged = bool(
         np.max(np.abs(g)) < _GRAD_TOL or np.max(np.abs(raw_g)) < _RAW_SCORE_TOL
@@ -258,7 +257,11 @@ def _fit(data: Dataset, p0: np.ndarray) -> FitResult:
     )
 
 
-def _require_identifiable(data: Dataset) -> None:
+def _require_identifiable(data: Dataset, init: ModelParams | None) -> None:
+    # _unpack splits the start vector by data.d: refuse any other length.
+    if init is not None and init.beta.size != data.d:
+        raise ValueError(f"dimension mismatch: dataset d={data.d}, "
+                         f"init beta has {init.beta.size}")
     rank = int(np.linalg.matrix_rank(data.X))
     if rank < data.d:
         raise ValueError(
@@ -283,9 +286,10 @@ def _require_identifiable(data: Dataset) -> None:
 def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResult:
     """Fit the Poisson-size submodel (alpha = INFINITE) over (beta, mu).
 
-    Raises ValueError on non-identifiable (beta, mu) or all-zero counts.
+    Raises ValueError on an init beta whose length is not the dataset's d,
+    non-identifiable (beta, mu) or all-zero counts.
     """
-    _require_identifiable(data)
+    _require_identifiable(data, init)
     if init is not None:
         beta0, mu0 = np.asarray(init.beta, dtype=float), float(init.mu)
     else:
@@ -303,12 +307,12 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     A full-model init is used as given. When the shape direction is too flat
     to carry information (huge variance or severe ill-conditioning), the
     alpha standard error is reported as NaN and a diagnostic explains why.
-    Raises ValueError on non-identifiable (beta, mu) or all-zero counts.
+    Raises ValueError as fit_poisson_size does.
     """
     if init is None:
         init = fit_poisson_size(data).params
     else:
-        _require_identifiable(data)
+        _require_identifiable(data, init)
     beta0, mu0 = np.asarray(init.beta, float), float(init.mu)
     alpha0 = 100.0 if init.is_poisson_size else float(init.alpha)
     p0 = np.concatenate([beta0, [math.log(mu0), math.log(alpha0)]])

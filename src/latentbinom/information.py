@@ -113,7 +113,8 @@ def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, flo
     V11 is the asymptotic covariance of beta-hat, V22 the variance of mu-hat.
     Computed from the partitioned-inverse identities rather than a generic
     matrix inverse, so the factorization V11 = (1/mu) * (...) and
-    V22 = mu * (...) with mu-free inner matrices stays explicit.
+    V22 = mu * (...) with mu-free inner matrices stays explicit. params.alpha
+    is ignored: a finite shape still gives the Poisson-size blocks.
     """
     X, r, h = _design_arrays(X, r, params)
     d = X.shape[1]

@@ -226,8 +226,8 @@ def link_h(x, beta) -> float:
 
 def _point(data: Dataset, params: ModelParams) -> tuple:
     """(h, m = mu h, alpha + m, log1p(m / alpha)) over the rows at params;
-    the last two are None when alpha is INFINITE. The kernels take it as an
-    argument, so one link evaluation can serve several of them."""
+    the last two are None when alpha is INFINITE. _derivatives takes it as
+    an argument, so one link evaluation serves every pass at that point."""
     if data.d != params.beta.size:
         raise ValueError(
             f"dimension mismatch: dataset d={data.d}, beta has {params.beta.size}"
@@ -238,24 +238,28 @@ def _point(data: Dataset, params: ModelParams) -> tuple:
     return (h, m, None, None) if math.isinf(a) else (h, m, a + m, np.log1p(m / a))
 
 
-def _shift_table(y_max: int, alpha: float, power: int) -> np.ndarray:
-    """T[k] = sum_{j<k} (log(alpha+j) if power==0 else (alpha+j)^-power).
+def _shift_sums(data: Dataset, alpha: float, order: int):
+    """Yield T0[y], ..., T_order[y] at the counts y, where
+    Tp[k] = sum_{j<k} (log(alpha+j) if p == 0 else (alpha+j)^-p).
 
     Gamma-type functions of alpha + y collapse to these finite sums when y is
     an integer: log G(a+y) - log G(a) = T0[y], psi(a+y) - psi(a) = T1[y],
     psi'(a+y) - psi'(a) = -T2[y]. Evaluating the differences this way stays
     exact when alpha is many orders larger than y, where subtracting two
-    large special-function values would lose every significant digit.
+    large special-function values would lose every significant digit. One
+    alpha + j vector and one buffer serve every table, gathered on demand.
     """
+    y_max = data._y_max
     try:
-        j = np.arange(y_max, dtype=float)
-        vals = np.log(alpha + j) if power == 0 else (alpha + j) ** (-float(power))
+        aj = np.arange(y_max, dtype=float)
+        aj += alpha  # in place: a freed temporary here fragments the heap
         table = np.zeros(y_max + 1)
+        for p in range(order + 1):
+            np.cumsum(np.log(aj) if p == 0 else aj ** (-float(p)), out=table[1:])
+            yield table[data.y]
     except (MemoryError, ValueError):  # ValueError: more bytes than intp holds
         raise RuntimeError(f"count {y_max} needs a shift table of {y_max + 1} "
                            "entries, more than memory allows") from None
-    np.cumsum(vals, out=table[1:])
-    return table
 
 
 # log-gamma for the log(y!) constant: the Lanczos approximation (g=7, 9
@@ -337,21 +341,7 @@ def log_pmf(y: int, x, params: ModelParams) -> float:
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sum of log_pmf over the dataset."""
-    return _log_likelihood(data, params, _point(data, params))
-
-
-def _log_likelihood(data: Dataset, params: ModelParams, point: tuple) -> float:
-    _, m, am, log1p_ma = point
-    y, pos, lgy1 = data._yf, data._positive, data._log_y_factorial
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_safe = np.where(m > 0, m, 1.0)
-        ylog = np.where(pos, y * np.log(m_safe if am is None else m_safe / am), 0.0)
-        ylog = np.where(pos & (m == 0.0), -np.inf, ylog)
-    if am is None:
-        return float(np.sum(ylog - m - lgy1))
-    a = params.alpha
-    lg_diff = _shift_table(data._y_max, a, 0)[data.y]
-    return float(np.sum(lg_diff + ylog - lgy1 - a * log1p_ma))
+    return _derivatives(data, params, _point(data, params), 0)[0]
 
 
 def score(data: Dataset, params: ModelParams) -> np.ndarray:
@@ -360,27 +350,7 @@ def score(data: Dataset, params: ModelParams) -> np.ndarray:
     For alpha = INFINITE the returned vector has length d + 1 (no alpha
     component exists in the submodel).
     """
-    return _score(data, params, _point(data, params))
-
-
-def _score(data: Dataset, params: ModelParams, point: tuple) -> np.ndarray:
-    y = data._yf
-    h, m, am, log1p_ma = point
-    mu = params.mu
-    dh = h * (1.0 - h)
-    if am is None:
-        dbeta = data.X.T @ ((y / h - mu) * dh)
-        dmu = float(np.sum(y / mu - h))
-        return np.concatenate([dbeta, [dmu]])
-    a = params.alpha
-    w = (a + y) / am
-    dbeta = data.X.T @ ((y / h - w * mu) * dh)
-    dmu = float(np.sum(y / mu - w * h))
-    # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which stays
-    # accurate when alpha dwarfs m; the digamma difference is a shift table.
-    psi_diff = _shift_table(data._y_max, a, 1)[data.y]
-    dalpha = float(np.sum(psi_diff - log1p_ma - (y - m) / am))
-    return np.concatenate([dbeta, [dmu, dalpha]])
+    return _derivatives(data, params, _point(data, params), 1)[1]
 
 
 def _mirrored(block: np.ndarray) -> np.ndarray:
@@ -397,44 +367,63 @@ def hessian(data: Dataset, params: ModelParams) -> np.ndarray:
     (d+1) x (d+1) matrix when alpha = INFINITE, else (d+2) x (d+2). The
     result is symmetric by construction.
     """
-    return _hessian(data, params, _point(data, params))
+    return _derivatives(data, params, _point(data, params), 2)[2]
 
 
-def _hessian(data: Dataset, params: ModelParams, point: tuple) -> np.ndarray:
-    y = data._yf
-    X = data.X
-    d = data.d
-    h, m, am, _ = point
-    mu = params.mu
-    dh = h * (1.0 - h)
-    d2h = dh * (1.0 - 2.0 * h)
+def _y_log_mean(data: Dataset, m: np.ndarray, am) -> np.ndarray:
+    """y log(m), or y log(m / (alpha + m)) at a finite shape: 0 where y = 0,
+    -inf where y > 0 but m underflowed to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_safe = np.where(m > 0, m, 1.0)
+        ylog = data._yf * np.log(m_safe if am is None else m_safe / am)
+    return np.where(data._positive, np.where(m == 0.0, -np.inf, ylog), 0.0)
 
+
+def _derivatives(data: Dataset, params: ModelParams, point: tuple,
+                 order: int) -> tuple:
+    """(log_likelihood,), (.., score) or (.., score, hessian) for order 0, 1
+    or 2, at point = _point(data, params). One pass shares the link, the
+    means and the shift tables among the three."""
+    h, m, am, log1p_ma = point
+    y, X, d, mu = data._yf, data.X, data.d, params.mu
     if am is None:
-        H = np.zeros((d + 1, d + 1))
-        cb = (y / h - mu) * d2h - (y / h**2) * dh**2
-        H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-        H[d, d] = float(np.sum(-y / mu**2))
-        cross = -(dh @ X)
-        H[:d, d] = cross
-        H[d, :d] = cross
-        return H
+        out = [float(np.sum(_y_log_mean(data, m, am) - m - data._log_y_factorial))]
+        if order >= 1:
+            dh = h * (1.0 - h)
+            dbeta = X.T @ ((y / h - mu) * dh)
+            out.append(np.concatenate([dbeta, [float(np.sum(y / mu - h))]]))
+        if order >= 2:
+            H = np.zeros((d + 1, d + 1))
+            cb = (y / h - mu) * (dh * (1.0 - 2.0 * h)) - (y / h**2) * dh**2
+            H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
+            H[d, d] = float(np.sum(-y / mu**2))
+            H[:d, d] = H[d, :d] = -(dh @ X)
+            out.append(H)
+        return tuple(out)
 
     a = params.alpha
-    w = (a + y) / am
-    H = np.zeros((d + 2, d + 2))
-    cb = (y / h - w * mu) * d2h + ((a + y) * mu**2 / am**2 - y / h**2) * dh**2
-    H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-    H[d, d] = float(np.sum(-y / mu**2 + (a + y) * h**2 / am**2))
-    # trigamma difference as a shift table; 1/a - 1/(a+m) written m/(a(a+m)).
-    psi1_diff = -_shift_table(data._y_max, a, 2)[data.y]
-    H[d + 1, d + 1] = float(np.sum(psi1_diff + m / (a * am) + (y - m) / am**2))
-    bm = (-(a + y) * a / am**2 * dh) @ X
-    H[:d, d] = bm
-    H[d, :d] = bm
-    ba = (mu * (y - m) / am**2 * dh) @ X
-    H[:d, d + 1] = ba
-    H[d + 1, :d] = ba
-    ma = float(np.sum(h * (y - m) / am**2))
-    H[d, d + 1] = ma
-    H[d + 1, d] = ma
-    return H
+    shifts = _shift_sums(data, a, order)
+    out = [float(np.sum(next(shifts) + _y_log_mean(data, m, am)
+                        - data._log_y_factorial - a * log1p_ma))]
+    if order >= 1:
+        dh = h * (1.0 - h)
+        w = (a + y) / am
+        dbeta = X.T @ ((y / h - w * mu) * dh)
+        dmu = float(np.sum(y / mu - w * h))
+        # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which stays
+        # accurate when alpha dwarfs m; the digamma difference is T1[y].
+        dalpha = float(np.sum(next(shifts) - log1p_ma - (y - m) / am))
+        out.append(np.concatenate([dbeta, [dmu, dalpha]]))
+    if order >= 2:
+        H = np.zeros((d + 2, d + 2))
+        cb = ((y / h - w * mu) * (dh * (1.0 - 2.0 * h))
+              + ((a + y) * mu**2 / am**2 - y / h**2) * dh**2)
+        H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
+        H[d, d] = float(np.sum(-y / mu**2 + (a + y) * h**2 / am**2))
+        # The trigamma difference is -T2[y]; 1/a - 1/(a+m) written m/(a(a+m)).
+        H[d + 1, d + 1] = float(np.sum(-next(shifts) + m / (a * am) + (y - m) / am**2))
+        H[:d, d] = H[d, :d] = (-(a + y) * a / am**2 * dh) @ X
+        H[:d, d + 1] = H[d + 1, :d] = (mu * (y - m) / am**2 * dh) @ X
+        H[d, d + 1] = H[d + 1, d] = float(np.sum(h * (y - m) / am**2))
+        out.append(H)
+    return tuple(out)

@@ -167,17 +167,49 @@ def test_full_fit_from_poisson_fit_matches_fresh_fit(monkeypatch, case):
 def test_optimizer_evaluates_through_module_names(monkeypatch):
     # Call counts per layer are read by wrapping these names in the
     # estimation namespace; a fit that bypassed them would read as zero.
-    # Every trial point has one link evaluation and one likelihood.
+    # Every trial point has one link evaluation, which the derivative passes
+    # read: each point made is read, at no order twice. The jejunal fits
+    # try 24 and 112 points.
     data = jejunal_dataset()
-    calls = count_calls(monkeypatch, estimation,
-                        ("_point", "_log_likelihood", "_score", "_hessian"))
+    points, passes = [], []
+    point, derivatives = estimation._point, estimation._derivatives
+
+    def counted_point(*args):
+        points.append(point(*args))
+        return points[-1]
+
+    def counted_derivatives(data, params, at, order):
+        passes.append((id(at), order))
+        return derivatives(data, params, at, order)
+
+    monkeypatch.setattr(estimation, "_point", counted_point)
+    monkeypatch.setattr(estimation, "_derivatives", counted_derivatives)
+
+    def check(n_points):
+        assert len(points) == n_points
+        assert {at for at, _ in passes} == {id(p) for p in points}
+        assert len(set(passes)) == len(passes)
+        assert 1 <= sum(order == 2 for _, order in passes) < n_points
+        points.clear()
+        passes.clear()
+
     sub = fit_poisson_size(data)
-    assert all(n > 0 for n in calls.values()), calls
-    assert calls["_point"] == calls["_log_likelihood"], calls
-    calls.update(dict.fromkeys(calls, 0))
+    check(24)
     fit_full(data, init=sub.params)
-    assert all(n > 0 for n in calls.values()), calls
-    assert calls["_point"] == calls["_log_likelihood"], calls
+    check(112)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("fit", [fit_poisson_size, fit_full])
+def test_init_of_wrong_dimension_rejected(fit, extra):
+    # A start vector is split by the dataset's d, so a beta of another
+    # length would be read as part of mu or alpha; it is refused first.
+    data = jejunal_dataset()
+    beta = [6.7, -1.1, 0.0][:data.d + extra]
+    init = ModelParams(beta=beta, mu=200.0, alpha=INFINITE)
+    with pytest.raises(ValueError, match=(
+            f"^dimension mismatch: dataset d=2, init beta has {2 + extra}$")):
+        fit(data, init=init)
 
 
 @pytest.mark.parametrize("fit", [fit_poisson_size, fit_full])

@@ -8,7 +8,7 @@ import pytest
 
 from latentbinom import (INFINITE, ModelParams, block_variance_partition,
                          info_full, info_known_mean, inverse_with_condition,
-                         link_h)
+                         link_h, table_settings)
 from latentbinom.information import _design_arrays, _gram
 
 
@@ -210,6 +210,24 @@ def test_block_partition_monotone_in_mu():
         assert np.all(hi <= lo * (1 + 1e-12))
     for lo, hi in zip(v22s, v22s[1:]):
         assert hi >= lo * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("number", range(1, 17))
+def test_block_partition_matches_inverse_on_table_settings(number):
+    # At alpha = INFINITE the blocks are those of the inverse Poisson-size
+    # information, and mu * V11 and V22 / mu are free of mu.
+    setting = table_settings()[number - 1]
+    X, r, d = setting.X, setting.r, setting.X.shape[1]
+    params = ModelParams(beta=setting.beta, mu=setting.mu, alpha=INFINITE)
+    v11, v22 = block_variance_partition(X, r, params)
+    inverse = inverse_with_condition(info_full(X, r, params))[0]
+    np.testing.assert_allclose(v11, inverse[:d, :d], rtol=1e-12, atol=0)
+    assert v22 == pytest.approx(inverse[d, d], rel=1e-12, abs=0)
+    for mu in (setting.mu / 7.0, setting.mu * 3.0):
+        w11, w22 = block_variance_partition(
+            X, r, ModelParams(beta=setting.beta, mu=mu, alpha=INFINITE))
+        np.testing.assert_allclose(mu * w11, setting.mu * v11, rtol=1e-12, atol=0)
+        assert w22 / mu == pytest.approx(v22 / setting.mu, rel=1e-12, abs=0)
 
 
 def test_block_partition_singular_design_raises():

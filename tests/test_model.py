@@ -15,7 +15,7 @@ from latentbinom import (Dataset, FitResult, INFINITE, LatentRecord,
                          ModelParams, fit_full, fit_poisson_size,
                          generate_dataset, hessian, jejunal_dataset, link_h,
                          log_likelihood, log_pmf, make_setting, score)
-from latentbinom.model import _logistic
+from latentbinom.model import _derivatives, _logistic, _point
 
 
 def test_package_exports_resolve():
@@ -557,6 +557,35 @@ def test_dimension_mismatch_raises_after_cached_point():
             kernel(data, wider)
     assert _bits(score(data, params)) == _bits(score(Dataset(data.y, data.X),
                                                      params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), poisson_size=st.booleans())
+def test_derivative_orders_share_one_pass(seed, poisson_size):
+    # A pass of order k begins with the pass of every lower order, bit for
+    # bit, and the public functions are its slices.
+    data, params = random_instance(np.random.default_rng(seed), poisson_size)
+    point = _point(data, params)
+    passes = [_derivatives(data, params, point, k) for k in range(3)]
+    for k, longer in enumerate(passes):
+        assert len(longer) == k + 1
+        for j in range(k + 1):
+            assert ([_bits(v) for v in longer[:j + 1]]
+                    == [_bits(v) for v in passes[j]]), (j, k)
+    for k, kernel in enumerate(_KERNELS):
+        assert _bits(kernel(data, params)) == _bits(passes[k][k]), k
+
+
+def test_shift_table_refusal_at_every_order():
+    # Only the full model needs the shift tables over 0..max y, 8 PB at
+    # 10**15, which numpy refuses at once; the submodel evaluates the count.
+    data = Dataset([3, 10**15, 2], [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    beta = np.array([0.5, -0.2])
+    for kernel in _KERNELS:
+        with pytest.raises(RuntimeError, match=f"^count {10**15} .*more than memory"):
+            kernel(data, ModelParams(beta=beta, mu=100.0, alpha=25.0))
+        value = kernel(data, ModelParams(beta=beta, mu=100.0, alpha=INFINITE))
+        assert np.all(np.isfinite(value)), kernel.__name__
 
 
 def test_fits_leave_no_cached_point(monkeypatch):
