@@ -19,12 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import (
-    _design_arrays,
-    info_full,
-    info_known_mean,
-    inverse_with_condition,
-)
+from .information import (_design_arrays, _info_stack, info_full, info_known_mean,
+                          inverse_with_condition)
 from .model import INFINITE, ModelParams
 
 __all__ = [
@@ -167,11 +163,11 @@ def efficiency_measures(setting: EffSetting) -> EffResult:
     return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
 
 
-def _ascending_grid(values: Sequence[float], name: str) -> list[float]:
-    """values as floats, checked positive and strictly ascending."""
+def _ascending_grid(values: Sequence[float], name: str, finite=False) -> list[float]:
+    """values as floats: positive (NaN is not), finite if asked, strictly ascending."""
     grid = [float(v) for v in values]
-    if any(v <= 0 for v in grid):
-        raise ValueError(f"{name} grid must be positive")
+    if not all(v > 0 and (v < INFINITE or not finite) for v in grid):
+        raise ValueError(f"{name} grid must be positive" + " and finite" * finite)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} grid must be strictly ascending")
     return grid
@@ -182,19 +178,18 @@ def gamma_curve(setting: EffSetting,
     """gamma evaluated along an ascending grid of shape values.
 
     The design, slope, and size mean come from the setting; its alpha is
-    ignored in favor of the grid. Raises RuntimeError when a gamma falls
-    outside (0, 1], as efficiency_measures does.
+    ignored in favor of the grid, evaluated with the Poisson-size point as
+    one stack. Raises RuntimeError when a gamma falls outside (0, 1], as
+    efficiency_measures does.
     """
     grid = _ascending_grid(alpha_grid, "alpha")
-    base = setting.params
-    v_poisson, c_poisson = _slope_variance(
-        info_full(setting.X, setting.r, replace(base, alpha=INFINITE)))
-    out = []
-    for a in grid:
-        v_full, c_full = _slope_variance(
-            info_full(setting.X, setting.r, replace(base, alpha=a)))
-        out.append((a, _measure("gamma", v_poisson / v_full, max(c_poisson, c_full))))
-    return out
+    X, r, h = _design_arrays(setting.X, setting.r, setting.params)
+    inv, cond, _ = inverse_with_condition(
+        _info_stack(X, r, h, setting.mu, [INFINITE] + grid))
+    # Python floats, as efficiency_measures divides and takes roots.
+    (v_poisson, *v_full), (c_poisson, *c_full) = inv[:, 1, 1].tolist(), cond.tolist()
+    return [(a, _measure("gamma", v_poisson / v, max(c_poisson, c)))
+            for a, v, c in zip(grid, v_full, c_full)]
 
 
 def sd_vs_mu_curves(setting: EffSetting,
@@ -205,19 +200,16 @@ def sd_vs_mu_curves(setting: EffSetting,
     The intercept and slope columns are nonincreasing in the mean and the
     mean's own column nondecreasing: more latent counts pin the response
     probabilities down better while the mean itself gets harder to separate.
-    Raises RuntimeError when an unstable inverse gives a non-positive
-    variance.
+    The grid is one stacked evaluation, as in gamma_curve. Raises
+    RuntimeError when an unstable inverse gives a non-positive variance.
     """
-    grid = _ascending_grid(mu_grid, "mu")
-    base = setting.params
-    out = []
-    for mu in grid:
-        inv, cond, _ = inverse_with_condition(
-            info_full(setting.X, setting.r, replace(base, mu=mu)))
-        var = np.diag(inv)[:3]
-        if not np.all(var > 0.0):
+    grid = _ascending_grid(mu_grid, "mu", finite=True)
+    X, r, h = _design_arrays(setting.X, setting.r, setting.params)
+    inv, cond, _ = inverse_with_condition(_info_stack(X, r, h, grid, setting.alpha))
+    var = np.diagonal(inv, axis1=-2, axis2=-1)[:, :3]
+    for mu, v, c in zip(grid, var, cond):
+        if not np.all(v > 0.0):
             raise RuntimeError(
                 f"non-positive variance at mu = {mu!r}: the information matrix "
-                f"is too ill-conditioned to invert stably (condition {cond:.3e})")
-        out.append((mu, *(float(v) for v in np.sqrt(var))))
-    return out
+                f"is too ill-conditioned to invert stably (condition {c:.3e})")
+    return [(mu, *sd) for mu, sd in zip(grid, np.sqrt(var).tolist())]

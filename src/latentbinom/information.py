@@ -23,7 +23,8 @@ u_i = x_i. The scenarios differ only in the weights:
 
 No weight divides by h or 1 - h, so a row whose link saturates to exactly
 0 or 1 adds nothing instead of 0/0. The block partition uses the
-Poisson-size matrix at mu = 1.
+Poisson-size matrix at mu = 1. A stack of (mu, alpha) pairs, such as a
+curve's grid, is one Gram product; info_full is the same code at one pair.
 
 The matrices are ordered (beta..., mu) and hold no alpha row: the shape is
 orthogonal to (beta, mu) (Cox & Reid 1987, JRSS-B 49:1), so every slope and
@@ -77,11 +78,25 @@ def _design_arrays(X, r, params: ModelParams):
 
 def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
     """sum_i w_i u_i u_i' with u_i = ((1 - h_i) x_i, 1 / mu), or u_i = x_i
-    when mu is None; exactly symmetric."""
+    when mu is None; exactly symmetric. Weight rows w (..., n), with mu
+    broadcast against (...), give a stack (..., m, m), one matrix per row."""
     u = X
     if mu is not None:
-        u = np.column_stack([(1.0 - h)[:, None] * X, np.full(h.size, 1.0 / mu)])
-    return _mirrored((u * w[:, None]).T @ u)
+        mu = np.asarray(mu, dtype=float)
+        u = np.empty(mu.shape + (h.size, X.shape[1] + 1))
+        u[..., :-1] = (1.0 - h)[:, None] * X
+        u[..., -1] = (1.0 / mu)[..., None]
+    return _mirrored((u * w[..., None]).swapaxes(-1, -2) @ u)
+
+
+def _info_stack(X, r, h, mu, alpha) -> np.ndarray:
+    """info_full on validated design arrays at each (mu, alpha) pair that mu
+    and alpha broadcast to: a matrix for scalars, else a stack (..., m, m)."""
+    m, a = (np.asarray(v, dtype=float)[..., None] for v in (mu, alpha))
+    # mu h / alpha may overflow at a tiny shape; the weight's limit there is
+    # 0. At alpha = INFINITE the weight divides by exactly 1.0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gram(X, h, r * m * h / (1.0 + m * h / a), mu)
 
 
 def info_full(X, r, params: ModelParams) -> np.ndarray:
@@ -93,11 +108,7 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
     non-finite matrix, which inverse_with_condition refuses.
     """
     X, r, h = _design_arrays(X, r, params)
-    mu = params.mu
-    # mu h / alpha may overflow at a tiny shape; the weight's limit there is
-    # 0. At alpha = INFINITE the weight divides by exactly 1.0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gram(X, h, r * mu * h / (1.0 + mu * h / params.alpha), mu)
+    return _info_stack(X, r, h, params.mu, params.alpha)
 
 
 def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
@@ -130,7 +141,7 @@ def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, flo
     return v11, float(v22)
 
 
-def inverse_with_condition(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def inverse_with_condition(matrix: np.ndarray) -> tuple:
     """Symmetric inverse with a condition report.
 
     Returns (inverse, condition number, near_singular flag). The inverse is
@@ -138,10 +149,13 @@ def inverse_with_condition(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]
     still yields a result, flagged rather than raised; an indefinite matrix
     yields condition = inf. A non-finite matrix, or one with an eigenvalue
     whose reciprocal may overflow (zero included), raises LinAlgError.
+    A stack (..., m, m) gives arrays of conditions and flags, each slice as
+    if alone, and is refused whole: a non-finite entry in any slice is
+    reported before a near-zero eigenvalue in any.
     """
     m = np.asarray(matrix, dtype=float)
     with np.errstate(over="ignore"):
-        m = 0.5 * (m + m.T)
+        m = 0.5 * (m + m.swapaxes(-1, -2))
     if not np.all(np.isfinite(m)):
         raise np.linalg.LinAlgError("information matrix has a non-finite entry")
     vals, vecs = np.linalg.eigh(m)
@@ -149,7 +163,8 @@ def inverse_with_condition(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]
     if not np.all(np.abs(vals) >= np.finfo(float).tiny):
         raise np.linalg.LinAlgError(
             "information matrix has an eigenvalue too close to zero to invert")
-    # A ratio of Python floats overflows to inf without a numpy warning.
-    cond = math.inf if np.any(vals <= 0.0) else float(vals[-1]) / float(vals[0])
-    inv = (vecs / vals) @ vecs.T
-    return inv, cond, not (cond < NEAR_SINGULAR_CONDITION)
+    with np.errstate(over="ignore"):  # eigh sorts: vals[..., 0] is the least
+        cond = np.where(vals[..., 0] > 0.0, vals[..., -1] / vals[..., 0], math.inf)
+    inv = (vecs / vals[..., None, :]) @ vecs.swapaxes(-1, -2)
+    flag = ~(cond < NEAR_SINGULAR_CONDITION)
+    return (inv, float(cond), bool(flag)) if m.ndim == 2 else (inv, cond, flag)

@@ -355,8 +355,8 @@ def score(data: Dataset, params: ModelParams) -> np.ndarray:
 
 def _mirrored(block: np.ndarray) -> np.ndarray:
     # BLAS may round the two triangles of X' diag(w) X differently; copy the
-    # upper triangle down so the assembled Hessian is exactly symmetric.
-    return np.triu(block) + np.triu(block, 1).T
+    # upper triangle down so each assembled matrix is exactly symmetric.
+    return np.triu(block) + np.triu(block, 1).swapaxes(-1, -2)
 
 
 def hessian(data: Dataset, params: ModelParams) -> np.ndarray:

@@ -22,7 +22,7 @@ from latentbinom.cli import main
 
 
 # Outputs recorded by the benchmark at its seed commit, and the generator of
-# its fit inputs; both read only.
+# its fit and settings inputs; both read only.
 REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
 _spec = importlib.util.spec_from_file_location("bench_inputs",
                                                REFS.parent / "inputs.py")
@@ -309,13 +309,20 @@ def test_efficiency_output_byte_identical_across_runs(capsys):
     # Poisson-size fit accepts one step within the slack, its full fit three
     # ascent steps in a row.
     ("fit", "big/22", None),
+    # Benchmark settings grids, each mixing both designs: grid/0 mostly the
+    # second, grid/8 mostly the first and down to shape 5.
+    ("design", "grid/0", None), ("design", "grid/8", None),
 ])
 def test_output_matches_committed_reference(capsys, tmp_path, refs, key, argv):
     want = json.loads((REFS / f"{refs}.json").read_text(encoding="utf-8"))[key]
     if refs == "fit":
         assert want["rc"] == 0
         want = want["stdout"]
-    if argv is None:
+    if argv is None and refs == "design":
+        path = tmp_path / "grid.csv"
+        bench_inputs.write_grid_csv(path, int(key.split("/")[1]))
+        argv = ["efficiency", "--settings", str(path)]
+    elif argv is None:
         kind, k = key.split("/")
         path = tmp_path / "fit.csv"
         bench_inputs.write_fit_csv(path, kind, int(k))

@@ -1,13 +1,16 @@
 """Efficiency-loss measures rho and gamma and the two diagnostic curves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from latentbinom import (INFINITE, EffResult, ModelParams, builtin_designs,
                          efficiency_measures, gamma_curve, info_full,
-                         make_setting, sd_vs_mu_curves, table_settings)
+                         inverse_with_condition, make_setting, sd_vs_mu_curves,
+                         table_settings)
+from latentbinom.cli import _CURVE_PANELS, _MU_GRID, _SD_CURVE_PANELS, _alpha_grid
 
 # Reference (rho, gamma, rho*gamma) triples for the 16 tabulated settings.
 REFERENCE_ROWS = [
@@ -166,6 +169,77 @@ def test_gamma_curve_grid_validation():
         gamma_curve(setting, [25.0, 25.0])
     with pytest.raises(ValueError):
         gamma_curve(setting, [-1.0, 25.0])
+    for grid in ([25.0, math.nan], [math.nan, 25.0], [49.0, math.nan, 25.0]):
+        with pytest.raises(ValueError, match="alpha grid must be positive"):
+            gamma_curve(setting, grid)
+    assert gamma_curve(setting, [25.0, INFINITE])[-1] == (INFINITE, 1.0)
+
+
+def slope_variance(setting, **changes):
+    """The slope's variance at one point."""
+    inv, _, _ = inverse_with_condition(
+        info_full(setting.X, setting.r, replace(setting.params, **changes)))
+    return float(inv[1, 1])
+
+
+def gamma_per_point(setting, grid):
+    """gamma_curve as one information matrix and one inverse per point."""
+    v_poisson = slope_variance(setting, alpha=INFINITE)
+    return [(a, (v_poisson / slope_variance(setting, alpha=a)) ** 0.25) for a in grid]
+
+
+def sd_per_point(setting, grid):
+    """sd_vs_mu_curves as one information matrix and one inverse per point."""
+    out = []
+    for mu in grid:
+        inv, _, _ = inverse_with_condition(
+            info_full(setting.X, setting.r, replace(setting.params, mu=mu)))
+        out.append((mu, *(float(v) for v in np.sqrt(np.diag(inv)[:3]))))
+    return out
+
+
+@pytest.mark.parametrize("slope,mu", _CURVE_PANELS)
+def test_gamma_curve_equals_per_point_evaluation(slope, mu):
+    # One stacked evaluation gives each point exactly as a point alone.
+    setting = make_setting(builtin_designs()[0], slope, mu, alpha=25.0)
+    grid = _alpha_grid()
+    assert gamma_curve(setting, grid) == gamma_per_point(setting, grid)
+
+
+@pytest.mark.parametrize("slope,alpha", _SD_CURVE_PANELS)
+def test_sd_curves_equal_per_point_evaluation(slope, alpha):
+    setting = make_setting(builtin_designs()[0], slope, 100.0, alpha)
+    assert sd_vs_mu_curves(setting, _MU_GRID) == sd_per_point(setting, _MU_GRID)
+
+
+@pytest.mark.parametrize("curve,slope,mu,alpha,grid,outcome", [
+    (gamma_curve, 1.0, 100.0, 25.0, [1e-300, 25.0], 5.257396547716433e-76),
+    (gamma_curve, 1.0, 1e-310, 25.0, [25.0], "non-finite entry"),
+    (gamma_curve, 1.0, 1e308, 25.0, [25.0], "non-finite entry"),
+    (sd_vs_mu_curves, 1.0, 100.0, 25.0, [1e-310, 1.0], "non-finite entry"),
+    (sd_vs_mu_curves, 1.0, 100.0, 25.0, [100.0, 1e308], "non-finite entry"),
+    (gamma_curve, 50.0, 0.001, 1.0, [1.0], "too close to zero"),
+    (sd_vs_mu_curves, 50.0, 0.001, 1.0, [0.001], "too close to zero"),
+    (sd_vs_mu_curves, 1.0, 100.0, 1e-300, [50.0, 100.0], None),
+    # A mixed stack: the near-singular matrix at mu = 0.001 comes first, but
+    # every matrix is checked for non-finite entries before any is decomposed.
+    (sd_vs_mu_curves, 50.0, 100.0, 1.0, [0.001, 1e308], "non-finite entry"),
+], ids=["gamma-alpha-tiny", "gamma-mu-tiny", "gamma-mu-huge", "sd-mu-tiny",
+        "sd-mu-huge", "gamma-near-singular", "sd-near-singular",
+        "sd-alpha-tiny", "sd-mixed-stack"])
+def test_curves_on_hostile_grids(curve, slope, mu, alpha, grid, outcome):
+    # Overflow and underflow end in a value or a LinAlgError, never in a
+    # numpy warning (the suite turns warnings into errors).
+    setting = make_setting(builtin_designs()[0], slope, mu, alpha)
+    if isinstance(outcome, str):
+        with pytest.raises(np.linalg.LinAlgError, match=outcome):
+            curve(setting, grid)
+        return
+    rows = curve(setting, grid)
+    assert [row[0] for row in rows] == grid
+    assert all(math.isfinite(v) and v > 0 for row in rows for v in row[1:])
+    if outcome is not None:
+        assert rows[0][1] == outcome
 
 
 @pytest.mark.parametrize("curve,design,slope,mu,alpha,grid", [
@@ -224,3 +298,7 @@ def test_sd_curves_grid_validation():
         sd_vs_mu_curves(setting, [100.0, 50.0])
     with pytest.raises(ValueError):
         sd_vs_mu_curves(setting, [0.0, 50.0])
+    for grid in ([50.0, math.nan], [50.0, INFINITE], [100.0, math.nan, 50.0]):
+        with pytest.raises(ValueError, match="mu grid must be positive and finite"):
+            sd_vs_mu_curves(setting, grid)
+    assert sd_vs_mu_curves(setting, []) == []

@@ -9,7 +9,7 @@ import pytest
 from latentbinom import (INFINITE, ModelParams, block_variance_partition,
                          info_full, info_known_mean, inverse_with_condition,
                          link_h, table_settings)
-from latentbinom.information import _design_arrays, _gram
+from latentbinom.information import _design_arrays, _gram, _info_stack
 
 
 def design(doses, replications):
@@ -142,6 +142,40 @@ def test_full_at_infinite_alpha_is_poisson_size_gram():
     assert np.array_equal(info_full(X, r, params), want)
 
 
+# Size means and shapes across the table's range and beyond, INFINITE among
+# the shapes.
+STACK_MUS = (0.5, 100.0, 300.0, 1e4, 100.0, 37.5)
+STACK_ALPHAS = (25.0, INFINITE, 49.0, 5.0, 1e-3, INFINITE)
+
+
+@pytest.mark.parametrize("number", [1, 12])
+def test_info_stack_equals_info_full_per_pair(number):
+    # The stack is info_full's own code path, so each slice is the single
+    # matrix bit for bit, and a scalar broadcast against a stack is too.
+    setting = table_settings()[number - 1]
+    X, r, h = _design_arrays(setting.X, setting.r, setting.params)
+
+    def single(mu, alpha):
+        return info_full(X, r, ModelParams(beta=setting.beta, mu=mu, alpha=alpha))
+
+    stack = _info_stack(X, r, h, STACK_MUS, STACK_ALPHAS)
+    assert stack.shape == (len(STACK_MUS), 3, 3)
+    for got, mu, alpha in zip(stack, STACK_MUS, STACK_ALPHAS):
+        assert np.array_equal(got, single(mu, alpha))
+    for got, alpha in zip(_info_stack(X, r, h, setting.mu, STACK_ALPHAS), STACK_ALPHAS):
+        assert np.array_equal(got, single(setting.mu, alpha))
+    for got, mu in zip(_info_stack(X, r, h, STACK_MUS, setting.alpha), STACK_MUS):
+        assert np.array_equal(got, single(mu, setting.alpha))
+    grid = _info_stack(X, r, h, np.array(STACK_MUS[:2])[:, None],
+                       np.array(STACK_ALPHAS[:3]))
+    assert grid.shape == (2, 3, 3, 3)
+    for i, mu in enumerate(STACK_MUS[:2]):
+        for j, alpha in enumerate(STACK_ALPHAS[:3]):
+            assert np.array_equal(grid[i, j], single(mu, alpha))
+    assert np.array_equal(_info_stack(X, r, h, setting.mu, setting.alpha),
+                          single(setting.mu, setting.alpha))
+
+
 # -- reduced-information variants ----------------------------------------------
 
 
@@ -265,6 +299,46 @@ def test_inverse_with_condition_flags():
     assert flagged
     assert cond > 1e12
     assert np.isfinite(inv).all()
+
+
+def test_inverse_with_condition_stack_equals_slices():
+    setting = table_settings()[0]
+    X, r, h = _design_arrays(setting.X, setting.r, setting.params)
+    stack = np.concatenate([
+        _info_stack(X, r, h, STACK_MUS, STACK_ALPHAS),
+        [np.diag([1.0, 1e-13, 2.0]),        # near singular: flagged
+         np.diag([1.0, -1.0, 3.0])]])        # indefinite: condition inf
+    inv, cond, flagged = inverse_with_condition(stack)
+    assert inv.shape == stack.shape
+    assert cond.shape == flagged.shape == (stack.shape[0],)
+    for k, matrix in enumerate(stack):
+        want_inv, want_cond, want_flag = inverse_with_condition(matrix)
+        assert np.array_equal(inv[k], want_inv)
+        assert cond[k] == want_cond and flagged[k] == want_flag
+    assert flagged[-2] and cond[-1] == math.inf and flagged[-1]
+    # A stack of stacks is inverted slice by slice too.
+    nested = inverse_with_condition(stack[:4].reshape(2, 2, 3, 3))
+    assert np.array_equal(nested[0].reshape(4, 3, 3), inv[:4])
+    assert np.array_equal(nested[1].ravel(), cond[:4])
+
+
+def test_inverse_with_condition_matrix_gives_python_scalars():
+    for matrix in (np.eye(3), np.diag([1.0, 1e-13]), np.diag([1.0, -1.0])):
+        inv, cond, flagged = inverse_with_condition(matrix)
+        assert type(inv) is np.ndarray and inv.shape == matrix.shape
+        assert type(cond) is float and type(flagged) is bool
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["non-finite-first",
+                                                         "near-zero-first"])
+def test_inverse_with_condition_stack_reports_non_finite_first(order):
+    # Every matrix of a stack is checked for a non-finite entry before any
+    # is decomposed, wherever the near-singular one stands.
+    pair = [np.diag([1.0, np.inf]), np.diag([1.0, 1e-320])]
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+        inverse_with_condition(np.stack([pair[i] for i in order]))
+    with pytest.raises(np.linalg.LinAlgError, match="too close to zero"):
+        inverse_with_condition(pair[1])
 
 
 def test_kernel_matches_per_row_loop_three_covariates():
