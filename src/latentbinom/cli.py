@@ -234,14 +234,13 @@ def _read_settings_file(path: Path) -> list:
                     raise ValueError(f"line {line_no}: expected {len(header)} "
                                      f"fields, got {len(fields)}")
                 try:
-                    design_id = _number(fields[at[0]], int)
-                    slope, mu, alpha = (_number(fields[i]) for i in at[1:])
+                    design_id, slope, mu, alpha = (_number(fields[i]) for i in at)
                 except ValueError:
                     raise ValueError(f"line {line_no}: non-numeric field") from None
                 try:
-                    if design_id not in (1, 2):
+                    if fields[at[0]].strip() not in ("1", "2"):
                         raise ValueError("design must be 1 or 2")
-                    out.append(make_setting(designs[design_id - 1], slope, mu, alpha))
+                    out.append(make_setting(designs[int(design_id) - 1], slope, mu, alpha))
                 except ValueError as exc:
                     raise ValueError(f"line {line_no}: {exc}") from None
     except ValueError as exc:

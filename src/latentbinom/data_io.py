@@ -104,7 +104,7 @@ def _table(path: Path) -> Iterator[tuple[list[str], int, list[list[str]], list[i
     Lines are physical, the count a csv.Error names; a csv.Error raises
     ValueError after the rows before it."""
     header, header_line, error = None, 0, None
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         while error is None:
             rows, lines = [], []  # drops the last block before reading on

@@ -10,16 +10,18 @@ this module reproduces.
 
 The two built-in 11-point covariate sets and the 2^4 grid of
 (design, slope, size mean, shape) settings are provided for the table runs.
+A setting keeps the link h at its rows, and every measure and curve inverts
+its Poisson-size and full matrices as one stack built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .information import (_design_arrays, _info_stack, info_full, info_known_mean,
+from .information import (_design_arrays, _info_stack, info_known_mean,
                           inverse_with_condition)
 from .model import INFINITE, ModelParams
 
@@ -57,14 +59,17 @@ class EffSetting:
     beta: np.ndarray
     mu: float
     alpha: float
+    h: np.ndarray = field(init=False, repr=False)  # read-only link at each row
 
     def __post_init__(self) -> None:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        X, r, _ = _design_arrays(self.X, self.r, self.params)
+        X, r, h = _design_arrays(self.X, self.r, self.params)
+        h.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "h", h)
 
     @property
     def params(self) -> ModelParams:
@@ -121,10 +126,11 @@ def table_settings() -> list[EffSetting]:
     return out
 
 
-def _slope_variance(matrix: np.ndarray) -> tuple[float, float]:
-    """The slope's marginal variance and the matrix's condition number."""
-    inv, cond, _ = inverse_with_condition(matrix)
-    return float(inv[1, 1]), cond
+def _inverse_stack(setting: EffSetting, mu, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse full-model information and its condition number at each
+    (mu, alpha) pair that mu and alpha broadcast to, on the setting's design."""
+    return inverse_with_condition(
+        _info_stack(setting.X, setting.r, setting.h, mu, alpha))
 
 
 def _measure(name: str, ratio: float, cond: float) -> float:
@@ -152,13 +158,12 @@ def efficiency_measures(setting: EffSetting) -> EffResult:
     model and gamma is 1. Raises RuntimeError when a measure falls outside
     (0, 1].
     """
-    X, r, params = setting.X, setting.r, setting.params
-    v_known, c_known = _slope_variance(info_known_mean(X, r, params))
-    v_poisson, c_poisson = _slope_variance(
-        info_full(X, r, replace(params, alpha=INFINITE)))
-    v_full, c_full = _slope_variance(info_full(X, r, params))
-    cond = max(c_known, c_poisson, c_full)
-    rho = _measure("rho", v_known / v_poisson, cond)
+    known, c_known = inverse_with_condition(
+        info_known_mean(setting.X, setting.r, setting.params))
+    inv, conds = _inverse_stack(setting, setting.mu, [INFINITE, setting.alpha])
+    v_poisson, v_full = inv[:, 1, 1].tolist()
+    cond = max(c_known, *conds.tolist())
+    rho = _measure("rho", float(known[1, 1]) / v_poisson, cond)
     gamma = _measure("gamma", v_poisson / v_full, cond)
     return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
 
@@ -183,9 +188,7 @@ def gamma_curve(setting: EffSetting,
     efficiency_measures does.
     """
     grid = _ascending_grid(alpha_grid, "alpha")
-    X, r, h = _design_arrays(setting.X, setting.r, setting.params)
-    inv, cond, _ = inverse_with_condition(
-        _info_stack(X, r, h, setting.mu, [INFINITE] + grid))
+    inv, cond = _inverse_stack(setting, setting.mu, [INFINITE] + grid)
     # Python floats, as efficiency_measures divides and takes roots.
     (v_poisson, *v_full), (c_poisson, *c_full) = inv[:, 1, 1].tolist(), cond.tolist()
     return [(a, _measure("gamma", v_poisson / v, max(c_poisson, c)))
@@ -204,8 +207,7 @@ def sd_vs_mu_curves(setting: EffSetting,
     RuntimeError when an unstable inverse gives a non-positive variance.
     """
     grid = _ascending_grid(mu_grid, "mu", finite=True)
-    X, r, h = _design_arrays(setting.X, setting.r, setting.params)
-    inv, cond, _ = inverse_with_condition(_info_stack(X, r, h, grid, setting.alpha))
+    inv, cond = _inverse_stack(setting, grid, setting.alpha)
     var = np.diagonal(inv, axis1=-2, axis2=-1)[:, :3]
     for mu, v, c in zip(grid, var, cond):
         if not np.all(v > 0.0):

@@ -225,7 +225,8 @@ def _optimize(data: Dataset, p0: np.ndarray):
 def _standard_errors(params: ModelParams,
                      raw_h: np.ndarray) -> tuple[np.ndarray, float, list[str]]:
     notes: list[str] = []
-    cov, cond, near_singular = inverse_with_condition(-raw_h)
+    cov, cond = inverse_with_condition(-raw_h)
+    near_singular = not cond < NEAR_SINGULAR_CONDITION
     with np.errstate(invalid="ignore"):
         se = np.sqrt(np.diag(cov))
     if np.any(~np.isfinite(se)):
@@ -235,8 +236,7 @@ def _standard_errors(params: ModelParams,
     if not params.is_poisson_size:
         a_idx = params.beta.size + 1
         a_var = cov[a_idx, a_idx]
-        if (a_var > _ALPHA_VAR_FACTOR * params.alpha**2
-                or not cond < NEAR_SINGULAR_CONDITION):
+        if a_var > _ALPHA_VAR_FACTOR * params.alpha**2 or near_singular:
             se = se.copy()
             se[a_idx] = math.nan
             notes.append(

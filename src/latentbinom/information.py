@@ -25,6 +25,7 @@ No weight divides by h or 1 - h, so a row whose link saturates to exactly
 0 or 1 adds nothing instead of 0/0. The block partition uses the
 Poisson-size matrix at mu = 1. A stack of (mu, alpha) pairs, such as a
 curve's grid, is one Gram product; info_full is the same code at one pair.
+inverse_with_condition gives each inverse with its condition number.
 
 The matrices are ordered (beta..., mu) and hold no alpha row: the shape is
 orthogonal to (beta, mu) (Cox & Reid 1987, JRSS-B 49:1), so every slope and
@@ -47,7 +48,7 @@ __all__ = [
     "NEAR_SINGULAR_CONDITION",
 ]
 
-# Condition number beyond which an inverse is reported but flagged.
+# Condition number beyond which an inverse is reported as near-singular.
 NEAR_SINGULAR_CONDITION = 1e12
 
 
@@ -144,14 +145,14 @@ def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, flo
 def inverse_with_condition(matrix: np.ndarray) -> tuple:
     """Symmetric inverse with a condition report.
 
-    Returns (inverse, condition number, near_singular flag). The inverse is
-    computed from the eigendecomposition so that a nearly singular matrix
-    still yields a result, flagged rather than raised; an indefinite matrix
-    yields condition = inf. A non-finite matrix, or one with an eigenvalue
-    whose reciprocal may overflow (zero included), raises LinAlgError.
-    A stack (..., m, m) gives arrays of conditions and flags, each slice as
-    if alone, and is refused whole: a non-finite entry in any slice is
-    reported before a near-zero eigenvalue in any.
+    Returns (inverse, condition number). The inverse is computed from the
+    eigendecomposition so that a nearly singular matrix still yields a
+    result, for the caller to judge against NEAR_SINGULAR_CONDITION rather
+    than raised; an indefinite matrix yields condition = inf. A non-finite
+    matrix, or one with an eigenvalue whose reciprocal may overflow (zero
+    included), raises LinAlgError. A stack (..., m, m) gives an array of
+    conditions, each slice as if alone, and is refused whole: a non-finite
+    entry in any slice is reported before a near-zero eigenvalue in any.
     """
     m = np.asarray(matrix, dtype=float)
     with np.errstate(over="ignore"):
@@ -166,5 +167,4 @@ def inverse_with_condition(matrix: np.ndarray) -> tuple:
     with np.errstate(over="ignore"):  # eigh sorts: vals[..., 0] is the least
         cond = np.where(vals[..., 0] > 0.0, vals[..., -1] / vals[..., 0], math.inf)
     inv = (vecs / vals[..., None, :]) @ vecs.swapaxes(-1, -2)
-    flag = ~(cond < NEAR_SINGULAR_CONDITION)
-    return (inv, float(cond), bool(flag)) if m.ndim == 2 else (inv, cond, flag)
+    return inv, (float(cond) if m.ndim == 2 else cond)

@@ -17,7 +17,7 @@ import numpy as np
 from .efficiency import EffSetting
 from .estimation import fit_full
 from .information import info_full, inverse_with_condition
-from .model import Dataset, _logistic
+from .model import Dataset
 
 __all__ = ["SimConfig", "SimSummary", "LatentRecord", "generate_dataset", "run_study"]
 
@@ -63,15 +63,13 @@ class LatentRecord:
 def generate_dataset(setting: EffSetting,
                      rng: np.random.Generator) -> tuple[Dataset, LatentRecord]:
     """Draw one dataset: per observation a gamma mean, a Poisson size, and a
-    binomial count through the logistic link. Design row i appears
+    binomial count through the setting's link h. Design row i appears
     setting.r[i] times, in row order.
 
     With alpha = INFINITE the gamma collapses and every latent mean equals mu
     exactly. A zero size simply yields a zero count.
     """
     X = np.repeat(setting.X, setting.r, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # +-inf saturates the link
-        h = _logistic(X @ setting.beta)
     n_obs = X.shape[0]
     if math.isinf(setting.alpha):
         lam = np.full(n_obs, setting.mu)
@@ -79,7 +77,7 @@ def generate_dataset(setting: EffSetting,
         lam = rng.gamma(shape=setting.alpha, scale=setting.mu / setting.alpha,
                         size=n_obs)
     n = rng.poisson(lam)
-    y = rng.binomial(n, h)
+    y = rng.binomial(n, np.repeat(setting.h, setting.r))
     return Dataset(y, X), LatentRecord(lam=lam, n=n)
 
 
@@ -96,7 +94,7 @@ def _slope_se_expected(X, r, slope_idx: int, fit) -> float:
     remain the fallback when this inverse is unusable.
     """
     try:
-        inv, _, _ = inverse_with_condition(info_full(X, r, fit.params))
+        inv, _ = inverse_with_condition(info_full(X, r, fit.params))
         var = float(inv[slope_idx, slope_idx])
     except np.linalg.LinAlgError:
         var = math.nan

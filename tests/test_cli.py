@@ -419,9 +419,16 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
      "line 4: non-numeric field"),
     ('design,beta1,mu,alpha\n"1\n",1,100,25\n1,1,100,' + "9" * 200_000 + "\n",
      "line 4: field larger than field limit (131072)"),
+    # A number that is not the digit 1 or 2 names no design.
+    ("design,beta1,mu,alpha\n1,1,100,25\n1.0,1,100,25\n",
+     "line 3: design must be 1 or 2"),
+    ("design,beta1,mu,alpha\n2e0,1,100,25\n", "line 2: design must be 1 or 2"),
+    ("design,beta1,mu,alpha\n+1,1,100,25\n", "line 2: design must be 1 or 2"),
+    ("design,beta1,mu,alpha\n1.5,1,100,25\n", "line 2: design must be 1 or 2"),
 ], ids=["extra-field", "short-row", "duplicate-mu", "mu-nan",
         "alpha-nan", "empty", "blank", "header-only", "multiline-then-bad",
-        "multiline-then-oversized"])
+        "multiline-then-oversized", "design-float", "design-exponent",
+        "design-signed", "design-fraction"])
 def test_efficiency_settings_rows_follow_data_file_rules(capsys, tmp_path, text,
                                                          message):
     settings = tmp_path / "settings.csv"
@@ -435,8 +442,11 @@ def test_efficiency_settings_rows_follow_data_file_rules(capsys, tmp_path, text,
     " , \ndesign,beta1,mu,alpha\n1,1,100,25\n",
     "design,beta1,mu,alpha\n1,1,100,25\n,,,\n",
     "design,beta1,mu,alpha\n , ,, \n1,1,100,25\n\n,,\n",
+    # A byte-order mark, as spreadsheets save "CSV UTF-8", is not a field.
+    "\ufeffdesign,beta1,mu,alpha\n1,1,100,25\n",
+    "\ufeff\n , \ndesign,beta1,mu,alpha\n1,1,100,25\n",
 ], ids=["leading-blank-line", "leading-blank-fields", "trailing-comma-row",
-        "inner-blank-rows"])
+        "inner-blank-rows", "byte-order-mark", "byte-order-mark-then-blank-rows"])
 def test_efficiency_settings_blank_rows_skipped(capsys, tmp_path, text):
     settings = tmp_path / "settings.csv"
     settings.write_text("design,beta1,mu,alpha\n1,1,100,25\n", encoding="utf-8")

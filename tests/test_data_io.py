@@ -176,7 +176,7 @@ def per_row_read_csv(path, intercept=True):
     """The reader as one _parse_row call per row: the reference the block
     reader must match on every file, accepted or refused. A row is numbered
     by the physical line it ends on."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = None
         y, rows, n_cols = [], [], 0
         reader = csv.reader(fh)
@@ -293,6 +293,19 @@ def test_read_csv_matches_per_row_loop(tmp_path, text, block_rows, intercept):
     with mock.patch.object(data_io, "_BLOCK_ROWS", block_rows):
         got = outcome(read_csv, target, intercept)
     assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("lead", ["", "\n", " , \n\n"])
+def test_read_csv_skips_byte_order_mark(tmp_path, lead):
+    # A leading byte-order mark is neither a header field nor a header row.
+    text = lead + "dose,count\n6.25,76\n6.5,75\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    want = outcome(read_csv, plain)
+    assert want[0] == "ok" and want[1].tolist() == [76, 75]
+    assert_same_outcome(outcome(read_csv, marked), want)
+    assert_same_outcome(outcome(per_row_read_csv, marked), want)
 
 
 @pytest.mark.parametrize("before,message", [

@@ -8,9 +8,11 @@ import pytest
 
 from latentbinom import (INFINITE, EffResult, ModelParams, builtin_designs,
                          efficiency_measures, gamma_curve, info_full,
-                         inverse_with_condition, make_setting, sd_vs_mu_curves,
-                         table_settings)
+                         info_known_mean, inverse_with_condition, make_setting,
+                         sd_vs_mu_curves, table_settings)
 from latentbinom.cli import _CURVE_PANELS, _MU_GRID, _SD_CURVE_PANELS, _alpha_grid
+from latentbinom.efficiency import _measure
+from latentbinom.model import _logistic
 
 # Reference (rho, gamma, rho*gamma) triples for the 16 tabulated settings.
 REFERENCE_ROWS = [
@@ -113,6 +115,48 @@ def test_measures_replication_invariant():
         assert other.gamma == pytest.approx(base.gamma, rel=1e-12)
 
 
+def measures_per_matrix(setting):
+    """efficiency_measures with each of its three information matrices built
+    and inverted alone, the Poisson-size one through a replaced alpha."""
+    X, r, params = setting.X, setting.r, setting.params
+    variances, conds = [], []
+    for matrix in (info_known_mean(X, r, params),
+                   info_full(X, r, replace(params, alpha=INFINITE)),
+                   info_full(X, r, params)):
+        inv, cond = inverse_with_condition(matrix)
+        variances.append(float(inv[1, 1]))
+        conds.append(cond)
+    v_known, v_poisson, v_full = variances
+    rho = _measure("rho", v_known / v_poisson, max(conds))
+    gamma = _measure("gamma", v_poisson / v_full, max(conds))
+    return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
+
+
+@pytest.mark.parametrize("setting", table_settings() + [
+    make_setting(builtin_designs()[0], 1.0, 100.0, INFINITE),
+    make_setting(builtin_designs()[0], 1.0, 100.0, 1e-300),
+], ids=[f"table-{i}" for i in range(1, 17)] + ["alpha-inf", "alpha-1e-300"])
+def test_measures_equal_per_matrix_evaluation(setting):
+    # The Poisson-size and full matrices are one stack of two, the code a
+    # gamma_curve point runs; each slice is the matrix alone, bit for bit.
+    assert efficiency_measures(setting) == measures_per_matrix(setting)
+
+
+def test_setting_keeps_read_only_link():
+    for setting in table_settings():
+        assert setting.h.tobytes() == _logistic(setting.X @ setting.beta).tobytes()
+        assert not setting.h.flags.writeable
+        with pytest.raises(ValueError):
+            setting.h[0] = 0.5
+    setting = table_settings()[0]
+    moved = replace(setting, beta=np.array([1.0, -2.0]))
+    assert moved.h.tobytes() == _logistic(setting.X @ np.array([1.0, -2.0])).tobytes()
+    assert not np.array_equal(moved.h, setting.h)
+    # h is derived, never given.
+    with pytest.raises(ValueError, match="init=False"):
+        replace(setting, h=setting.h)
+
+
 def test_rho_ignores_mu_and_alpha():
     settings = table_settings()
     rhos = [efficiency_measures(settings[i]).rho for i in (0, 2, 4, 6)]
@@ -142,10 +186,9 @@ def test_gamma_curve_matches_point_measures():
     setting = table_settings()[0]
     curve = dict(gamma_curve(setting, [25.0, 49.0]))
     x1, _ = builtin_designs()
-    assert curve[25.0] == pytest.approx(
-        efficiency_measures(make_setting(x1, 1.0, 100.0, 25.0)).gamma, rel=1e-14)
-    assert curve[49.0] == pytest.approx(
-        efficiency_measures(make_setting(x1, 1.0, 100.0, 49.0)).gamma, rel=1e-14)
+    # One code path: a table gamma is the curve's point at its shape.
+    assert curve[25.0] == efficiency_measures(make_setting(x1, 1.0, 100.0, 25.0)).gamma
+    assert curve[49.0] == efficiency_measures(make_setting(x1, 1.0, 100.0, 49.0)).gamma
 
 
 def test_gamma_curve_monotone_and_saturating():
@@ -177,7 +220,7 @@ def test_gamma_curve_grid_validation():
 
 def slope_variance(setting, **changes):
     """The slope's variance at one point."""
-    inv, _, _ = inverse_with_condition(
+    inv, _ = inverse_with_condition(
         info_full(setting.X, setting.r, replace(setting.params, **changes)))
     return float(inv[1, 1])
 
@@ -192,7 +235,7 @@ def sd_per_point(setting, grid):
     """sd_vs_mu_curves as one information matrix and one inverse per point."""
     out = []
     for mu in grid:
-        inv, _, _ = inverse_with_condition(
+        inv, _ = inverse_with_condition(
             info_full(setting.X, setting.r, replace(setting.params, mu=mu)))
         out.append((mu, *(float(v) for v in np.sqrt(np.diag(inv)[:3]))))
     return out

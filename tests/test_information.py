@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from latentbinom import (INFINITE, ModelParams, block_variance_partition,
-                         info_full, info_known_mean, inverse_with_condition,
-                         link_h, table_settings)
+from latentbinom import (INFINITE, NEAR_SINGULAR_CONDITION, ModelParams,
+                         block_variance_partition, info_full, info_known_mean,
+                         inverse_with_condition, link_h, table_settings)
 from latentbinom.information import _design_arrays, _gram, _info_stack
 
 
@@ -290,13 +290,14 @@ def test_all_variants_positive_semidefinite():
 
 
 def test_inverse_with_condition_flags():
-    inv, cond, flagged = inverse_with_condition(np.eye(3))
+    # A caller flags a condition at or past NEAR_SINGULAR_CONDITION.
+    inv, cond = inverse_with_condition(np.eye(3))
     assert np.allclose(inv, np.eye(3))
     assert cond == pytest.approx(1.0)
-    assert not flagged
+    assert cond < NEAR_SINGULAR_CONDITION
 
-    inv, cond, flagged = inverse_with_condition(np.diag([1.0, 1e-13]))
-    assert flagged
+    inv, cond = inverse_with_condition(np.diag([1.0, 1e-13]))
+    assert not cond < NEAR_SINGULAR_CONDITION
     assert cond > 1e12
     assert np.isfinite(inv).all()
 
@@ -308,14 +309,14 @@ def test_inverse_with_condition_stack_equals_slices():
         _info_stack(X, r, h, STACK_MUS, STACK_ALPHAS),
         [np.diag([1.0, 1e-13, 2.0]),        # near singular: flagged
          np.diag([1.0, -1.0, 3.0])]])        # indefinite: condition inf
-    inv, cond, flagged = inverse_with_condition(stack)
+    inv, cond = inverse_with_condition(stack)
     assert inv.shape == stack.shape
-    assert cond.shape == flagged.shape == (stack.shape[0],)
+    assert cond.shape == (stack.shape[0],)
     for k, matrix in enumerate(stack):
-        want_inv, want_cond, want_flag = inverse_with_condition(matrix)
+        want_inv, want_cond = inverse_with_condition(matrix)
         assert np.array_equal(inv[k], want_inv)
-        assert cond[k] == want_cond and flagged[k] == want_flag
-    assert flagged[-2] and cond[-1] == math.inf and flagged[-1]
+        assert cond[k] == want_cond
+    assert cond[-2] > NEAR_SINGULAR_CONDITION and cond[-1] == math.inf
     # A stack of stacks is inverted slice by slice too.
     nested = inverse_with_condition(stack[:4].reshape(2, 2, 3, 3))
     assert np.array_equal(nested[0].reshape(4, 3, 3), inv[:4])
@@ -324,9 +325,9 @@ def test_inverse_with_condition_stack_equals_slices():
 
 def test_inverse_with_condition_matrix_gives_python_scalars():
     for matrix in (np.eye(3), np.diag([1.0, 1e-13]), np.diag([1.0, -1.0])):
-        inv, cond, flagged = inverse_with_condition(matrix)
+        inv, cond = inverse_with_condition(matrix)
         assert type(inv) is np.ndarray and inv.shape == matrix.shape
-        assert type(cond) is float and type(flagged) is bool
+        assert type(cond) is float
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["non-finite-first",

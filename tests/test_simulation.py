@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from conftest import count_calls
 
-from latentbinom import (INFINITE, LatentRecord, SimConfig, SimSummary,
-                         builtin_designs, generate_dataset, link_h,
-                         make_setting, run_study, table_settings)
+from latentbinom import (INFINITE, EffSetting, LatentRecord, SimConfig,
+                         SimSummary, builtin_designs, fit_full,
+                         generate_dataset, link_h, make_setting, run_study,
+                         table_settings)
 from latentbinom import simulation
+from latentbinom.model import _logistic
+from latentbinom.simulation import _sample_rng, _slope_se_expected
 
 
 def single_point_setting(x_value, slope, mu, alpha):
@@ -64,6 +68,44 @@ def test_generate_dataset_layout_and_latent_consistency():
         rows = data.X[4 * block:4 * (block + 1)]
         assert np.all(rows[:, 0] == 1.0)
         assert np.all(rows[:, 1] == value)
+
+
+def draws_on_repeated_rows(setting, rng):
+    """generate_dataset's draws with the link evaluated on the repeated rows,
+    one evaluation per observation rather than one per design row."""
+    X = np.repeat(setting.X, setting.r, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _logistic(X @ setting.beta)
+    if math.isinf(setting.alpha):
+        lam = np.full(X.shape[0], setting.mu)
+    else:
+        lam = rng.gamma(shape=setting.alpha, scale=setting.mu / setting.alpha,
+                        size=X.shape[0])
+    n = rng.poisson(lam)
+    return rng.binomial(n, h), X, lam, n
+
+
+def random_settings(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, d = int(rng.integers(2, 14)), int(rng.integers(1, 4))
+        yield EffSetting(X=rng.normal(0.0, 4.0, size=(rows, d)),
+                         r=rng.integers(1, 9, size=rows),
+                         beta=rng.normal(0.0, 1.5, size=d),
+                         mu=float(10.0 ** rng.uniform(-1.0, 4.0)),
+                         alpha=float(rng.choice([0.5, 7.0, 300.0, INFINITE])))
+
+
+def test_generate_dataset_uses_the_settings_link():
+    # The setting's per-row link, repeated, gives the draws bit for bit.
+    settings = table_settings() + list(random_settings(60, seed=77))
+    for k, setting in enumerate(settings):
+        data, latent = generate_dataset(setting, np.random.default_rng(k))
+        y, X, lam, n = draws_on_repeated_rows(setting, np.random.default_rng(k))
+        assert data.X.tobytes() == X.tobytes()
+        assert latent.lam.tobytes() == lam.tobytes()
+        assert latent.n.tobytes() == n.tobytes()
+        assert data.y.tobytes() == y.astype(np.int64).tobytes()
 
 
 def test_generate_dataset_degenerate_gamma_path():
@@ -127,6 +169,34 @@ def test_run_study_deterministic():
     assert first == second
     other = run_study(SimConfig(setting=table_settings()[0], n_samples=25, seed=12))
     assert other != first
+
+
+def test_run_study_does_not_depend_on_sample_order():
+    # Each sample draws from its own stream: samples fitted in reverse and
+    # folded in index order give the study bit for bit.
+    config = SimConfig(setting=table_settings()[0], n_samples=6, seed=11)
+    setting, slope_idx = config.setting, config.setting.beta.size - 1
+    z = NormalDist().inv_cdf(0.5 + config.ci_level / 2.0)
+    outcomes = {}
+    for i in reversed(range(config.n_samples)):
+        data, _ = generate_dataset(setting, _sample_rng(config.seed, i))
+        fit = fit_full(data)
+        se = _slope_se_expected(setting.X, setting.r, slope_idx, fit)
+        outcomes[i] = (fit.converged, float(fit.params.beta[slope_idx]), se)
+    errors, n_cover = [], 0
+    for i in range(config.n_samples):
+        converged, est, se = outcomes[i]
+        if converged and math.isfinite(se):
+            errors.append(est - float(setting.beta[-1]))
+            n_cover += abs(errors[-1]) <= z * se
+    sum_err = sum_sq = 0.0
+    for err in errors:
+        sum_err += err
+        sum_sq += err * err
+    n = len(errors)
+    assert n == 6
+    assert run_study(config) == SimSummary(bias=sum_err / n, mse=sum_sq / n,
+                                           coverage=n_cover / n, n_converged=n)
 
 
 def test_run_study_simulates_the_settings_replications(monkeypatch):
