@@ -199,7 +199,8 @@ def write_records(fh: TextIO, records: Iterable[Mapping[str, object]],
                   full_precision: bool = False) -> None:
     """Write mapping records to the open text file fh as CSV or
     line-delimited JSON, with the given column order; an empty record list
-    still writes the CSV header."""
+    still writes the CSV header. Strict JSON has no inf or nan, so it gets a
+    non-finite float as its CSV text ("inf", "-inf" or "nan")."""
     if fmt not in ("csv", "structured"):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
@@ -210,8 +211,9 @@ def write_records(fh: TextIO, records: Iterable[Mapping[str, object]],
                              for c in columns])
     else:
         for rec in records:
-            obj = {c: (float(format_number(rec[c], full_precision))
-                       if isinstance(rec[c], (float, np.floating))
-                       else rec[c])
-                   for c in columns}
-            fh.write(json.dumps(obj) + "\n")
+            obj = {c: rec[c] for c in columns}
+            for c, v in obj.items():
+                if isinstance(v, (float, np.floating)):
+                    x = float(format_number(v, full_precision))
+                    obj[c] = x if math.isfinite(x) else format_number(x)
+            fh.write(json.dumps(obj, allow_nan=False) + "\n")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import (_design_arrays, _info_stack, info_known_mean,
+from .information import (_design_arrays, _info_stack, _known_sizes_gram,
                           inverse_with_condition)
 from .model import INFINITE, ModelParams
 
@@ -152,14 +152,14 @@ def efficiency_measures(setting: EffSetting) -> EffResult:
 
     Variances are marginal: each information matrix is inverted whole and the
     slope diagonal entry taken. The measures are fourth roots of the variance
-    ratios known-mean/Poisson-size (rho) and Poisson-size/full (gamma), so
+    ratios observed-sizes/Poisson-size (rho) and Poisson-size/full (gamma), so
     smaller values mean more efficiency lost to the weaker scenario. The full
     model is read from the setting's alpha: at INFINITE it is the Poisson-size
     model and gamma is 1. Raises RuntimeError when a measure falls outside
     (0, 1].
     """
     known, c_known = inverse_with_condition(
-        info_known_mean(setting.X, setting.r, setting.params))
+        _known_sizes_gram(setting.X, setting.r, setting.h, setting.mu))
     inv, conds = _inverse_stack(setting, setting.mu, [INFINITE, setting.alpha])
     v_poisson, v_full = inv[:, 1, 1].tolist()
     cond = max(c_known, *conds.tolist())

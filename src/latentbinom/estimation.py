@@ -11,7 +11,8 @@ Hessian too at each accepted point, which the next step and the result
 read. Standard errors come from the inverse of the negated observed Hessian
 at the estimate, which is also what reproduces the reference results; the
 expected-information matrices in the information module stay available for
-cross-checks.
+cross-checks. The BFGS stage is scipy.optimize's, imported by the first fit,
+so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .information import NEAR_SINGULAR_CONDITION, inverse_with_condition
 from .model import Dataset, ModelParams, INFINITE, _derivatives, _point
@@ -160,6 +160,8 @@ def _optimize(data: Dataset, p0: np.ndarray):
         ll, raw_g = _derivatives(data, params, point, 1)
         return -ll, -_transformed_grad(params, raw_g)
 
+    # Here, not at module top: scipy.optimize is ~75% of the package's import time.
+    from scipy.optimize import minimize
     with np.errstate(**_QUIET):
         res = minimize(objective, p0, jac=True, method="BFGS",
                        options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITER})

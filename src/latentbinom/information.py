@@ -3,10 +3,10 @@
 Two functions cover three scenarios, ordered from least to most informative
 about the slope: info_full gives the full latent-size model (gamma-mixed
 Poisson sizes) at a finite shape alpha and the Poisson-size submodel at
-alpha = INFINITE, and info_known_mean the hypothetical case where only the
-common size mean is known. A closed-form block partition of the Poisson-size
-inverse is included because the generic inverse loses the structure that
-makes its mu-scaling visible.
+alpha = INFINITE, and info_known_mean the case where the sizes are observed
+(not, despite the name, one where only their mean is known). A closed-form
+block partition of the Poisson-size inverse is included because the generic
+inverse loses the structure that makes its mu-scaling visible.
 
 A design is given as arrays: the covariate rows X (n x d) and the number
 of observations r (n positive integers) sharing each row. Every block is
@@ -19,7 +19,7 @@ u_i = x_i. The scenarios differ only in the weights:
 
     full model             r mu h / (1 + mu h / alpha)
     Poisson sizes          r mu h                     (alpha = INFINITE)
-    size mean known        r mu h (1 - h)             beta block only
+    sizes observed         r mu h (1 - h)             beta block only
 
 No weight divides by h or 1 - h, so a row whose link saturates to exactly
 0 or 1 adds nothing instead of 0/0. The block partition uses the
@@ -112,11 +112,17 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
     return _info_stack(X, r, h, params.mu, params.alpha)
 
 
-def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
-    """Expected information about beta when only the size mean is known."""
-    X, r, h = _design_arrays(X, r, params)
+def _known_sizes_gram(X, r, h, mu) -> np.ndarray:
+    """info_known_mean on validated design arrays at the size mean mu."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gram(X, h, r * params.mu * h * (1.0 - h))
+        return _gram(X, h, r * float(mu) * h * (1.0 - h))
+
+
+def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
+    """Expected information about beta with the sizes observed: the binomial
+    information given the sizes, averaged over the size law (mean mu)."""
+    X, r, h = _design_arrays(X, r, params)
+    return _known_sizes_gram(X, r, h, params.mu)
 
 
 def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, float]:

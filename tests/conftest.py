@@ -2,6 +2,7 @@
 expected information from the model's own Hessian and the profile
 log-likelihood in the shape parameter."""
 
+import json
 import math
 
 import numpy as np
@@ -142,3 +143,11 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def strict_json(line):
+    """line parsed as strict JSON: the non-standard constants Infinity,
+    -Infinity and NaN, which json.loads accepts by default, raise."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(line, parse_constant=refuse)

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,12 +12,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import count_calls
+from conftest import count_calls, strict_json
 
 import latentbinom
-from latentbinom import (SimConfig, builtin_designs, efficiency_measures,
-                         jejunal_dataset, make_setting, run_study,
-                         table_settings)
+from latentbinom import (SimConfig, SimSummary, builtin_designs,
+                         efficiency_measures, jejunal_dataset, make_setting,
+                         run_study, table_settings)
 from latentbinom import cli
 from latentbinom.cli import main
 
@@ -346,13 +347,45 @@ def test_study_matches_committed_reference(setting, entry, seed):
     assert abs(got.mse - want["mse"]) <= 1e-12
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def run_fresh(probe):
+    """stdout of the Python code probe in a new interpreter on this source."""
     src = Path(latentbinom.__file__).resolve().parents[1]
-    probe = "import sys, latentbinom; print('scipy.stats' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # No scipy module at all: scipy.optimize is loaded by the first fit.
+    out = run_fresh(f"import sys, latentbinom; print({SCIPY_LOADED})")
+    assert out.strip() == "[]"
+
+
+def test_only_a_fit_loads_scipy(capsys):
+    # efficiency and curves compute from expected information alone, so a
+    # fresh interpreter running them loads no scipy; a fit then loads
+    # scipy.optimize and prints what it prints in this process.
+    probe = f"""
+import contextlib, io, json, sys
+from latentbinom.cli import main
+for argv in (["efficiency"], ["curves", "--kind", "gamma-by-alpha"],
+             ["curves", "--kind", "sd-by-mu"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+loaded = {SCIPY_LOADED}
+fit = io.StringIO()
+with contextlib.redirect_stdout(fit):
+    code = main(["fit", "--builtin", "jejunal"])
+print(json.dumps([loaded, "scipy.optimize" in sys.modules, code, fit.getvalue()]))
+"""
+    loaded, optimize_loaded, code, fit_out = json.loads(run_fresh(probe))
+    assert loaded == []
+    assert optimize_loaded and code == 0
+    assert (code, fit_out) == run_cli(capsys, ["fit", "--builtin", "jejunal"])[:2]
 
 
 def test_efficiency_custom_settings_file(capsys, tmp_path):
@@ -369,6 +402,30 @@ def test_efficiency_custom_settings_file(capsys, tmp_path):
     # At alpha = inf the full model is the Poisson-size model: gamma is 1.
     assert rows[1]["alpha"] == "inf" and rows[1]["gamma"] == "1"
     assert rows[1]["rho"] == rows[0]["rho"] == rows[1]["rho_gamma"] == "0.706414"
+
+
+def test_efficiency_structured_infinite_shape_is_strict_json(capsys, tmp_path):
+    settings = tmp_path / "settings.csv"
+    settings.write_text("design,beta1,mu,alpha\n1,1,100,inf\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["efficiency", "--settings", str(settings),
+                                    "--format", "structured"])
+    assert code == 0
+    assert strict_json(out) == {"setting": 1, "beta1": 1.0, "mu": 100.0,
+                                "alpha": "inf", "rho": 0.706414, "gamma": 1.0,
+                                "rho_gamma": 0.706414}
+
+
+def test_simulate_structured_without_converged_sample_is_strict_json(
+        capsys, monkeypatch):
+    empty = SimSummary(bias=math.nan, mse=math.nan, coverage=math.nan,
+                       n_converged=0)
+    monkeypatch.setattr(cli, "run_study", lambda config: empty)
+    code, out, _ = run_cli(capsys, ["simulate", "--setting", "1", "--samples",
+                                    "1", "--format", "structured"])
+    assert code == 0
+    row = strict_json(out)
+    assert [row[c] for c in ("bias", "mse", "coverage", "n_converged")] == [
+        "nan", "nan", "nan", 0]
 
 
 def test_efficiency_settings_file_errors(capsys, tmp_path):
@@ -682,7 +739,7 @@ def test_format_belongs_to_the_record_subcommands(capsys):
                  ["simulate", "--setting", "1", "--samples", "1"]):
         code, out, _ = run_cli(capsys, argv + ["--format", "structured"])
         assert code == 0
-        assert all(isinstance(json.loads(line), dict)
+        assert all(isinstance(strict_json(line), dict)
                    for line in out.splitlines())
 
 

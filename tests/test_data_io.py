@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from latentbinom import (Dataset, JEJUNAL_CRYPT_COUNTS, format_number,
                          jejunal_dataset, read_csv, write_records)
 from latentbinom import data_io
+from conftest import strict_json
 
 
 # -- embedded dataset -------------------------------------------------------------
@@ -413,6 +414,24 @@ def test_write_records_structured_round_trip():
     write_records(buf, records, ["name", "value"], fmt="structured")
     parsed = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert parsed == records
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_records_structured_writes_non_finite_as_csv_tokens(full_precision):
+    # Strict JSON has no Infinity or NaN: a non-finite float is written as the
+    # token the CSV prints for it, and finite floats stay numbers.
+    values = [math.inf, -math.inf, math.nan, np.float64("inf"),
+              np.float64("-inf"), np.float64("nan"), 0.5]
+    records = [{"name": f"r{i}", "value": v} for i, v in enumerate(values)]
+    written = {}
+    for fmt in ("structured", "csv"):
+        buf = io.StringIO()
+        write_records(buf, records, ["name", "value"], fmt=fmt,
+                      full_precision=full_precision)
+        written[fmt] = buf.getvalue().splitlines()
+    parsed = [strict_json(line)["value"] for line in written["structured"]]
+    assert parsed == ["inf", "-inf", "nan"] * 2 + [0.5]
+    assert [line.split(",")[1] for line in written["csv"][1:]] == [str(v) for v in parsed]
 
 
 def test_write_records_rejects_unknown_format():

@@ -1,7 +1,9 @@
 """Efficiency-loss measures rho and gamma and the two diagnostic curves."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from latentbinom import (INFINITE, EffResult, ModelParams, builtin_designs,
                          efficiency_measures, gamma_curve, info_full,
                          info_known_mean, inverse_with_condition, make_setting,
                          sd_vs_mu_curves, table_settings)
-from latentbinom.cli import _CURVE_PANELS, _MU_GRID, _SD_CURVE_PANELS, _alpha_grid
+from latentbinom.cli import (_CURVE_PANELS, _MU_GRID, _SD_CURVE_PANELS,
+                             _alpha_grid, _read_settings_file)
 from latentbinom.efficiency import _measure
+from latentbinom.information import _known_sizes_gram
 from latentbinom.model import _logistic
 
 # Reference (rho, gamma, rho*gamma) triples for the 16 tabulated settings.
@@ -140,6 +144,31 @@ def test_measures_equal_per_matrix_evaluation(setting):
     # The Poisson-size and full matrices are one stack of two, the code a
     # gamma_curve point runs; each slice is the matrix alone, bit for bit.
     assert efficiency_measures(setting) == measures_per_matrix(setting)
+
+
+def bench_grid_settings(tmp_path):
+    """The settings of every custom grid the benchmark's design workload
+    draws from, written by its input generator (read only)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    bench_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_inputs)
+    settings = []
+    for k in range(bench_inputs.DESIGN_POOL):
+        bench_inputs.write_grid_csv(tmp_path / f"grid-{k}.csv", k)
+        settings += _read_settings_file(tmp_path / f"grid-{k}.csv")
+    return settings
+
+
+def test_known_sizes_matrix_reuses_the_settings_arrays(tmp_path):
+    # efficiency_measures builds the observed-sizes matrix on the setting's
+    # X, r and h; it equals info_known_mean's, which validates the design
+    # and evaluates the link again, bit for bit.
+    for setting in table_settings() + bench_grid_settings(tmp_path):
+        ours = _known_sizes_gram(setting.X, setting.r, setting.h, setting.mu)
+        assert ours.tobytes() == info_known_mean(
+            setting.X, setting.r, setting.params).tobytes()
+        assert efficiency_measures(setting) == measures_per_matrix(setting)
 
 
 def test_setting_keeps_read_only_link():
