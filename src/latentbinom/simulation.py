@@ -1,9 +1,9 @@
 """Data generation under the latent-size model and the Monte Carlo study of
 slope estimation (bias, mean squared error, and Wald coverage).
 
-Reproducibility contract: every sample index derives its own RNG stream from
-(seed, sample_index), so results are bit-identical whether samples run
-serially or are farmed out, and aggregation always happens in sample order.
+Reproducibility contract: `_sample(config, i)` draws sample i from its own RNG
+stream, from (seed, i), and `_summarize` folds outcomes in sample order, so a
+study is bit-identical whether its samples run serially or are farmed out.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ class SimConfig:
     ci_level: float = 0.95
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.n_samples, self.seed)):
+            raise ValueError("n_samples and seed must be integers")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
@@ -40,7 +43,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Aggregates for the slope coefficient over the converged fits."""
+    """Aggregates for the slope coefficient over the samples with status
+    "ok": converged, with a finite SE."""
 
     bias: float
     mse: float
@@ -48,7 +52,10 @@ class SimSummary:
     n_converged: int
 
     def __post_init__(self) -> None:
-        if self.n_converged > 0 and self.mse < self.bias**2 - 1e-12:
+        # With n equal errors mse equals bias**2 up to the fold's rounding,
+        # which stays below 2 n eps bias**2.
+        if self.n_converged > 0 and self.mse < self.bias**2 * (
+                1.0 - 2 * self.n_converged * np.finfo(float).eps):
             raise ValueError("mse cannot fall below squared bias")
 
 
@@ -86,63 +93,55 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(index,)))
 
 
-def _slope_se_expected(X, r, slope_idx: int, fit) -> float:
-    """Asymptotic slope standard error from the expected information at the
-    fitted parameters. Coverage here probes the asymptotic variance claim,
-    which is stated through the expected information, so the interval width
-    comes from it rather than from the fit's observed-curvature errors; those
-    remain the fallback when this inverse is unusable.
-    """
+def _sample(config: SimConfig, i: int) -> tuple[str, float, float]:
+    """Draw and fit sample i from its own stream: (status, slope estimate,
+    slope SE). The status is "ok" when the sample counts, else why it was
+    dropped; values not reached are NaN. Coverage probes the asymptotic claim,
+    stated through the expected information, so the SE comes from its inverse
+    at the estimate, or from the fit's observed SE when that is unusable."""
+    setting = config.setting
+    slope_idx = setting.beta.size - 1
+    data, _ = generate_dataset(setting, _sample_rng(config.seed, i))
+    if not data.y.any():
+        return "all_zero", math.nan, math.nan  # fit_full refuses: no finite maximum
     try:
-        inv, _ = inverse_with_condition(info_full(X, r, fit.params))
+        fit = fit_full(data)
+    except np.linalg.LinAlgError:
+        return "linalg_error", math.nan, math.nan
+    if not fit.converged:
+        return "not_converged", math.nan, math.nan
+    est = float(fit.params.beta[slope_idx])
+    try:
+        inv, _ = inverse_with_condition(info_full(setting.X, setting.r, fit.params))
         var = float(inv[slope_idx, slope_idx])
     except np.linalg.LinAlgError:
         var = math.nan
     if math.isfinite(var) and var > 0.0:
-        return math.sqrt(var)
-    return float(fit.std_errors[slope_idx])
+        return "ok", est, math.sqrt(var)
+    se = float(fit.std_errors[slope_idx])
+    return ("ok" if math.isfinite(se) else "nonfinite_se"), est, se
+
+
+def _summarize(config: SimConfig, outcomes) -> SimSummary:
+    """Fold sample outcomes, in the order given, into slope bias, MSE and
+    Wald coverage over the "ok" samples."""
+    slope_true = float(config.setting.beta[-1])
+    z = NormalDist().inv_cdf(0.5 + config.ci_level / 2.0)
+    sum_err = sum_sq = 0.0
+    n_cover = n = 0
+    for status, est, se in outcomes:
+        if status == "ok":
+            n += 1
+            err = est - slope_true
+            sum_err += err
+            sum_sq += err * err
+            n_cover += abs(err) <= z * se
+    if n == 0:
+        return SimSummary(math.nan, math.nan, math.nan, n_converged=0)
+    return SimSummary(bias=sum_err / n, mse=sum_sq / n, coverage=n_cover / n,
+                      n_converged=n)
 
 
 def run_study(config: SimConfig) -> SimSummary:
-    """Monte Carlo study: generate, fit the full model, and aggregate slope
-    bias, MSE, and Wald interval coverage over the converged fits."""
-    setting = config.setting
-    slope_true = float(setting.beta[-1])
-    slope_idx = setting.beta.size - 1
-    z = NormalDist().inv_cdf(0.5 + config.ci_level / 2.0)
-
-    sum_err = 0.0
-    sum_sq = 0.0
-    n_cover = 0
-    n_converged = 0
-    for i in range(config.n_samples):
-        rng = _sample_rng(config.seed, i)
-        data, _ = generate_dataset(setting, rng)
-        if not data.y.any():
-            continue  # no finite maximum: fit_full refuses all-zero counts
-        try:
-            fit = fit_full(data)
-        except np.linalg.LinAlgError:
-            continue
-        if not fit.converged:
-            continue
-        est = float(fit.params.beta[slope_idx])
-        se = _slope_se_expected(setting.X, setting.r, slope_idx, fit)
-        if not math.isfinite(se):
-            continue
-        n_converged += 1
-        err = est - slope_true
-        sum_err += err
-        sum_sq += err * err
-        if abs(err) <= z * se:
-            n_cover += 1
-
-    if n_converged == 0:
-        return SimSummary(bias=math.nan, mse=math.nan, coverage=math.nan,
-                          n_converged=0)
-    return SimSummary(
-        bias=sum_err / n_converged,
-        mse=sum_sq / n_converged,
-        coverage=n_cover / n_converged,
-        n_converged=n_converged,
-    )
+    """Monte Carlo study: slope bias, MSE and Wald coverage of the full fit."""
+    return _summarize(config, (_sample(config, i) for i in range(config.n_samples)))

@@ -2,19 +2,19 @@
 
 import dataclasses
 import math
-from statistics import NormalDist
+import pickle
 
 import numpy as np
 import pytest
 from conftest import count_calls
 
 from latentbinom import (INFINITE, EffSetting, LatentRecord, SimConfig,
-                         SimSummary, builtin_designs, fit_full,
+                         SimSummary, builtin_designs,
                          generate_dataset, link_h, make_setting, run_study,
                          table_settings)
 from latentbinom import simulation
 from latentbinom.model import _logistic
-from latentbinom.simulation import _sample_rng, _slope_se_expected
+from latentbinom.simulation import _sample, _summarize
 
 
 def single_point_setting(x_value, slope, mu, alpha):
@@ -41,6 +41,15 @@ def test_sim_config_validation():
         SimConfig(setting=setting, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(setting=setting, seed=2**64)
+    # Counts and seeds must be integers: numpy integers pass, floats and
+    # bools are refused before range() or SeedSequence sees them.
+    assert SimConfig(setting=setting, n_samples=np.int64(5),
+                     seed=np.uint64(2**64 - 1)).n_samples == 5
+    for bad in ({"n_samples": 2.5}, {"n_samples": 5.0}, {"n_samples": True},
+                {"n_samples": np.float64(5)}, {"seed": 1.5}, {"seed": 3.0},
+                {"seed": False}, {"seed": np.bool_(True)}, {"seed": "3"}):
+        with pytest.raises(ValueError, match="integers"):
+            SimConfig(setting=setting, **bad)
 
 
 def test_sim_summary_validation():
@@ -172,31 +181,14 @@ def test_run_study_deterministic():
 
 
 def test_run_study_does_not_depend_on_sample_order():
-    # Each sample draws from its own stream: samples fitted in reverse and
-    # folded in index order give the study bit for bit.
+    # The farm-out promise. A worker's (pickled) copy of the config draws the
+    # samples in reverse, so for every k the chunk [k, n) is drawn before
+    # [0, k); folded in index order they give the serial study bit for bit.
     config = SimConfig(setting=table_settings()[0], n_samples=6, seed=11)
-    setting, slope_idx = config.setting, config.setting.beta.size - 1
-    z = NormalDist().inv_cdf(0.5 + config.ci_level / 2.0)
-    outcomes = {}
-    for i in reversed(range(config.n_samples)):
-        data, _ = generate_dataset(setting, _sample_rng(config.seed, i))
-        fit = fit_full(data)
-        se = _slope_se_expected(setting.X, setting.r, slope_idx, fit)
-        outcomes[i] = (fit.converged, float(fit.params.beta[slope_idx]), se)
-    errors, n_cover = [], 0
-    for i in range(config.n_samples):
-        converged, est, se = outcomes[i]
-        if converged and math.isfinite(se):
-            errors.append(est - float(setting.beta[-1]))
-            n_cover += abs(errors[-1]) <= z * se
-    sum_err = sum_sq = 0.0
-    for err in errors:
-        sum_err += err
-        sum_sq += err * err
-    n = len(errors)
-    assert n == 6
-    assert run_study(config) == SimSummary(bias=sum_err / n, mse=sum_sq / n,
-                                           coverage=n_cover / n, n_converged=n)
+    worker = pickle.loads(pickle.dumps(config))
+    outcomes = {i: _sample(worker, i) for i in reversed(range(config.n_samples))}
+    assert [outcomes[i][0] for i in range(6)] == ["ok"] * 6
+    assert _summarize(config, (outcomes[i] for i in range(6))) == run_study(config)
 
 
 def test_run_study_simulates_the_settings_replications(monkeypatch):
@@ -238,10 +230,13 @@ def test_run_study_skips_all_zero_samples(monkeypatch):
     # so each sample is skipped before fitting and nothing is averaged.
     setting = make_setting(builtin_designs()[0], 1.0, 1e-9, 25.0)
     calls = count_calls(monkeypatch, simulation, ("fit_full",))
-    out = run_study(SimConfig(setting=setting, n_samples=5, seed=3))
+    config = SimConfig(setting=setting, n_samples=5, seed=3)
+    out = run_study(config)
     assert out.n_converged == 0
     assert math.isnan(out.bias) and math.isnan(out.mse)
     assert math.isnan(out.coverage)
+    status, est, se = _sample(config, 0)
+    assert status == "all_zero" and math.isnan(est) and math.isnan(se)
     assert calls == {"fit_full": 0}
 
 
@@ -262,10 +257,15 @@ def test_run_study_drops_failed_fits(monkeypatch, failure):
         return dataclasses.replace(real_fit(data), converged=False)
 
     monkeypatch.setattr(simulation, "fit_full", failing_fit)
-    out = run_study(SimConfig(setting=setting, n_samples=4, seed=5))
+    config = SimConfig(setting=setting, n_samples=4, seed=5)
+    out = run_study(config)
     assert len(calls) == 4
     assert first_only.n_converged == 1
     assert out == first_only
+    status, est, se = _sample(config, 1)
+    assert status == {"not-converged": "not_converged",
+                      "LinAlgError": "linalg_error"}[failure]
+    assert math.isnan(est) and math.isnan(se)
 
 
 def test_run_study_keeps_samples_whose_expected_se_is_too_costly(monkeypatch):
@@ -284,3 +284,33 @@ def test_run_study_keeps_samples_whose_expected_se_is_too_costly(monkeypatch):
     assert unpatched.n_converged > 0 and len(calls) == unpatched.n_converged
     assert fallback.n_converged == unpatched.n_converged
     assert fallback.bias == unpatched.bias and fallback.mse == unpatched.mse
+
+
+def test_run_study_drops_a_sample_without_a_finite_se(monkeypatch):
+    # Expected information uninvertible and no observed slope SE either: the
+    # sample keeps its estimate but is dropped as "nonfinite_se".
+    config = SimConfig(setting=table_settings()[0], n_samples=2, seed=5)
+    real_fit = simulation.fit_full
+
+    def no_slope_se(data):
+        fit = real_fit(data)
+        return dataclasses.replace(fit, std_errors=np.full(fit.std_errors.shape, math.nan))
+
+    def uninvertible(matrix):
+        raise np.linalg.LinAlgError("information matrix has a non-finite entry")
+
+    monkeypatch.setattr(simulation, "fit_full", no_slope_se)
+    monkeypatch.setattr(simulation, "inverse_with_condition", uninvertible)
+    status, est, se = _sample(config, 0)
+    assert status == "nonfinite_se" and math.isfinite(est) and math.isnan(se)
+    assert run_study(config).n_converged == 0
+
+
+def test_summary_accepts_the_rounding_of_equal_errors():
+    # 24 equal slope errors of this size make the fold's mse fall 1.4e-9
+    # below its squared bias: rounding, not an inconsistent summary.
+    config = SimConfig(setting=table_settings()[0], n_samples=24)
+    est = float(config.setting.beta[-1]) + 1531.7997383142088
+    out = _summarize(config, [("ok", est, 1.0)] * 24)
+    assert out.n_converged == 24 and out.coverage == 0.0
+    assert out.mse == pytest.approx(out.bias**2, rel=1e-15)
