@@ -13,8 +13,8 @@ test of the Poisson-size submodel, and a Monte Carlo study driver.
 from .data_io import (JEJUNAL_CRYPT_COUNTS, format_number, jejunal_dataset,
                       read_csv, write_records)
 from .efficiency import (EffResult, EffSetting, builtin_designs,
-                         efficiency_measures, gamma_curve, make_setting,
-                         sd_vs_mu_curves, table_settings)
+                         efficiency_measures, efficiency_table, gamma_curve,
+                         make_setting, sd_vs_mu_curves, table_settings)
 from .estimation import (FitResult, LrtResult, fit_full, fit_poisson_size,
                          likelihood_ratio_test, wald_ci)
 from .information import (NEAR_SINGULAR_CONDITION, block_variance_partition,
@@ -30,7 +30,7 @@ __all__ = [
     "JEJUNAL_CRYPT_COUNTS", "format_number", "jejunal_dataset", "read_csv",
     "write_records",
     "EffResult", "EffSetting", "builtin_designs", "efficiency_measures",
-    "gamma_curve", "make_setting", "sd_vs_mu_curves", "table_settings",
+    "efficiency_table", "gamma_curve", "make_setting", "sd_vs_mu_curves", "table_settings",
     "FitResult", "LrtResult", "fit_full", "fit_poisson_size",
     "likelihood_ratio_test", "wald_ci",
     "NEAR_SINGULAR_CONDITION", "block_variance_partition",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_io import (_number, _table, format_number, jejunal_dataset,
                       read_csv, write_records)
-from .efficiency import (builtin_designs, efficiency_measures, gamma_curve,
+from .efficiency import (builtin_designs, efficiency_table, gamma_curve,
                          make_setting, sd_vs_mu_curves, table_settings)
 from .estimation import (FitResult, fit_full, fit_poisson_size,
                          likelihood_ratio_test, wald_ci)
@@ -251,16 +251,11 @@ def _read_settings_file(path: Path) -> list:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    if args.settings is not None:
-        settings = _read_settings_file(args.settings)
-    else:
-        settings = table_settings()
-    records = []
-    for i, setting in enumerate(settings, start=1):
-        res = efficiency_measures(setting)
-        rec = _setting_row(i, setting)
-        rec.update(rho=res.rho, gamma=res.gamma, rho_gamma=res.rho_gamma)
-        records.append(rec)
+    settings = (table_settings() if args.settings is None
+                else _read_settings_file(args.settings))
+    results = efficiency_table(settings)
+    records = [{**_setting_row(i, setting), **vars(res)}  # rho, gamma, rho_gamma
+               for i, (setting, res) in enumerate(zip(settings, results), start=1)]
     columns = ["setting", "beta1", "mu", "alpha", "rho", "gamma", "rho_gamma"]
     return _write_table(args, records, columns)
 

@@ -10,8 +10,8 @@ this module reproduces.
 
 The two built-in 11-point covariate sets and the 2^4 grid of
 (design, slope, size mean, shape) settings are provided for the table runs.
-A setting keeps the link h at its rows, and every measure and curve inverts
-its Poisson-size and full matrices as one stack built on it.
+A setting keeps the link h at its rows. A table's settings, and a curve's
+grid, have their information matrices built and inverted as stacks.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "builtin_designs",
     "table_settings",
     "efficiency_measures",
+    "efficiency_table",
     "gamma_curve",
     "sd_vs_mu_curves",
 ]
@@ -126,13 +127,6 @@ def table_settings() -> list[EffSetting]:
     return out
 
 
-def _inverse_stack(setting: EffSetting, mu, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse full-model information and its condition number at each
-    (mu, alpha) pair that mu and alpha broadcast to, on the setting's design."""
-    return inverse_with_condition(
-        _info_stack(setting.X, setting.r, setting.h, mu, alpha))
-
-
 def _measure(name: str, ratio: float, cond: float) -> float:
     """The fourth root of a variance ratio, refused with RuntimeError outside
     (0, 1], which only an unstable inverse of an ill-conditioned information
@@ -148,24 +142,52 @@ def _measure(name: str, ratio: float, cond: float) -> float:
 
 
 def efficiency_measures(setting: EffSetting) -> EffResult:
-    """rho, gamma, and their product for the slope coefficient.
+    """efficiency_table([setting])[0]: the setting's rho, gamma and product,
+    or efficiency_table's RuntimeError or np.linalg.LinAlgError."""
+    return efficiency_table([setting])[0]
 
-    Variances are marginal: each information matrix is inverted whole and the
-    slope diagonal entry taken. The measures are fourth roots of the variance
-    ratios observed-sizes/Poisson-size (rho) and Poisson-size/full (gamma), so
-    smaller values mean more efficiency lost to the weaker scenario. The full
-    model is read from the setting's alpha: at INFINITE it is the Poisson-size
-    model and gamma is 1. Raises RuntimeError when a measure falls outside
-    (0, 1].
+
+def _evaluate(settings: Sequence[EffSetting]) -> list[EffResult]:
+    """efficiency_table on settings of one design shape, without retries."""
+    X, r, h = (np.stack([getattr(s, k) for s in settings]) for k in "Xrh")
+    mu = np.array([[s.mu] for s in settings], dtype=float)
+    known, c_known = inverse_with_condition(_known_sizes_gram(X, r, h, mu))
+    inv, conds = inverse_with_condition(_info_stack(
+        X[:, None], r[:, None], h[:, None], mu,
+        [[INFINITE, s.alpha] for s in settings]))
+    out = []
+    # Python floats, divided and rooted in setting order, rho before gamma.
+    for v_known, (v_poisson, v_full), cond in zip(
+            known[:, 1, 1].tolist(), inv[..., 1, 1].tolist(),
+            np.maximum(c_known, conds.max(axis=1)).tolist()):
+        rho = _measure("rho", v_known / v_poisson, cond)
+        gamma = _measure("gamma", v_poisson / v_full, cond)
+        out.append(EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma))
+    return out
+
+
+def efficiency_table(settings: Sequence[EffSetting]) -> list[EffResult]:
+    """rho, gamma, and their product for the slope coefficient, per setting:
+    fourth roots of the marginal variance ratios observed-sizes/Poisson-size
+    and Poisson-size/full (gamma = 1 at alpha = INFINITE). All settings'
+    matrices form two stacks, each inverted in one call, so the designs must
+    share one shape (ValueError). The first setting k (from 1) to fail alone
+    raises its error with " (setting k)" appended: RuntimeError for a measure
+    outside (0, 1], np.linalg.LinAlgError for a non-finite matrix or one with
+    an eigenvalue too close to zero to invert (as at a size mean of 1e-310).
     """
-    known, c_known = inverse_with_condition(
-        _known_sizes_gram(setting.X, setting.r, setting.h, setting.mu))
-    inv, conds = _inverse_stack(setting, setting.mu, [INFINITE, setting.alpha])
-    v_poisson, v_full = inv[:, 1, 1].tolist()
-    cond = max(c_known, *conds.tolist())
-    rho = _measure("rho", float(known[1, 1]) / v_poisson, cond)
-    gamma = _measure("gamma", v_poisson / v_full, cond)
-    return EffResult(rho=rho, gamma=gamma, rho_gamma=rho * gamma)
+    if len(shapes := sorted({s.X.shape for s in settings})) != 1:
+        raise ValueError(f"settings need one design shape, got {shapes}")
+    try:
+        return _evaluate(settings)
+    except (RuntimeError, np.linalg.LinAlgError) as stacked:
+        # A stack reports its first failure anywhere, not the first setting's.
+        for k, setting in enumerate(settings, start=1):
+            try:
+                _evaluate([setting])
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                raise type(exc)(f"{exc} (setting {k})") from None
+        raise stacked
 
 
 def _ascending_grid(values: Sequence[float], name: str, finite=False) -> list[float]:
@@ -188,7 +210,8 @@ def gamma_curve(setting: EffSetting,
     efficiency_measures does.
     """
     grid = _ascending_grid(alpha_grid, "alpha")
-    inv, cond = _inverse_stack(setting, setting.mu, [INFINITE] + grid)
+    inv, cond = inverse_with_condition(_info_stack(
+        setting.X, setting.r, setting.h, setting.mu, [INFINITE] + grid))
     # Python floats, as efficiency_measures divides and takes roots.
     (v_poisson, *v_full), (c_poisson, *c_full) = inv[:, 1, 1].tolist(), cond.tolist()
     return [(a, _measure("gamma", v_poisson / v, max(c_poisson, c)))
@@ -207,7 +230,8 @@ def sd_vs_mu_curves(setting: EffSetting,
     RuntimeError when an unstable inverse gives a non-positive variance.
     """
     grid = _ascending_grid(mu_grid, "mu", finite=True)
-    inv, cond = _inverse_stack(setting, grid, setting.alpha)
+    inv, cond = inverse_with_condition(_info_stack(
+        setting.X, setting.r, setting.h, grid, setting.alpha))
     var = np.diagonal(inv, axis1=-2, axis2=-1)[:, :3]
     for mu, v, c in zip(grid, var, cond):
         if not np.all(v > 0.0):

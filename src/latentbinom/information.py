@@ -23,8 +23,8 @@ u_i = x_i. The scenarios differ only in the weights:
 
 No weight divides by h or 1 - h, so a row whose link saturates to exactly
 0 or 1 adds nothing instead of 0/0. The block partition uses the
-Poisson-size matrix at mu = 1. A stack of (mu, alpha) pairs, such as a
-curve's grid, is one Gram product; info_full is the same code at one pair.
+Poisson-size matrix at mu = 1. A stack of (mu, alpha) pairs or of designs
+is one Gram product; info_full is the same code at one pair.
 inverse_with_condition gives each inverse with its condition number.
 
 The matrices are ordered (beta..., mu) and hold no alpha row: the shape is
@@ -79,20 +79,21 @@ def _design_arrays(X, r, params: ModelParams):
 
 def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
     """sum_i w_i u_i u_i' with u_i = ((1 - h_i) x_i, 1 / mu), or u_i = x_i
-    when mu is None; exactly symmetric. Weight rows w (..., n), with mu
-    broadcast against (...), give a stack (..., m, m), one matrix per row."""
+    when mu is None; exactly symmetric. The leading axes of X (..., n, d),
+    h, w (..., n) and mu (...) broadcast to a stack (..., m, m)."""
     u = X
     if mu is not None:
         mu = np.asarray(mu, dtype=float)
-        u = np.empty(mu.shape + (h.size, X.shape[1] + 1))
-        u[..., :-1] = (1.0 - h)[:, None] * X
+        lead = np.broadcast_shapes(mu.shape, h.shape[:-1])
+        u = np.empty(lead + (h.shape[-1], X.shape[-1] + 1))
+        u[..., :-1] = (1.0 - h)[..., None] * X
         u[..., -1] = (1.0 / mu)[..., None]
     return _mirrored((u * w[..., None]).swapaxes(-1, -2) @ u)
 
 
 def _info_stack(X, r, h, mu, alpha) -> np.ndarray:
     """info_full on validated design arrays at each (mu, alpha) pair that mu
-    and alpha broadcast to: a matrix for scalars, else a stack (..., m, m)."""
+    and alpha broadcast to, with X, r and h: a matrix, else a stack (..., m, m)."""
     m, a = (np.asarray(v, dtype=float)[..., None] for v in (mu, alpha))
     # mu h / alpha may overflow at a tiny shape; the weight's limit there is
     # 0. At alpha = INFINITE the weight divides by exactly 1.0.
@@ -113,9 +114,9 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
 
 
 def _known_sizes_gram(X, r, h, mu) -> np.ndarray:
-    """info_known_mean on validated design arrays at the size mean mu."""
+    """info_known_mean on validated design arrays at mu, broadcast against r."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gram(X, h, r * float(mu) * h * (1.0 - h))
+        return _gram(X, h, r * np.asarray(mu, dtype=float) * h * (1.0 - h))
 
 
 def info_known_mean(X, r, params: ModelParams) -> np.ndarray:

@@ -310,9 +310,9 @@ def test_efficiency_output_byte_identical_across_runs(capsys):
     # Poisson-size fit accepts one step within the slack, its full fit three
     # ascent steps in a row.
     ("fit", "big/22", None),
-    # Benchmark settings grids, each mixing both designs: grid/0 mostly the
-    # second, grid/8 mostly the first and down to shape 5.
-    ("design", "grid/0", None), ("design", "grid/8", None),
+    # Every benchmark settings grid, each mixing both designs: grid/0 mostly
+    # the second, grid/8 mostly the first and down to shape 5.
+    *[("design", f"grid/{k}", None) for k in range(bench_inputs.DESIGN_POOL)],
 ])
 def test_output_matches_committed_reference(capsys, tmp_path, refs, key, argv):
     want = json.loads((REFS / f"{refs}.json").read_text(encoding="utf-8"))[key]
@@ -584,6 +584,38 @@ def test_efficiency_settings_unstable_inverse_exits_two(capsys, tmp_path, row,
     (line,) = err.splitlines()
     assert line.startswith(f"latentbinom: error: {measure} = ")
     assert "lies outside (0, 1]" in line and "largest condition" in line
+
+
+@pytest.mark.parametrize("rows,start", [
+    (("1,1,100,25", "1,40,100,25", "1,1,1e-310,25"), "rho = "),
+    (("1,1,100,25", "1,1,1e-310,25", "1,40,100,25"),
+     "information matrix has an eigenvalue too close to zero to invert"),
+], ids=["measure-then-eigenvalue", "eigenvalue-then-measure"])
+def test_efficiency_settings_failure_names_first_failing_setting(
+        capsys, tmp_path, rows, start):
+    # The table is one stack, refused at its first failure anywhere in it;
+    # the error reported is the one the first failing setting gives alone,
+    # numbered as in the output's setting column.
+    _, _, alone = run_settings_row(capsys, tmp_path, rows[1])
+    code, out, err = run_settings_row(capsys, tmp_path, "\n".join(rows))
+    assert code == 2
+    assert out == ""
+    assert alone.startswith(f"latentbinom: error: {start}")
+    assert alone.endswith(" (setting 1)\n")
+    assert err == alone.replace(" (setting 1)\n", " (setting 2)\n")
+
+
+def test_efficiency_inverts_two_stacks_per_table(capsys, tmp_path, monkeypatch):
+    # One stack of observed-sizes matrices and one of Poisson-size and full
+    # pairs per table, however many settings it holds.
+    from latentbinom import efficiency
+    path = tmp_path / "grid.csv"
+    bench_inputs.write_grid_csv(path, 0)
+    calls = count_calls(monkeypatch, efficiency, ["inverse_with_condition"])
+    assert run_cli(capsys, ["efficiency"])[0] == 0
+    assert calls["inverse_with_condition"] == 2
+    assert run_cli(capsys, ["efficiency", "--settings", str(path)])[0] == 0
+    assert calls["inverse_with_condition"] == 4
 
 
 def test_efficiency_settings_condition_overflow(capsys, tmp_path):

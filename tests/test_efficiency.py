@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentbinom import (INFINITE, EffResult, ModelParams, builtin_designs,
-                         efficiency_measures, gamma_curve, info_full,
+from latentbinom import (INFINITE, EffResult, EffSetting, ModelParams,
+                         builtin_designs, efficiency_measures,
+                         efficiency_table, gamma_curve, info_full,
                          info_known_mean, inverse_with_condition, make_setting,
                          sd_vs_mu_curves, table_settings)
 from latentbinom.cli import (_CURVE_PANELS, _MU_GRID, _SD_CURVE_PANELS,
@@ -169,6 +170,37 @@ def test_known_sizes_matrix_reuses_the_settings_arrays(tmp_path):
         assert ours.tobytes() == info_known_mean(
             setting.X, setting.r, setting.params).tobytes()
         assert efficiency_measures(setting) == measures_per_matrix(setting)
+
+
+def test_table_equals_per_matrix_evaluation(tmp_path):
+    # A whole table is two stacks; each setting's slices are its matrices
+    # built and inverted alone, bit for bit.
+    for settings in (table_settings(), bench_grid_settings(tmp_path)):
+        assert efficiency_table(settings) == [
+            measures_per_matrix(s) for s in settings]
+
+
+def test_table_refuses_mixed_design_shapes():
+    x1, _ = builtin_designs()
+    short = make_setting(x1[:5], 1.0, 100.0, 25.0)
+    with pytest.raises(ValueError, match=r"got \[\(5, 2\), \(11, 2\)\]"):
+        efficiency_table(table_settings()[:2] + [short])
+    wide = EffSetting(X=np.column_stack([short.X, short.X[:, 1] ** 2]),
+                      r=short.r, beta=[1.0, 1.0, 0.0], mu=100.0, alpha=25.0)
+    with pytest.raises(ValueError, match=r"got \[\(5, 2\), \(5, 3\)\]"):
+        efficiency_table([short, wide])
+    assert efficiency_table([wide]) == [measures_per_matrix(wide)]
+    with pytest.raises(ValueError, match="one design shape"):
+        efficiency_table([])
+
+
+def test_measures_raise_numerical_failures():
+    x1, _ = builtin_designs()
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"too close to zero to invert \(setting 1\)$"):
+        efficiency_measures(make_setting(x1, 1.0, 1e-310, 25.0))
+    with pytest.raises(RuntimeError, match=r"^rho = .* \(setting 1\)$"):
+        efficiency_measures(make_setting(x1, 40.0, 100.0, 25.0))
 
 
 def test_setting_keeps_read_only_link():
