@@ -8,6 +8,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -58,6 +59,7 @@ def _level(text: str) -> float:
     return value
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="latentbinom",
                      description="Binomial regression with latent "
@@ -210,7 +212,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         _print_fit(fit, args.level, args.full_precision, out)
     _emit(args, out.getvalue())
     if not all(fit.converged for fit in fits):
-        print("error: fit did not converge", file=sys.stderr)
+        print("latentbinom: error: fit did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -332,8 +334,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except FileNotFoundError as exc:

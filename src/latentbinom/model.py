@@ -53,7 +53,7 @@ class ModelParams:
         # A copy: the caller's array stays writable, and writing to it later
         # cannot change these parameters.
         beta = np.array(self.beta, dtype=float, ndmin=1)
-        if beta.ndim != 1 or beta.size < 1 or not np.all(np.isfinite(beta)):
+        if beta.ndim != 1 or beta.size < 1 or not np.isfinite(beta).all():
             raise ValueError("beta must be a finite vector of length >= 1")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
@@ -211,7 +211,8 @@ def _logistic(t: np.ndarray) -> np.ndarray:
     # exp(-|t|) never overflows, and the form chosen by sign saturates
     # smoothly at +/-745. min(t, -t) rather than -abs(t) keeps a NaN's sign.
     e = np.exp(np.minimum(t, -t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
 def link_h(x, beta) -> float:
@@ -374,9 +375,8 @@ def _y_log_mean(data: Dataset, m: np.ndarray, am) -> np.ndarray:
     """y log(m), or y log(m / (alpha + m)) at a finite shape: 0 where y = 0,
     -inf where y > 0 but m underflowed to 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        m_safe = np.where(m > 0, m, 1.0)
-        ylog = data._yf * np.log(m_safe if am is None else m_safe / am)
-    return np.where(data._positive, np.where(m == 0.0, -np.inf, ylog), 0.0)
+        return np.where(data._positive,
+                        data._yf * np.log(m if am is None else m / am), 0.0)
 
 
 def _derivatives(data: Dataset, params: ModelParams, point: tuple,
@@ -387,43 +387,43 @@ def _derivatives(data: Dataset, params: ModelParams, point: tuple,
     h, m, am, log1p_ma = point
     y, X, d, mu = data._yf, data.X, data.d, params.mu
     if am is None:
-        out = [float(np.sum(_y_log_mean(data, m, am) - m - data._log_y_factorial))]
+        out = [float((_y_log_mean(data, m, am) - m - data._log_y_factorial).sum())]
         if order >= 1:
             dh = h * (1.0 - h)
             dbeta = X.T @ ((y / h - mu) * dh)
-            out.append(np.concatenate([dbeta, [float(np.sum(y / mu - h))]]))
+            out.append(np.concatenate([dbeta, [float((y / mu - h).sum())]]))
         if order >= 2:
             H = np.zeros((d + 1, d + 1))
             cb = (y / h - mu) * (dh * (1.0 - 2.0 * h)) - (y / h**2) * dh**2
             H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-            H[d, d] = float(np.sum(-y / mu**2))
+            H[d, d] = float((-y / mu**2).sum())
             H[:d, d] = H[d, :d] = -(dh @ X)
             out.append(H)
         return tuple(out)
 
     a = params.alpha
     shifts = _shift_sums(data, a, order)
-    out = [float(np.sum(next(shifts) + _y_log_mean(data, m, am)
-                        - data._log_y_factorial - a * log1p_ma))]
+    out = [float((next(shifts) + _y_log_mean(data, m, am)
+                  - data._log_y_factorial - a * log1p_ma).sum())]
     if order >= 1:
         dh = h * (1.0 - h)
         w = (a + y) / am
         dbeta = X.T @ ((y / h - w * mu) * dh)
-        dmu = float(np.sum(y / mu - w * h))
+        dmu = float((y / mu - w * h).sum())
         # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which stays
         # accurate when alpha dwarfs m; the digamma difference is T1[y].
-        dalpha = float(np.sum(next(shifts) - log1p_ma - (y - m) / am))
+        dalpha = float((next(shifts) - log1p_ma - (y - m) / am).sum())
         out.append(np.concatenate([dbeta, [dmu, dalpha]]))
     if order >= 2:
         H = np.zeros((d + 2, d + 2))
         cb = ((y / h - w * mu) * (dh * (1.0 - 2.0 * h))
               + ((a + y) * mu**2 / am**2 - y / h**2) * dh**2)
         H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-        H[d, d] = float(np.sum(-y / mu**2 + (a + y) * h**2 / am**2))
+        H[d, d] = float((-y / mu**2 + (a + y) * h**2 / am**2).sum())
         # The trigamma difference is -T2[y]; 1/a - 1/(a+m) written m/(a(a+m)).
-        H[d + 1, d + 1] = float(np.sum(-next(shifts) + m / (a * am) + (y - m) / am**2))
+        H[d + 1, d + 1] = float((-next(shifts) + m / (a * am) + (y - m) / am**2).sum())
         H[:d, d] = H[d, :d] = (-(a + y) * a / am**2 * dh) @ X
         H[:d, d + 1] = H[d + 1, :d] = (mu * (y - m) / am**2 * dh) @ X
-        H[d, d + 1] = H[d + 1, d] = float(np.sum(h * (y - m) / am**2))
+        H[d, d + 1] = H[d + 1, d] = float((h * (y - m) / am**2).sum())
         out.append(H)
     return tuple(out)

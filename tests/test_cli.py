@@ -29,6 +29,9 @@ _spec = importlib.util.spec_from_file_location("bench_inputs",
                                                REFS.parent / "inputs.py")
 bench_inputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_inputs)
+FIT_REFS, DESIGN_REFS = (
+    json.loads((REFS / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("fit", "design"))
 
 
 def run_cli(capsys, argv):
@@ -239,7 +242,7 @@ def test_fit_all_zero_counts_exits_one(capsys, tmp_path, model):
 def test_fit_non_convergence_prints_both_reports_and_exits_two(capsys, tmp_path):
     # Jejunal doses with counts near 1e5: the full fit ends at condition
     # 7e14 still above the absolute gradient bound, so auto mode prints both
-    # reports, skips the LRT and exits 2. ROADMAP item 1's scale-aware
+    # reports, skips the LRT and exits 2. ROADMAP item 2's scale-aware
     # stopping rule is expected to make this input converge.
     data = jejunal_dataset()
     target = tmp_path / "large_counts.csv"
@@ -249,7 +252,7 @@ def test_fit_non_convergence_prints_both_reports_and_exits_two(capsys, tmp_path)
         encoding="utf-8")
     code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
     assert code == 2
-    assert err == "error: fit did not converge\n"
+    assert err == "latentbinom: error: fit did not converge\n"
     assert out.startswith("model: poisson_size\nconverged: yes\n")
     assert "\nmodel: full\nconverged: no\n" in out
     assert "likelihood-ratio test" not in out
@@ -302,23 +305,20 @@ def test_efficiency_output_byte_identical_across_runs(capsys):
     ("design", "gamma-by-alpha", ["curves", "--kind", "gamma-by-alpha"]),
     ("design", "sd-by-mu", ["curves", "--kind", "sd-by-mu"]),
     ("fit", "jejunal", ["fit", "--builtin", "jejunal"]),
-    # Benchmark fit inputs, one per kernel path: full and Poisson-size model
-    # selected (small/0, small/1), 2e4 rows (wide), counts above 1e4 (big).
-    ("fit", "small/0", None), ("fit", "small/1", None),
-    ("fit", "wide/0", None), ("fit", "wide/4", None), ("fit", "big/14", None),
-    # The polish carries each accepted point into the next step: big/22's
-    # Poisson-size fit accepts one step within the slack, its full fit three
-    # ascent steps in a row.
-    ("fit", "big/22", None),
+    # Every benchmark fit input that exits 0: full and Poisson-size model
+    # selected (small), 2e4 rows (wide), counts above 1e4 (big).
+    *[("fit", key, None) for key, ref in FIT_REFS.items()
+      if ref["rc"] == 0 and key != "jejunal"],
     # Every benchmark settings grid, each mixing both designs: grid/0 mostly
     # the second, grid/8 mostly the first and down to shape 5.
     *[("design", f"grid/{k}", None) for k in range(bench_inputs.DESIGN_POOL)],
 ])
 def test_output_matches_committed_reference(capsys, tmp_path, refs, key, argv):
-    want = json.loads((REFS / f"{refs}.json").read_text(encoding="utf-8"))[key]
     if refs == "fit":
-        assert want["rc"] == 0
-        want = want["stdout"]
+        assert FIT_REFS[key]["rc"] == 0
+        want = FIT_REFS[key]["stdout"]
+    else:
+        want = DESIGN_REFS[key]
     if argv is None and refs == "design":
         path = tmp_path / "grid.csv"
         bench_inputs.write_grid_csv(path, int(key.split("/")[1]))
@@ -779,3 +779,53 @@ def test_fit_requires_a_data_source():
     with pytest.raises(SystemExit) as excinfo:
         main(["fit"])
     assert excinfo.value.code == 1
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_builds_no_parser():
+    out = run_fresh("import latentbinom.cli as c; "
+                    "print(c._build_parser.cache_info().currsize)")
+    assert out.strip() == "0"
+
+
+def test_reused_parser_forgets_repeated_settings(capsys):
+    run_cli(capsys, ["simulate", "--setting", "1", "--samples", "1"])
+    code, out, _ = run_cli(capsys, ["simulate", "--setting", "2", "--samples", "1"])
+    assert code == 0
+    assert [row["setting"] for row in parse_csv(out)] == ["2"]
+
+
+def test_reused_parser_forgets_output_file(capsys, tmp_path):
+    target = tmp_path / "table.csv"
+    code, out, _ = run_cli(capsys, ["efficiency", "--output", str(target)])
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, ["efficiency"])
+    assert code == 0
+    assert out == target.read_text(encoding="utf-8")
+
+
+def test_usage_error_leaves_next_call_unchanged(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["curves", "--kind", "bogus"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: latentbinom curves")
+    code, out, _ = run_cli(capsys, ["curves", "--kind", "sd-by-mu"])
+    assert (code, out) == (0, DESIGN_REFS["sd-by-mu"])
+
+
+@pytest.mark.parametrize("argv", [[], ["fit"], ["efficiency"], ["curves"],
+                                  ["simulate"]])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    helps = []
+    for parse in (main, cli._build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv + ["--help"])
+        assert excinfo.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: latentbinom")
