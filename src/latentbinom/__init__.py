@@ -10,33 +10,18 @@ with richer observation, maximum-likelihood fitting with a boundary-aware
 test of the Poisson-size submodel, and a Monte Carlo study driver.
 """
 
-from .data_io import (JEJUNAL_CRYPT_COUNTS, format_number, jejunal_dataset,
-                      read_csv, write_records)
-from .efficiency import (EffResult, EffSetting, builtin_designs,
-                         efficiency_measures, efficiency_table, gamma_curve,
-                         make_setting, sd_vs_mu_curves, table_settings)
-from .estimation import (FitResult, LrtResult, fit_full, fit_poisson_size,
-                         likelihood_ratio_test, wald_ci)
-from .information import (NEAR_SINGULAR_CONDITION, block_variance_partition,
-                          info_full, info_known_mean, inverse_with_condition)
-from .model import (Dataset, INFINITE, ModelParams, hessian, link_h,
-                    log_likelihood, log_pmf, score)
-from .simulation import (LatentRecord, SimConfig, SimSummary,
-                         generate_dataset, run_study)
+from . import data_io, efficiency, estimation, information, model, simulation
+from .data_io import *
+from .efficiency import *
+from .estimation import *
+from .information import *
+from .model import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "JEJUNAL_CRYPT_COUNTS", "format_number", "jejunal_dataset", "read_csv",
-    "write_records",
-    "EffResult", "EffSetting", "builtin_designs", "efficiency_measures",
-    "efficiency_table", "gamma_curve", "make_setting", "sd_vs_mu_curves", "table_settings",
-    "FitResult", "LrtResult", "fit_full", "fit_poisson_size",
-    "likelihood_ratio_test", "wald_ci",
-    "NEAR_SINGULAR_CONDITION", "block_variance_partition",
-    "info_full", "info_known_mean", "inverse_with_condition",
-    "Dataset", "INFINITE", "ModelParams", "hessian",
-    "link_h", "log_likelihood", "log_pmf", "score",
-    "LatentRecord", "SimConfig", "SimSummary", "generate_dataset", "run_study",
-    "__version__",
-]
+# The library modules' public names; cli, the command-line front end, is
+# left out so that importing the package loads no argparse.
+__all__ = [*data_io.__all__, *efficiency.__all__, *estimation.__all__,
+           *information.__all__, *model.__all__, *simulation.__all__,
+           "__version__"]

@@ -230,11 +230,6 @@ def _read_settings_file(path: Path) -> list:
                     "header must contain columns design,beta1,mu,alpha once each")
             at = [header.index(c) for c in columns]
             for line_no, fields in zip(lines, rows):
-                if not "".join(fields).strip():
-                    continue  # a blank row, as in read_csv
-                if len(fields) != len(header):
-                    raise ValueError(f"line {line_no}: expected {len(header)} "
-                                     f"fields, got {len(fields)}")
                 try:
                     design_id, slope, mu, alpha = (_number(fields[i]) for i in at)
                 except ValueError:

@@ -3,9 +3,10 @@ reading, and record writing for the CLI.
 
 The embedded data are compiled in as constants so golden tests never depend
 on the working directory. Data and settings files share one deliberately
-rigid CSV dialect (_table): comma delimiter, period decimal separator, the
-first row that is not blank as the header, blank rows skipped, every other
-row as many fields as the header, and errors naming the 1-based line.
+rigid CSV dialect: comma delimiter, period decimal separator, the first row
+that is not blank as the header (names stripped), blank rows skipped, every
+other row as many fields as the header, and errors naming the 1-based line.
+_table alone applies the row rules; its readers convert values only.
 """
 
 from __future__ import annotations
@@ -65,14 +66,11 @@ def _number(text: str, kind=float):
     return kind(text)
 
 
-# Rows read_csv converts at once; one block's text is all it holds.
+# Physical rows _table reads per block; one block's text is all a reader holds.
 _BLOCK_ROWS = 4096
 
 
-def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float], int]:
-    if len(fields) != n_cols:
-        raise ValueError(
-            f"line {line_no}: expected {n_cols} fields, got {len(fields)}")
+def _parse_row(fields: list[str], line_no: int) -> tuple[list[float], int]:
     try:
         covariates = [_number(f) for f in fields[:-1]]
     except ValueError:
@@ -100,37 +98,47 @@ def _parse_row(fields: list[str], line_no: int, n_cols: int) -> tuple[list[float
 
 def _table(path: Path) -> Iterator[tuple[list[str], int, list[list[str]], list[int]]]:
     """(header, its line, rows, their lines) per block of up to _BLOCK_ROWS
-    rows after the header, the first non-blank row; no header yields nothing.
-    Lines are physical, the count a csv.Error names; a csv.Error raises
-    ValueError after the rows before it."""
-    header, header_line, error = None, 0, None
+    physical rows after the header, the first row that is not blank. A
+    blank row, empty or only whitespace and commas, is skipped; the header's
+    names are stripped. The header is yielded at least once, with no rows
+    for a header-only file; a file without one yields nothing. Lines are
+    physical, the count a csv.Error names. A csv.Error, or a row whose field
+    count is not the header's, raises ValueError after the rows before it."""
+    # n_cols is 0 until the header, so the first row that is not blank is it.
+    header, header_line, n_cols, error, ended, yielded = None, 0, 0, None, False, False
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        while error is None:
-            rows, lines = [], []  # drops the last block before reading on
+        while error is None and not ended:
+            rows, lines, n_read = [], [], 0  # drops the last block before reading on
             try:
-                for fields in islice(reader, _BLOCK_ROWS):
-                    rows.append(fields)
-                    lines.append(reader.line_num)
+                for n_read, fields in enumerate(islice(reader, _BLOCK_ROWS), 1):
+                    if not (fields and fields[0].strip() or "".join(fields).strip()):
+                        continue  # a blank row
+                    if len(fields) == n_cols:
+                        rows.append(fields)
+                        lines.append(reader.line_num)
+                    elif header is None:
+                        header, header_line = [f.strip() for f in fields], reader.line_num
+                        n_cols = len(fields)
+                    else:
+                        error = ValueError(f"line {reader.line_num}: expected "
+                                           f"{n_cols} fields, got {len(fields)}")
+                        break
             except csv.Error as exc:
                 error = ValueError(f"line {reader.line_num}: {exc}")
-            if not rows and error is None:
-                return
-            if header is None:
-                at = next((i for i, f in enumerate(rows) if "".join(f).strip()), None)
-                if at is None:
-                    continue
-                header, header_line = rows[at], lines[at]
-                rows, lines = rows[at + 1:], lines[at + 1:]
-            yield header, header_line, rows, lines
-    raise error
+            ended = n_read < _BLOCK_ROWS
+            if header is not None and (rows or not yielded):
+                yielded = True
+                yield header, header_line, rows, lines
+    if error is not None:
+        raise error
 
 
-def _by_columns(rows: list[list[str]], n_cols: int):
+def _by_columns(rows: list[list[str]]):
     """(covariate rows, counts) of rows converted a column at a time, or
     None when a whole-column check refuses and _parse_row must decide."""
     columns = list(zip(*rows))
-    if set(map(len, rows)) != {n_cols} or any("_" in "".join(c) for c in columns):
+    if any("_" in "".join(c) for c in columns):
         return None
     try:
         X = np.array([list(map(float, col)) for col in columns[:-1]]).T
@@ -140,14 +148,11 @@ def _by_columns(rows: list[list[str]], n_cols: int):
     return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None
 
 
-def _by_rows(rows: list[list[str]], lines: list[int], n_cols: int):
+def _by_rows(rows: list[list[str]], lines: list[int]):
     """(covariate rows, counts) of rows converted one at a time by
-    _parse_row, blank rows skipped; the first offending line raises."""
-    parsed = [_parse_row(fields, line_no, n_cols)
-              for line_no, fields in zip(lines, rows)
-              if "".join(fields).strip()]
-    X = np.array([x for x, _ in parsed], dtype=float).reshape(-1, n_cols - 1)
-    return X, [count for _, count in parsed]
+    _parse_row; the first offending line raises."""
+    parsed = [_parse_row(fields, line_no) for line_no, fields in zip(lines, rows)]
+    return np.array([x for x, _ in parsed], dtype=float), [count for _, count in parsed]
 
 
 def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
@@ -167,7 +172,9 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
         n_cols = len(header)
         if n_cols < 2:
             raise ValueError(f"line {header_line}: header needs at least two columns")
-        X, counts = _by_columns(rows, n_cols) or _by_rows(rows, lines, n_cols)
+        if not rows:
+            continue  # the header alone
+        X, counts = _by_columns(rows) or _by_rows(rows, lines)
         blocks.append(X)
         y.extend(counts)
         del rows  # before the next block is read

@@ -33,6 +33,7 @@ __all__ = [
     "efficiency_measures",
     "efficiency_table",
     "gamma_curve",
+    "make_setting",
     "sd_vs_mu_curves",
 ]
 

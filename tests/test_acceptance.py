@@ -121,6 +121,7 @@ def test_criterion_3_efficiency_table():
     assert not misses, "; ".join(misses)
 
 
+@pytest.mark.slow
 def test_criterion_4_simulation_study_fast_mode():
     failures = []
     for number, (bias_ref, mse_ref, cov_ref) in TABLE3_FAST_ROWS.items():
@@ -206,6 +207,7 @@ def test_criterion_7_structure_suite():
         assert np.max(np.abs(other - scaled[0])) <= 1e-10 * np.max(np.abs(scaled[0]))
 
 
+@pytest.mark.slow
 def test_criterion_8_distribution_suite():
     # Normalization of the marginal pmf, truncating where the tail provably
     # holds less than 1e-12.

@@ -18,7 +18,7 @@ import latentbinom
 from latentbinom import (SimConfig, SimSummary, builtin_designs,
                          efficiency_measures, jejunal_dataset, make_setting,
                          run_study, table_settings)
-from latentbinom import cli
+from latentbinom import cli, data_io
 from latentbinom.cli import main
 
 
@@ -361,8 +361,10 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 def test_import_leaves_scipy_stats_unloaded():
     # No scipy module at all: scipy.optimize is loaded by the first fit.
-    out = run_fresh(f"import sys, latentbinom; print({SCIPY_LOADED})")
-    assert out.strip() == "[]"
+    # Nor the CLI: the package exports the library modules' names only.
+    out = run_fresh(f"import sys, latentbinom; print({SCIPY_LOADED}, "
+                    "'argparse' in sys.modules, 'latentbinom.cli' in sys.modules)")
+    assert out.strip() == "[] False False"
 
 
 def test_only_a_fit_loads_scipy(capsys):
@@ -482,16 +484,28 @@ def test_efficiency_settings_file_errors(capsys, tmp_path):
     ("design,beta1,mu,alpha\n2e0,1,100,25\n", "line 2: design must be 1 or 2"),
     ("design,beta1,mu,alpha\n+1,1,100,25\n", "line 2: design must be 1 or 2"),
     ("design,beta1,mu,alpha\n1.5,1,100,25\n", "line 2: design must be 1 or 2"),
+    # Names are compared stripped, so a spaced duplicate is a duplicate.
+    ("design,beta1,mu,alpha, mu\n1,1,100,25,300\n",
+     "header must contain columns design,beta1,mu,alpha once each"),
+    # The first offending line wins over a later ragged row, also when the
+    # two sit in different blocks.
+    ("design,beta1,mu,alpha\n1,1,abc,25\n1,1,100\n", "line 2: non-numeric field"),
+    ("design,beta1,mu,alpha\n1,1,100,25\n1,x,100,25\n\n , \n1,1,100,25,7\n",
+     "line 3: non-numeric field"),
 ], ids=["extra-field", "short-row", "duplicate-mu", "mu-nan",
         "alpha-nan", "empty", "blank", "header-only", "multiline-then-bad",
         "multiline-then-oversized", "design-float", "design-exponent",
-        "design-signed", "design-fraction"])
+        "design-signed", "design-fraction", "duplicate-spaced-mu",
+        "non-numeric-then-short-row", "non-numeric-then-extra-field"])
 def test_efficiency_settings_rows_follow_data_file_rules(capsys, tmp_path, text,
-                                                         message):
+                                                         message, monkeypatch):
     settings = tmp_path / "settings.csv"
     settings.write_text(text, encoding="utf-8")
-    code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
-    assert (code, out, err) == (1, "", f"latentbinom: error: {settings}: {message}\n")
+    for block_rows in (1, 2, data_io._BLOCK_ROWS):
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", block_rows)
+        code, out, err = run_cli(capsys, ["efficiency", "--settings", str(settings)])
+        assert (code, out, err) == (
+            1, "", f"latentbinom: error: {settings}: {message}\n"), block_rows
 
 
 @pytest.mark.parametrize("text", [
@@ -502,15 +516,22 @@ def test_efficiency_settings_rows_follow_data_file_rules(capsys, tmp_path, text,
     # A byte-order mark, as spreadsheets save "CSV UTF-8", is not a field.
     "\ufeffdesign,beta1,mu,alpha\n1,1,100,25\n",
     "\ufeff\n , \ndesign,beta1,mu,alpha\n1,1,100,25\n",
+    # A block made up of blank rows is not the end of the file.
+    "design,beta1,mu,alpha\n" + "\n , \n,,,\n" * 2 + "1,1,100,25\n",
+    # Header names are compared without surrounding whitespace.
+    "design, beta1 ,mu,\talpha \n1,1,100,25\n",
 ], ids=["leading-blank-line", "leading-blank-fields", "trailing-comma-row",
-        "inner-blank-rows", "byte-order-mark", "byte-order-mark-then-blank-rows"])
-def test_efficiency_settings_blank_rows_skipped(capsys, tmp_path, text):
+        "inner-blank-rows", "byte-order-mark", "byte-order-mark-then-blank-rows",
+        "block-of-blank-rows", "spaced-header-names"])
+def test_efficiency_settings_blank_rows_skipped(capsys, tmp_path, text, monkeypatch):
     settings = tmp_path / "settings.csv"
     settings.write_text("design,beta1,mu,alpha\n1,1,100,25\n", encoding="utf-8")
     want = run_cli(capsys, ["efficiency", "--settings", str(settings)])
     assert want[0] == 0 and want[2] == ""
     settings.write_text(text, encoding="utf-8")
-    assert run_cli(capsys, ["efficiency", "--settings", str(settings)]) == want
+    for block_rows in (1, 2, 3, data_io._BLOCK_ROWS):
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", block_rows)
+        assert run_cli(capsys, ["efficiency", "--settings", str(settings)]) == want
 
 
 def test_efficiency_settings_saturated_link(capsys, tmp_path):
@@ -713,6 +734,7 @@ def test_simulate_deterministic_output(capsys):
     assert first == second
 
 
+@pytest.mark.slow
 def test_simulate_thousand_samples_seed42_coverage(capsys):
     code, out, err = run_cli(capsys, ["simulate", "--setting", "1",
                                       "--samples", "1000", "--seed", "42"])

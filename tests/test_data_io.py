@@ -98,12 +98,18 @@ def test_read_csv_empty_file_is_an_error(tmp_path):
     ("dose,count\n1_0,1_000\n2,30\n3,5\n", "line 2: non-numeric covariate"),
     ("dose,count\n1,5\n2,1_000\n", "line 3: non-numeric count"),
     ("dose,count\n1,5\n2,1_0.0\n", "line 3: non-numeric count"),
+    # The first offending line wins over a later ragged row, also when the
+    # two sit in different blocks.
+    ("dose,count\n6.25,abc\n1,2,3\n", "line 2: non-numeric count"),
+    ("dose,count\n1,5\nx,5\n\n , \n7\n", "line 3: non-numeric covariate"),
 ])
 def test_read_csv_reports_offending_line(tmp_path, text, fragment):
     target = tmp_path / "bad.csv"
     target.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=fragment):
-        read_csv(target)
+    for block_rows in (1, 2, 3, data_io._BLOCK_ROWS):
+        with mock.patch.object(data_io, "_BLOCK_ROWS", block_rows):
+            with pytest.raises(ValueError, match=fragment):
+                read_csv(target)
 
 
 def test_read_csv_missing_file():
@@ -116,6 +122,12 @@ def test_read_csv_skips_blank_lines(tmp_path):
     target.write_text("dose,count\n\n6.25,76\n\n6.50,75\n\n", encoding="utf-8")
     data = read_csv(target)
     assert list(data.y) == [76, 75]
+    # A block made up of blank rows is not the end of the file.
+    target.write_text("dose,count\n6.25,76\n" + "\n , \n,\n" * 2 + "6.50,75\n",
+                      encoding="utf-8")
+    for block_rows in (1, 2, 3):
+        with mock.patch.object(data_io, "_BLOCK_ROWS", block_rows):
+            assert list(read_csv(target).y) == [76, 75], block_rows
 
 
 def test_read_csv_integral_float_count_accepted(tmp_path):

@@ -23,6 +23,19 @@ def test_package_exports_resolve():
         assert hasattr(latentbinom, name), name
 
 
+@pytest.mark.parametrize("module", ["data_io", "efficiency", "estimation",
+                                    "information", "model", "simulation"])
+def test_package_exports_every_public_name(module):
+    namespace = {}
+    exec(f"from latentbinom.{module} import *", namespace)
+    names = set(namespace) - {"__builtins__"}
+    assert names and names <= set(latentbinom.__all__), module
+    for name in names:
+        assert getattr(latentbinom, name) is namespace[name], name
+    if module == "efficiency":
+        assert "make_setting" in names
+
+
 # -- parameters and dataset containers ---------------------------------------
 
 
