@@ -8,8 +8,12 @@ Newton polish using the analytic Hessian. Each trial point's link is
 evaluated once and passed to one derivative pass of the order it needs: the
 score in the quasi-Newton stage, the value alone at a polish trial, and the
 Hessian too at each accepted point, which the next step and the result
-read. Standard errors come from the inverse of the negated observed Hessian
-at the estimate, which is also what reproduces the reference results; the
+read; only the quasi-Newton result's link is evaluated again, for its
+Hessian. The quasi-Newton stage asks again for points it has seen; a memo
+that lasts one fit, keyed on the exact coordinates, answers those repeats
+with the same bits, so it evaluates each distinct point once. Standard
+errors come from the inverse of the negated observed Hessian at the
+estimate, which is also what reproduces the reference results; the
 expected-information matrices in the information module stay available for
 cross-checks. The BFGS stage is scipy.optimize's, imported by the first fit,
 so importing this module loads no scipy.
@@ -149,16 +153,23 @@ def _default_beta_mu_init(data: Dataset) -> tuple[np.ndarray, float]:
 
 def _optimize(data: Dataset, p0: np.ndarray):
     d = data.d
+    # BFGS's line searches return to their base point, and a failed one is
+    # walked again by the fallback search: about a third of its requests.
+    seen: dict[bytes, tuple[float, np.ndarray]] = {}
 
     def objective(p):
         # `point` holds the last point until the next exists; freed between
         # evaluations, its arrays let glibc trim the heap and fault pages back
         # in (473k vs 17k minor faults: 1,400 (ll, score) pairs, 2e4 rows).
         nonlocal point
-        params = _unpack(p, d)
-        point = _point(data, params)
-        ll, raw_g = _derivatives(data, params, point, 1)
-        return -ll, -_transformed_grad(params, raw_g)
+        key = p.tobytes()
+        if key not in seen:
+            params = _unpack(p, d)
+            point = _point(data, params)
+            ll, raw_g = _derivatives(data, params, point, 1)
+            seen[key] = (-ll, -_transformed_grad(params, raw_g))
+        f, g = seen[key]
+        return f, g.copy()  # scipy may write to the gradient it is given
 
     # Here, not at module top: scipy.optimize is ~75% of the package's import time.
     from scipy.optimize import minimize

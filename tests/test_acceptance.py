@@ -207,7 +207,6 @@ def test_criterion_7_structure_suite():
         assert np.max(np.abs(other - scaled[0])) <= 1e-10 * np.max(np.abs(scaled[0]))
 
 
-@pytest.mark.slow
 def test_criterion_8_distribution_suite():
     # Normalization of the marginal pmf, truncating where the tail provably
     # holds less than 1e-12.

@@ -168,15 +168,18 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     # Call counts per layer are read by wrapping these names in the
     # estimation namespace; a fit that bypassed them would read as zero.
     # Every trial point has one link evaluation, which the derivative passes
-    # read: each point made is read, at no order twice. The jejunal fits
-    # try 24 and 112 points.
+    # read: each point made is read, at no order twice. The optimizer's
+    # repeated requests are answered from the fit's memo, so no coordinates
+    # are made twice but the quasi-Newton result's, which the first order-2
+    # pass makes again. On the jejunal data scipy asks for 23 and 110 points,
+    # and the fits make 24 and 73.
     data = jejunal_dataset()
     points, passes = [], []
     point, derivatives = estimation._point, estimation._derivatives
 
-    def counted_point(*args):
-        points.append(point(*args))
-        return points[-1]
+    def counted_point(data, params):
+        points.append((params.as_array().tobytes(), point(data, params)))
+        return points[-1][1]
 
     def counted_derivatives(data, params, at, order):
         passes.append((id(at), order))
@@ -187,16 +190,52 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
 
     def check(n_points):
         assert len(points) == n_points
-        assert {at for at, _ in passes} == {id(p) for p in points}
+        assert {at for at, _ in passes} == {id(p) for _, p in points}
         assert len(set(passes)) == len(passes)
         assert 1 <= sum(order == 2 for _, order in passes) < n_points
+        coords = [c for c, _ in points]
+        first_order_2 = next(at for at, order in passes if order == 2)
+        result = next(c for c, p in points if id(p) == first_order_2)
+        assert coords.count(result) == 2
+        assert len(set(coords)) == n_points - 1
         points.clear()
         passes.clear()
 
     sub = fit_poisson_size(data)
     check(24)
     fit_full(data, init=sub.params)
-    check(112)
+    check(73)
+
+
+def test_repeated_trial_point_returns_the_first_values(monkeypatch):
+    # The objective answers a repeated point from its memo without a new
+    # point, and hands out a copy: writing to one gradient reaches no other.
+    import scipy.optimize
+    data = jejunal_dataset()
+    minimize, made = scipy.optimize.minimize, []
+    point = estimation._point
+
+    def counted_point(*args):
+        made.append(1)
+        return point(*args)
+
+    def checked_minimize(fun, x0, **kwargs):
+        f1, g1 = fun(x0.copy())
+        kept = g1.copy()
+        g1[:] = np.nan
+        f2, g2 = fun(x0.copy())
+        assert len(made) == 1
+        assert f2 == f1
+        assert np.array_equal(g2, kept)
+        g2[:] = np.nan
+        assert np.array_equal(fun(x0.copy())[1], kept)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(estimation, "_point", counted_point)
+    monkeypatch.setattr(scipy.optimize, "minimize", checked_minimize)
+    fit = fit_poisson_size(data)
+    monkeypatch.undo()
+    assert_same_fit(fit, fit_poisson_size(data))
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])

@@ -31,7 +31,7 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert "INTERNALERROR" not in output
 
 
-def test_slow_marker_selects_the_three_long_tests():
+def test_slow_marker_selects_the_two_study_tests():
     # `-m "not slow"` is the quick local loop; the marker must be registered,
     # since an unknown one is an error under the warnings filter.
     done = subprocess.run(
@@ -43,7 +43,6 @@ def test_slow_marker_selects_the_three_long_tests():
     assert done.returncode == 0, output
     assert sorted(line for line in done.stdout.splitlines() if "::" in line) == [
         "tests/test_acceptance.py::test_criterion_4_simulation_study_fast_mode",
-        "tests/test_acceptance.py::test_criterion_8_distribution_suite",
         "tests/test_cli.py::test_simulate_thousand_samples_seed42_coverage",
     ], output
     assert "warning" not in output.lower()
