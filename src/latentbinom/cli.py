@@ -224,18 +224,19 @@ def _read_settings_file(path: Path) -> list:
     designs, out = builtin_designs(), []
     columns = ("design", "beta1", "mu", "alpha")
     try:
-        for header, _, rows, lines in _table(path):
+        for header, _, fields, lines in _table(path):
             if any(header.count(c) != 1 for c in columns):
                 raise ValueError(
                     "header must contain columns design,beta1,mu,alpha once each")
-            at = [header.index(c) for c in columns]
-            for line_no, fields in zip(lines, rows):
+            n_cols, at = len(header), [header.index(c) for c in columns]
+            for k, line_no in enumerate(lines):
+                row = fields[k * n_cols:(k + 1) * n_cols]
                 try:
-                    design_id, slope, mu, alpha = (_number(fields[i]) for i in at)
+                    design_id, slope, mu, alpha = (_number(row[i]) for i in at)
                 except ValueError:
                     raise ValueError(f"line {line_no}: non-numeric field") from None
                 try:
-                    if fields[at[0]].strip() not in ("1", "2"):
+                    if row[at[0]].strip() not in ("1", "2"):
                         raise ValueError("design must be 1 or 2")
                     out.append(make_setting(designs[int(design_id) - 1], slope, mu, alpha))
                 except ValueError as exc:

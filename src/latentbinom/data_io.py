@@ -96,62 +96,62 @@ def _parse_row(fields: list[str], line_no: int) -> tuple[list[float], int]:
     return covariates, count
 
 
-def _table(path: Path) -> Iterator[tuple[list[str], int, list[list[str]], list[int]]]:
-    """(header, its line, rows, their lines) per block of up to _BLOCK_ROWS
-    physical rows after the header, the first row that is not blank. A
-    blank row, empty or only whitespace and commas, is skipped; the header's
-    names are stripped. The header is yielded at least once, with no rows
-    for a header-only file; a file without one yields nothing. Lines are
-    physical, the count a csv.Error names. A csv.Error, or a row whose field
+def _table(path: Path) -> Iterator[tuple[list[str], int, list[str], list[int]]]:
+    """(header, its line, fields, row lines) per block of up to _BLOCK_ROWS
+    physical rows after the header, the first row that is not blank; fields
+    holds the block's rows end to end, len(header) each; no row list is kept.
+    Blank rows, empty or only whitespace and commas, are skipped; the header's
+    names are stripped. The header is yielded at least once; a file without
+    one yields nothing. Lines are physical. A csv.Error, or a row whose field
     count is not the header's, raises ValueError after the rows before it."""
     # n_cols is 0 until the header, so the first row that is not blank is it.
     header, header_line, n_cols, error, ended, yielded = None, 0, 0, None, False, False
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         while error is None and not ended:
-            rows, lines, n_read = [], [], 0  # drops the last block before reading on
+            fields, lines, n_read = [], [], 0  # drops the last block before reading on
             try:
-                for n_read, fields in enumerate(islice(reader, _BLOCK_ROWS), 1):
-                    if not (fields and fields[0].strip() or "".join(fields).strip()):
+                for n_read, row in enumerate(islice(reader, _BLOCK_ROWS), 1):
+                    if not (row and row[0].strip() or "".join(row).strip()):
                         continue  # a blank row
-                    if len(fields) == n_cols:
-                        rows.append(fields)
+                    if len(row) == n_cols:
+                        fields.extend(row)
                         lines.append(reader.line_num)
                     elif header is None:
-                        header, header_line = [f.strip() for f in fields], reader.line_num
-                        n_cols = len(fields)
+                        header, header_line = [f.strip() for f in row], reader.line_num
+                        n_cols = len(row)
                     else:
                         error = ValueError(f"line {reader.line_num}: expected "
-                                           f"{n_cols} fields, got {len(fields)}")
+                                           f"{n_cols} fields, got {len(row)}")
                         break
             except csv.Error as exc:
                 error = ValueError(f"line {reader.line_num}: {exc}")
             ended = n_read < _BLOCK_ROWS
-            if header is not None and (rows or not yielded):
+            if header is not None and (lines or not yielded):
                 yielded = True
-                yield header, header_line, rows, lines
+                yield header, header_line, fields, lines
     if error is not None:
         raise error
 
 
-def _by_columns(rows: list[list[str]]):
-    """(covariate rows, counts) of rows converted a column at a time, or
+def _by_columns(fields: list[str], n_cols: int):
+    """(covariate rows, counts) of fields converted a column at a time, or
     None when a whole-column check refuses and _parse_row must decide."""
-    columns = list(zip(*rows))
-    if any("_" in "".join(c) for c in columns):
+    if "_" in "".join(fields):
         return None
     try:
-        X = np.array([list(map(float, col)) for col in columns[:-1]]).T
-        y = list(map(int, columns[-1]))
+        X = np.array([list(map(float, fields[j::n_cols])) for j in range(n_cols - 1)]).T
+        y = list(map(int, fields[n_cols - 1::n_cols]))
     except ValueError:
         return None
     return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None
 
 
-def _by_rows(rows: list[list[str]], lines: list[int]):
-    """(covariate rows, counts) of rows converted one at a time by
+def _by_rows(fields: list[str], n_cols: int, lines: list[int]):
+    """(covariate rows, counts) of fields converted a row at a time by
     _parse_row; the first offending line raises."""
-    parsed = [_parse_row(fields, line_no) for line_no, fields in zip(lines, rows)]
+    parsed = [_parse_row(fields[k * n_cols:(k + 1) * n_cols], line_no)
+              for k, line_no in enumerate(lines)]
     return np.array([x for x, _ in parsed], dtype=float), [count for _, count in parsed]
 
 
@@ -168,16 +168,16 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     """
     path = Path(path)
     n_cols, y, blocks = 0, [], []
-    for header, header_line, rows, lines in _table(path):
+    for header, header_line, fields, lines in _table(path):
         n_cols = len(header)
         if n_cols < 2:
             raise ValueError(f"line {header_line}: header needs at least two columns")
-        if not rows:
+        if not lines:
             continue  # the header alone
-        X, counts = _by_columns(rows) or _by_rows(rows, lines)
+        X, counts = _by_columns(fields, n_cols) or _by_rows(fields, n_cols, lines)
         blocks.append(X)
         y.extend(counts)
-        del rows  # before the next block is read
+        del fields  # before the next block is read
     if not n_cols:
         raise ValueError(f"{path}: empty file, expected a header row")
     if not y:

@@ -8,8 +8,8 @@ Newton polish using the analytic Hessian. Each trial point's link is
 evaluated once and passed to one derivative pass of the order it needs: the
 score in the quasi-Newton stage, the value alone at a polish trial, and the
 Hessian too at each accepted point, which the next step and the result
-read; only the quasi-Newton result's link is evaluated again, for its
-Hessian. The quasi-Newton stage asks again for points it has seen; a memo
+read; BFGS's result reuses its last point unless it exits on precision
+loss. The quasi-Newton stage asks again for points it has seen; a memo
 that lasts one fit, keyed on the exact coordinates, answers those repeats
 with the same bits, so it evaluates each distinct point once. Standard
 errors come from the inverse of the negated observed Hessian at the
@@ -156,17 +156,18 @@ def _optimize(data: Dataset, p0: np.ndarray):
     # BFGS's line searches return to their base point, and a failed one is
     # walked again by the fallback search: about a third of its requests.
     seen: dict[bytes, tuple[float, np.ndarray]] = {}
+    last = None
 
     def objective(p):
-        # `point` holds the last point until the next exists; freed between
+        # `last` holds the last point made until the next exists; freed between
         # evaluations, its arrays let glibc trim the heap and fault pages back
         # in (473k vs 17k minor faults: 1,400 (ll, score) pairs, 2e4 rows).
-        nonlocal point
+        nonlocal last
         key = p.tobytes()
         if key not in seen:
             params = _unpack(p, d)
-            point = _point(data, params)
-            ll, raw_g = _derivatives(data, params, point, 1)
+            last = key, params, _point(data, params)
+            ll, raw_g = _derivatives(data, params, last[2], 1)
             seen[key] = (-ll, -_transformed_grad(params, raw_g))
         f, g = seen[key]
         return f, g.copy()  # scipy may write to the gradient it is given
@@ -177,8 +178,10 @@ def _optimize(data: Dataset, p0: np.ndarray):
         res = minimize(objective, p0, jac=True, method="BFGS",
                        options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITER})
         p = res.x.copy()
-        params = _unpack(p, d)
-        point = _point(data, params)  # drops the objective's last point
+        (key, params, point), last = last, None  # the objective's last point
+        if key != p.tobytes():  # an exit on precision loss returns an earlier one
+            params = _unpack(p, d)
+            point = _point(data, params)
         ll, raw_g, raw_h = _derivatives(data, params, point, 2)
         n_iter = int(res.nit)
 

@@ -210,9 +210,9 @@ class Dataset:
 def _logistic(t: np.ndarray) -> np.ndarray:
     # exp(-|t|) never overflows, and the form chosen by sign saturates
     # smoothly at +/-745. min(t, -t) rather than -abs(t) keeps a NaN's sign.
-    e = np.exp(np.minimum(t, -t))
-    denom = 1.0 + e
-    return np.where(t >= 0, 1.0 / denom, e / denom)
+    e = np.minimum(t, -t)
+    np.exp(e, out=e)
+    return np.divide(np.where(t >= 0, 1.0, e), 1.0 + e)
 
 
 def link_h(x, beta) -> float:

@@ -1,6 +1,7 @@
 """Embedded crypt data, CSV ingestion, and record writing."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -362,14 +363,49 @@ def test_read_csv_first_bad_row_in_second_block(tmp_path, row, bad):
 
 
 def test_read_csv_long_file_matches_per_row_loop(tmp_path):
-    lines = wide_csv_lines(2 * data_io._BLOCK_ROWS + 100)
-    lines[10] = ""
-    lines[data_io._BLOCK_ROWS + 3] = lines[data_io._BLOCK_ROWS + 3].split(",")[0] + ",76.0"
-    target = tmp_path / "long.csv"
+    # 2e4 rows is the size of a wide fit input.
+    for n_rows in (2 * data_io._BLOCK_ROWS + 100, 20_000):
+        lines = wide_csv_lines(n_rows)
+        lines[10] = ""
+        row = data_io._BLOCK_ROWS + 3
+        lines[row] = lines[row].split(",")[0] + ",76.0"
+        target = tmp_path / "long.csv"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = outcome(per_row_read_csv, target)
+        assert want[0] == "ok"
+        assert_same_outcome(outcome(read_csv, target), want)
+
+
+def test_read_csv_names_the_first_row_of_the_second_block(tmp_path):
+    # Line 1 is the header, so line 4098 starts the second 4096-row block.
+    assert data_io._BLOCK_ROWS == 4096
+    lines = wide_csv_lines(20_000)
+    lines[4097] = lines[4097].split(",")[0] + ",abc"
+    target = tmp_path / "wide.csv"
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    want = outcome(per_row_read_csv, target)
-    assert want[0] == "ok"
-    assert_same_outcome(outcome(read_csv, target), want)
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(target)
+    assert str(excinfo.value) == "line 4098: non-numeric count 'abc'"
+
+
+def test_read_csv_runs_no_older_generation_collection(tmp_path):
+    # No row's list outlives its read: a block is one list of strings, which
+    # the collector does not track, so no tracked objects build up to age.
+    target = tmp_path / "wide.csv"
+    target.write_text("\n".join(wide_csv_lines(20_000)) + "\n", encoding="utf-8")
+    generations = []
+
+    def note(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()  # counts start from zero, so no earlier allocations tip one
+    gc.callbacks.append(note)
+    try:
+        read_csv(target)
+    finally:
+        gc.callbacks.remove(note)
+    assert not [g for g in generations if g > 0], generations
 
 
 def test_read_csv_memory_stays_within_a_block(tmp_path):

@@ -169,10 +169,12 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     # estimation namespace; a fit that bypassed them would read as zero.
     # Every trial point has one link evaluation, which the derivative passes
     # read: each point made is read, at no order twice. The optimizer's
-    # repeated requests are answered from the fit's memo, so no coordinates
-    # are made twice but the quasi-Newton result's, which the first order-2
-    # pass makes again. On the jejunal data scipy asks for 23 and 110 points,
-    # and the fits make 24 and 73.
+    # repeated requests are answered from the fit's memo, and the first
+    # order-2 pass reads the objective's last point, so no coordinates are
+    # made twice, except when BFGS exits on precision loss (status 2, the
+    # full fit here): its result is an earlier point, made again. On the
+    # jejunal data scipy asks for 23 and 110 points, and the fits make 23
+    # (all distinct) and 73 (72 distinct).
     data = jejunal_dataset()
     points, passes = [], []
     point, derivatives = estimation._point, estimation._derivatives
@@ -188,7 +190,7 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     monkeypatch.setattr(estimation, "_point", counted_point)
     monkeypatch.setattr(estimation, "_derivatives", counted_derivatives)
 
-    def check(n_points):
+    def check(n_points, made_again):
         assert len(points) == n_points
         assert {at for at, _ in passes} == {id(p) for _, p in points}
         assert len(set(passes)) == len(passes)
@@ -196,15 +198,15 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
         coords = [c for c, _ in points]
         first_order_2 = next(at for at, order in passes if order == 2)
         result = next(c for c, p in points if id(p) == first_order_2)
-        assert coords.count(result) == 2
-        assert len(set(coords)) == n_points - 1
+        assert coords.count(result) == 1 + made_again
+        assert len(set(coords)) == n_points - made_again
         points.clear()
         passes.clear()
 
     sub = fit_poisson_size(data)
-    check(24)
+    check(23, made_again=False)
     fit_full(data, init=sub.params)
-    check(73)
+    check(73, made_again=True)
 
 
 def test_repeated_trial_point_returns_the_first_values(monkeypatch):

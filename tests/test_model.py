@@ -248,6 +248,26 @@ def test_logistic_bit_identical_to_masked_form():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _two_division_logistic(t):
+    # The form before _logistic shared one division, kept as its reference.
+    e = np.exp(np.minimum(t, -t))
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
+
+
+def test_logistic_bit_identical_to_two_division_form():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan,
+                      -np.nan, -0.0, 0.0, tiny, -tiny, 1e-310, -1e-310])
+    rng = np.random.default_rng(27)
+    X = np.column_stack([np.ones(20_000), rng.uniform(6.0, 9.75, size=20_000)])
+    for t in (edges, X @ np.array([7.432, -1.185])):
+        kept = t.copy()
+        got, want = _logistic(t), _two_division_logistic(t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(t.view(np.uint64), kept.view(np.uint64))
+
+
 def test_link_h_basic_values():
     assert link_h(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 0.5
     assert link_h(np.array([1.0]), np.array([math.log(3.0)])) == pytest.approx(0.75, rel=1e-14)
