@@ -70,6 +70,16 @@ def _number(text: str, kind=float):
 _BLOCK_ROWS = 4096
 
 
+def _count(text: str):
+    """int(text), else the int of an integral float ("76.0", as spreadsheets
+    write counts), else the float, which callers refuse."""
+    try:
+        return _number(text, int)
+    except ValueError:
+        value = _number(text)
+        return int(value) if value.is_integer() else value
+
+
 def _parse_row(fields: list[str], line_no: int) -> tuple[list[float], int]:
     try:
         covariates = [_number(f) for f in fields[:-1]]
@@ -80,17 +90,11 @@ def _parse_row(fields: list[str], line_no: int) -> tuple[list[float], int]:
         raise ValueError(f"line {line_no}: non-finite covariate")
     last = fields[-1].strip()
     try:
-        count = _number(last, int)
+        count = _count(last)
     except ValueError:
-        try:
-            as_float = _number(last)
-        except ValueError:
-            raise ValueError(
-                f"line {line_no}: non-numeric count {last!r}") from None
-        if not as_float.is_integer():
-            raise ValueError(
-                f"line {line_no}: count must be an integer, got {last!r}") from None
-        count = int(as_float)
+        raise ValueError(f"line {line_no}: non-numeric count {last!r}") from None
+    if isinstance(count, float):
+        raise ValueError(f"line {line_no}: count must be an integer, got {last!r}")
     if count < 0:
         raise ValueError(f"line {line_no}: negative count {count}")
     return covariates, count
@@ -141,7 +145,12 @@ def _by_columns(fields: list[str], n_cols: int):
         return None
     try:
         X = np.array([list(map(float, fields[j::n_cols])) for j in range(n_cols - 1)]).T
-        y = list(map(int, fields[n_cols - 1::n_cols]))
+        try:
+            y = list(map(int, fields[n_cols - 1::n_cols]))
+        except ValueError:  # a count such as "76.0", which int alone refuses
+            y = list(map(_count, fields[n_cols - 1::n_cols]))
+            if float in map(type, y):
+                return None
     except ValueError:
         return None
     return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None

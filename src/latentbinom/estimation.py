@@ -113,27 +113,22 @@ def _unpack(p: np.ndarray, d: int) -> ModelParams:
 
 
 def _transformed_grad(params: ModelParams, raw: np.ndarray) -> np.ndarray:
+    # log mu, then log alpha where the model has it; zip stops at raw's end.
     g = raw.copy()
-    d = params.beta.size
-    g[d] *= params.mu
-    if not params.is_poisson_size:
-        g[d + 1] *= params.alpha
+    for i, s in zip(range(params.beta.size, g.size), (params.mu, params.alpha)):
+        g[i] *= s
     return g
 
 
 def _transformed_hess(params: ModelParams, raw_h: np.ndarray,
                       raw_g: np.ndarray) -> np.ndarray:
-    d = params.beta.size
-    mu = params.mu
+    # Row, column, then diagonal, mu before alpha: H * outer(s, s) would
+    # round (x mu) alpha and x (mu alpha) differently.
     H = raw_h.copy()
-    H[d, :] *= mu
-    H[:, d] *= mu
-    H[d, d] += mu * raw_g[d]
-    if not params.is_poisson_size:
-        a = params.alpha
-        H[d + 1, :] *= a
-        H[:, d + 1] *= a
-        H[d + 1, d + 1] += a * raw_g[d + 1]
+    for i, s in zip(range(params.beta.size, len(H)), (params.mu, params.alpha)):
+        H[i, :] *= s
+        H[:, i] *= s
+        H[i, i] += s * raw_g[i]
     return H
 
 

@@ -5,8 +5,8 @@ Poisson with a gamma-distributed mean. Integrating the latent quantities out
 leaves y negative-binomial with mean mu * h(x, beta) and shape alpha, where h
 is the logistic link. alpha = INFINITE (math.inf) selects the degenerate
 limit in which the sizes are Poisson with a common mean and y is Poisson
-distributed; that limit is handled as its own code path, never as a large
-float stand-in.
+distributed. It is never a large float stand-in: the limit has its own
+log-likelihood, and its score and Hessian set each shape factor to its limit.
 
 Parameter vectors are always ordered (beta_0 .. beta_{d-1}, mu, alpha).
 """
@@ -383,47 +383,42 @@ def _derivatives(data: Dataset, params: ModelParams, point: tuple,
                  order: int) -> tuple:
     """(log_likelihood,), (.., score) or (.., score, hessian) for order 0, 1
     or 2, at point = _point(data, params). One pass shares the link, the
-    means and the shift tables among the three."""
+    means and the shift tables among the three. The (beta, mu) terms are the
+    finite-shape ones; at alpha = INFINITE each shape factor takes its limit:
+    w = (a+y)/(a+m) is 1, the curvature terms (a+y)mu^2/(a+m)^2 and
+    (a+y)h^2/(a+m)^2 are 0, and the mu-beta weight -(a+y)a/(a+m)^2 is -1."""
     h, m, am, log1p_ma = point
-    y, X, d, mu = data._yf, data.X, data.d, params.mu
-    if am is None:
+    y, X, d, mu, a = data._yf, data.X, data.d, params.mu, params.alpha
+    poisson = am is None
+    # Each full-length term is summed where it is formed and the order-2
+    # factors are inline: a temporary kept alive costs heap page faults.
+    if poisson:
         out = [float((_y_log_mean(data, m, am) - m - data._log_y_factorial).sum())]
-        if order >= 1:
-            dh = h * (1.0 - h)
-            dbeta = X.T @ ((y / h - mu) * dh)
-            out.append(np.concatenate([dbeta, [float((y / mu - h).sum())]]))
-        if order >= 2:
-            H = np.zeros((d + 1, d + 1))
-            cb = (y / h - mu) * (dh * (1.0 - 2.0 * h)) - (y / h**2) * dh**2
-            H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-            H[d, d] = float((-y / mu**2).sum())
-            H[:d, d] = H[d, :d] = -(dh @ X)
-            out.append(H)
-        return tuple(out)
-
-    a = params.alpha
-    shifts = _shift_sums(data, a, order)
-    out = [float((next(shifts) + _y_log_mean(data, m, am)
-                  - data._log_y_factorial - a * log1p_ma).sum())]
+    else:
+        shifts = _shift_sums(data, a, order)
+        out = [float((next(shifts) + _y_log_mean(data, m, am)
+                      - data._log_y_factorial - a * log1p_ma).sum())]
     if order >= 1:
         dh = h * (1.0 - h)
-        w = (a + y) / am
-        dbeta = X.T @ ((y / h - w * mu) * dh)
-        dmu = float((y / mu - w * h).sum())
-        # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which stays
-        # accurate when alpha dwarfs m; the digamma difference is T1[y].
-        dalpha = float((next(shifts) - log1p_ma - (y - m) / am).sum())
-        out.append(np.concatenate([dbeta, [dmu, dalpha]]))
+        w = 1.0 if poisson else (a + y) / am
+        grad = [X.T @ ((y / h - w * mu) * dh),
+                [float((y / mu - (h if poisson else w * h)).sum())]]
+        if not poisson:
+            # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which
+            # stays accurate when alpha dwarfs m; the digamma difference is T1[y].
+            grad.append([float((next(shifts) - log1p_ma - (y - m) / am).sum())])
+        out.append(np.concatenate(grad))
     if order >= 2:
-        H = np.zeros((d + 2, d + 2))
+        H = np.zeros((d + 1, d + 1) if poisson else (d + 2, d + 2))
         cb = ((y / h - w * mu) * (dh * (1.0 - 2.0 * h))
-              + ((a + y) * mu**2 / am**2 - y / h**2) * dh**2)
+              + ((0.0 if poisson else (a + y) * mu**2 / am**2) - y / h**2) * dh**2)
         H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-        H[d, d] = float((-y / mu**2 + (a + y) * h**2 / am**2).sum())
-        # The trigamma difference is -T2[y]; 1/a - 1/(a+m) written m/(a(a+m)).
-        H[d + 1, d + 1] = float((-next(shifts) + m / (a * am) + (y - m) / am**2).sum())
-        H[:d, d] = H[d, :d] = (-(a + y) * a / am**2 * dh) @ X
-        H[:d, d + 1] = H[d + 1, :d] = (mu * (y - m) / am**2 * dh) @ X
-        H[d, d + 1] = H[d + 1, d] = float((h * (y - m) / am**2).sum())
+        H[d, d] = float((-y / mu**2 + (0.0 if poisson else (a + y) * h**2 / am**2)).sum())
+        H[:d, d] = H[d, :d] = ((-1.0 if poisson else -(a + y) * a / am**2) * dh) @ X
+        if not poisson:
+            # The trigamma difference is -T2[y]; 1/a - 1/(a+m) written m/(a(a+m)).
+            H[d + 1, d + 1] = float((-next(shifts) + m / (a * am) + (y - m) / am**2).sum())
+            H[:d, d + 1] = H[d + 1, :d] = (mu * (y - m) / am**2 * dh) @ X
+            H[d, d + 1] = H[d + 1, d] = float((h * (y - m) / am**2).sum())
         out.append(H)
     return tuple(out)

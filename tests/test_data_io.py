@@ -388,11 +388,8 @@ def test_read_csv_names_the_first_row_of_the_second_block(tmp_path):
     assert str(excinfo.value) == "line 4098: non-numeric count 'abc'"
 
 
-def test_read_csv_runs_no_older_generation_collection(tmp_path):
-    # No row's list outlives its read: a block is one list of strings, which
-    # the collector does not track, so no tracked objects build up to age.
-    target = tmp_path / "wide.csv"
-    target.write_text("\n".join(wide_csv_lines(20_000)) + "\n", encoding="utf-8")
+def collections_started(target):
+    """The generation of each collection that read_csv(target) starts."""
     generations = []
 
     def note(phase, info):
@@ -405,6 +402,29 @@ def test_read_csv_runs_no_older_generation_collection(tmp_path):
         read_csv(target)
     finally:
         gc.callbacks.remove(note)
+    return generations
+
+
+def test_read_csv_runs_no_older_generation_collection(tmp_path):
+    # No row's list outlives its read: a block is one list of strings, which
+    # the collector does not track, so no tracked objects build up to age.
+    target = tmp_path / "wide.csv"
+    target.write_text("\n".join(wide_csv_lines(20_000)) + "\n", encoding="utf-8")
+    generations = collections_started(target)
+    assert not [g for g in generations if g > 0], generations
+
+
+def test_read_csv_integral_float_counts_read_by_column(tmp_path):
+    # Counts written as 76.0, as spreadsheets save them, are converted a
+    # column at a time too: the file reads as its integer twin, and no
+    # row-by-row pass leaves tracked objects to age.
+    lines = wide_csv_lines(20_000)
+    twin, target = tmp_path / "integer.csv", tmp_path / "float.csv"
+    twin.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target.write_text("\n".join(lines[:1] + [f"{row}.0" for row in lines[1:]]) + "\n",
+                      encoding="utf-8")
+    assert read_csv(target) == read_csv(twin)
+    generations = collections_started(target)
     assert not [g for g in generations if g > 0], generations
 
 

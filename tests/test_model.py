@@ -15,7 +15,9 @@ from latentbinom import (Dataset, FitResult, INFINITE, LatentRecord,
                          ModelParams, fit_full, fit_poisson_size,
                          generate_dataset, hessian, jejunal_dataset, link_h,
                          log_likelihood, log_pmf, make_setting, score)
-from latentbinom.model import _derivatives, _logistic, _point
+from latentbinom.estimation import _transformed_grad, _transformed_hess
+from latentbinom.model import (_derivatives, _logistic, _mirrored, _point,
+                               _shift_sums, _y_log_mean)
 
 
 def test_package_exports_resolve():
@@ -607,6 +609,106 @@ def test_derivative_orders_share_one_pass(seed, poisson_size):
                     == [_bits(v) for v in passes[j]]), (j, k)
     for k, kernel in enumerate(_KERNELS):
         assert _bits(kernel(data, params)) == _bits(passes[k][k]), k
+
+
+def _two_branch_derivatives(data, params, point, order):
+    # The score and Hessian with the alpha = INFINITE limit written out as
+    # its own branch, as they stood before the finite-shape terms took it.
+    h, m, am, log1p_ma = point
+    y, X, d, mu = data._yf, data.X, data.d, params.mu
+    if am is None:
+        out = [float((_y_log_mean(data, m, am) - m - data._log_y_factorial).sum())]
+        if order >= 1:
+            dh = h * (1.0 - h)
+            dbeta = X.T @ ((y / h - mu) * dh)
+            out.append(np.concatenate([dbeta, [float((y / mu - h).sum())]]))
+        if order >= 2:
+            H = np.zeros((d + 1, d + 1))
+            cb = (y / h - mu) * (dh * (1.0 - 2.0 * h)) - (y / h**2) * dh**2
+            H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
+            H[d, d] = float((-y / mu**2).sum())
+            H[:d, d] = H[d, :d] = -(dh @ X)
+            out.append(H)
+        return tuple(out)
+    a = params.alpha
+    shifts = _shift_sums(data, a, order)
+    out = [float((next(shifts) + _y_log_mean(data, m, am)
+                  - data._log_y_factorial - a * log1p_ma).sum())]
+    if order >= 1:
+        dh = h * (1.0 - h)
+        w = (a + y) / am
+        dbeta = X.T @ ((y / h - w * mu) * dh)
+        dmu = float((y / mu - w * h).sum())
+        dalpha = float((next(shifts) - log1p_ma - (y - m) / am).sum())
+        out.append(np.concatenate([dbeta, [dmu, dalpha]]))
+    if order >= 2:
+        H = np.zeros((d + 2, d + 2))
+        cb = ((y / h - w * mu) * (dh * (1.0 - 2.0 * h))
+              + ((a + y) * mu**2 / am**2 - y / h**2) * dh**2)
+        H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
+        H[d, d] = float((-y / mu**2 + (a + y) * h**2 / am**2).sum())
+        H[d + 1, d + 1] = float((-next(shifts) + m / (a * am) + (y - m) / am**2).sum())
+        H[:d, d] = H[d, :d] = (-(a + y) * a / am**2 * dh) @ X
+        H[:d, d + 1] = H[d + 1, :d] = (mu * (y - m) / am**2 * dh) @ X
+        H[d, d + 1] = H[d + 1, d] = float((h * (y - m) / am**2).sum())
+        out.append(H)
+    return tuple(out)
+
+
+def _two_branch_transformed_grad(params, raw):
+    g = raw.copy()
+    d = params.beta.size
+    g[d] *= params.mu
+    if not params.is_poisson_size:
+        g[d + 1] *= params.alpha
+    return g
+
+
+def _two_branch_transformed_hess(params, raw_h, raw_g):
+    d = params.beta.size
+    H = raw_h.copy()
+    H[d, :] *= params.mu
+    H[:, d] *= params.mu
+    H[d, d] += params.mu * raw_g[d]
+    if not params.is_poisson_size:
+        a = params.alpha
+        H[d + 1, :] *= a
+        H[:, d + 1] *= a
+        H[d + 1, d + 1] += a * raw_g[d + 1]
+    return H
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), poisson_size=st.booleans(),
+       log10_alpha=st.floats(-2.0, 12.0), zeros=st.integers(0, 4),
+       beta_scale=st.sampled_from([1.0, 40.0, 1e3]))
+def test_derivatives_match_two_branch_form(seed, poisson_size, log10_alpha,
+                                           zeros, beta_scale):
+    # The alpha = INFINITE score and Hessian are the finite-shape terms at
+    # the shape factors' limits, equal to the two-branch form at every
+    # order, with y = 0 rows and, at the larger beta scales, links
+    # saturated to exactly 0 or 1. The one difference is the sign of an
+    # exactly zero H[:d, d] entry at INFINITE, where every link in a column
+    # saturates: (-dh) @ X against -(dh @ X). array_equal takes -0.0 == 0.0.
+    data, params = random_instance(np.random.default_rng(seed), poisson_size)
+    y = data.y.copy()
+    y[:zeros] = 0
+    data = Dataset(y, data.X)
+    params = ModelParams(params.beta * beta_scale, params.mu,
+                         INFINITE if poisson_size else 10.0**log10_alpha)
+    point = _point(data, params)
+    with np.errstate(all="ignore"):
+        for order in range(3):
+            got = _derivatives(data, params, point, order)
+            want = _two_branch_derivatives(data, params, point, order)
+            assert [_bits(v) for v in got[:2]] == [_bits(v) for v in want[:2]], order
+            assert np.array_equal(got[-1], want[-1], equal_nan=True), order
+        g, H = got[1], got[2]
+        assert _bits(_transformed_grad(params, g)) == _bits(
+            _two_branch_transformed_grad(params, g))
+        assert np.array_equal(_transformed_hess(params, H, g),
+                              _two_branch_transformed_hess(params, H, g),
+                              equal_nan=True)
 
 
 def test_shift_table_refusal_at_every_order():
