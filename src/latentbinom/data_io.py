@@ -148,9 +148,11 @@ def _by_columns(fields: list[str], n_cols: int):
         try:
             y = list(map(int, fields[n_cols - 1::n_cols]))
         except ValueError:  # a count such as "76.0", which int alone refuses
-            y = list(map(_count, fields[n_cols - 1::n_cols]))
-            if float in map(type, y):
+            # Below 2**53 a float is exact, so int() of it is _count's value.
+            v = np.array(list(map(float, fields[n_cols - 1::n_cols])))
+            if not ((np.abs(v) < 2.0**53) & (v == np.trunc(v))).all():
                 return None
+            y = v.astype(np.int64).tolist()
     except ValueError:
         return None
     return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None

@@ -3,25 +3,27 @@ likelihood-ratio test between the full latent-size model and its Poisson-size
 submodel.
 
 Optimization runs in unconstrained coordinates (beta, log mu[, log alpha])
-with the analytic score: a quasi-Newton stage (BFGS) followed by a damped
-Newton polish using the analytic Hessian. Each trial point's link is
-evaluated once and passed to one derivative pass of the order it needs: the
-score in the quasi-Newton stage, the value alone at a polish trial, and the
-Hessian too at each accepted point, which the next step and the result
-read; BFGS's result reuses its last point unless it exits on precision
-loss. The quasi-Newton stage asks again for points it has seen; a memo
-that lasts one fit, keyed on the exact coordinates, answers those repeats
-with the same bits, so it evaluates each distinct point once. Standard
-errors come from the inverse of the negated observed Hessian at the
-estimate, which is also what reproduces the reference results; the
-expected-information matrices in the information module stay available for
-cross-checks. The BFGS stage is scipy.optimize's, imported by the first fit,
-so importing this module loads no scipy.
+with the analytic score: a quasi-Newton stage (our BFGS loop over scipy's
+Wolfe line searches) followed by a damped Newton polish using the analytic
+Hessian. Each trial point's link is evaluated once and passed to one
+derivative pass of the order it needs: the score in the quasi-Newton stage,
+the value alone at a polish trial, and the Hessian too at each accepted
+point, which the next step and the result read; BFGS's result reuses its
+last point unless it exits on precision loss. The quasi-Newton stage asks
+again for points it has seen; a memo that lasts one fit, keyed on the exact
+coordinates, answers those repeats with the same bits, so it evaluates each
+distinct point once. Standard errors come from the inverse of the negated
+observed Hessian at the estimate, which is also what reproduces the
+reference results; the expected-information matrices in the information
+module stay available for cross-checks. The line searches are
+scipy.optimize's, imported by the first fit, so importing this module loads
+no scipy.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -146,10 +148,55 @@ def _default_beta_mu_init(data: Dataset) -> tuple[np.ndarray, float]:
     return beta, mu
 
 
+def _bfgs(objective, p0: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, iterations) of scipy 1.17's minimize(objective, p0, jac=True,
+    method="BFGS") with gtol _GRAD_TOL and maxiter _MAX_ITER, step for step:
+    BFGS with Moré-Thuente line searches (Nocedal & Wright 2006, Alg. 6.1).
+    A failed line search (precision loss) or a non-finite f stops at xk."""
+    # Here, not at module top: scipy.optimize is ~75% of the package's import time.
+    from scipy.optimize._linesearch import (LineSearchWarning, line_search_wolfe1,
+                                            line_search_wolfe2)
+    f, fprime = (lambda x: objective(x)[0]), (lambda x: objective(x)[1])
+    xk, k, old_fval, gfk = p0, 0, f(p0), fprime(p0)
+    Hk = I = np.eye(len(p0), dtype=int)
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2  # a first step of about 1
+    gnorm = np.amax(np.abs(gfk))
+    while gnorm > _GRAD_TOL and k < _MAX_ITER:
+        pk = -np.dot(Hk, gfk)
+        ret = line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval,
+                                 amin=1e-100, amax=1e100)
+        if ret[0] is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LineSearchWarning)
+                ret = line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval,
+                                         old_old_fval, amax=1e100)
+            if ret[0] is None:
+                break
+        alpha_k, _, _, old_fval, old_old_fval, gfkp1 = ret
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = fprime(xk)
+        yk, gfk, k = gfkp1 - gfk, gfkp1, k + 1
+        gnorm = np.amax(np.abs(gfk))
+        # scipy's step test at xrtol = 0: a NaN on either side keeps going.
+        if (gnorm <= _GRAD_TOL or not np.isfinite(old_fval)
+                or alpha_k * np.sum(np.abs(pk) ** 2) ** 0.5
+                <= 0 * np.sum(np.abs(xk) ** 2) ** 0.5):
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0. else 1. / rhok_inv
+        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+    return xk, k
+
+
 def _optimize(data: Dataset, p0: np.ndarray):
     d = data.d
-    # BFGS's line searches return to their base point, and a failed one is
-    # walked again by the fallback search: about a third of its requests.
+    # BFGS asks for a point's value and gradient separately, its line
+    # searches return to their base point, and a failed search is walked
+    # again by the fallback search: three quarters of its requests repeat.
     seen: dict[bytes, tuple[float, np.ndarray]] = {}
     last = None
 
@@ -165,20 +212,15 @@ def _optimize(data: Dataset, p0: np.ndarray):
             ll, raw_g = _derivatives(data, params, last[2], 1)
             seen[key] = (-ll, -_transformed_grad(params, raw_g))
         f, g = seen[key]
-        return f, g.copy()  # scipy may write to the gradient it is given
+        return f, g.copy()  # a caller's write must not reach the memo
 
-    # Here, not at module top: scipy.optimize is ~75% of the package's import time.
-    from scipy.optimize import minimize
     with np.errstate(**_QUIET):
-        res = minimize(objective, p0, jac=True, method="BFGS",
-                       options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITER})
-        p = res.x.copy()
+        p, n_iter = _bfgs(objective, p0)
         (key, params, point), last = last, None  # the objective's last point
         if key != p.tobytes():  # an exit on precision loss returns an earlier one
             params = _unpack(p, d)
             point = _point(data, params)
         ll, raw_g, raw_h = _derivatives(data, params, point, 2)
-        n_iter = int(res.nit)
 
         # Damped Newton refinement with the analytic Hessian. The quasi-Newton
         # stage often exits on a failed line search a few digits short of the

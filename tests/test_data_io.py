@@ -414,10 +414,11 @@ def test_read_csv_runs_no_older_generation_collection(tmp_path):
     assert not [g for g in generations if g > 0], generations
 
 
-def test_read_csv_integral_float_counts_read_by_column(tmp_path):
+def test_read_csv_integral_float_counts_read_by_column(tmp_path, monkeypatch):
     # Counts written as 76.0, as spreadsheets save them, are converted a
-    # column at a time too: the file reads as its integer twin, and no
-    # row-by-row pass leaves tracked objects to age.
+    # column at a time too: the file reads as its integer twin, no count
+    # goes through the per-field rule, and no row-by-row pass leaves tracked
+    # objects to age.
     lines = wide_csv_lines(20_000)
     twin, target = tmp_path / "integer.csv", tmp_path / "float.csv"
     twin.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -426,6 +427,20 @@ def test_read_csv_integral_float_counts_read_by_column(tmp_path):
     assert read_csv(target) == read_csv(twin)
     generations = collections_started(target)
     assert not [g for g in generations if g > 0], generations
+    count, per_field = data_io._count, []
+
+    def counted(text):
+        per_field.append(text)
+        return count(text)
+
+    monkeypatch.setattr(data_io, "_count", counted)
+    read_csv(target)
+    assert per_field == []
+    # A count int() takes keeps its exact value, beyond 2**53 as well.
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("dose,count\n1,76\n2,76.0\n3,9223372036854775807\n",
+                     encoding="utf-8")
+    assert read_csv(mixed).y.tolist() == [76, 76, 9223372036854775807]
 
 
 def test_read_csv_memory_stays_within_a_block(tmp_path):

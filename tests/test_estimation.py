@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 from conftest import count_calls, expected_information
 
@@ -173,8 +174,8 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     # order-2 pass reads the objective's last point, so no coordinates are
     # made twice, except when BFGS exits on precision loss (status 2, the
     # full fit here): its result is an earlier point, made again. On the
-    # jejunal data scipy asks for 23 and 110 points, and the fits make 23
-    # (all distinct) and 73 (72 distinct).
+    # jejunal data BFGS asks for 48 and 321 points (23 and 71 distinct), and
+    # the fits make 23 (all distinct) and 73 (72 distinct).
     data = jejunal_dataset()
     points, passes = [], []
     point, derivatives = estimation._point, estimation._derivatives
@@ -212,16 +213,15 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
 def test_repeated_trial_point_returns_the_first_values(monkeypatch):
     # The objective answers a repeated point from its memo without a new
     # point, and hands out a copy: writing to one gradient reaches no other.
-    import scipy.optimize
     data = jejunal_dataset()
-    minimize, made = scipy.optimize.minimize, []
+    bfgs, made, checked = estimation._bfgs, [], []
     point = estimation._point
 
     def counted_point(*args):
         made.append(1)
         return point(*args)
 
-    def checked_minimize(fun, x0, **kwargs):
+    def checked_bfgs(fun, x0):
         f1, g1 = fun(x0.copy())
         kept = g1.copy()
         g1[:] = np.nan
@@ -231,13 +231,138 @@ def test_repeated_trial_point_returns_the_first_values(monkeypatch):
         assert np.array_equal(g2, kept)
         g2[:] = np.nan
         assert np.array_equal(fun(x0.copy())[1], kept)
-        return minimize(fun, x0, **kwargs)
+        checked.append(1)
+        return bfgs(fun, x0)
 
     monkeypatch.setattr(estimation, "_point", counted_point)
-    monkeypatch.setattr(scipy.optimize, "minimize", checked_minimize)
+    monkeypatch.setattr(estimation, "_bfgs", checked_bfgs)
     fit = fit_poisson_size(data)
     monkeypatch.undo()
+    assert checked == [1]
     assert_same_fit(fit, fit_poisson_size(data))
+
+
+def captured_objectives(fit, data):
+    """(objective, start) of each optimizer call that fit(data) makes: the
+    fit's memoized objective, as _optimize hands it to _bfgs."""
+    got, bfgs = [], estimation._bfgs
+
+    def capture(objective, p0):
+        got.append((objective, p0.copy()))
+        return bfgs(objective, p0)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimation, "_bfgs", capture)
+        fit(data)
+    return got
+
+
+def first_requests(objective):
+    """objective, and the list of the points it is asked for, each logged
+    the first time."""
+    order = []
+
+    def logged(p):
+        if p.tobytes() not in order:
+            order.append(p.tobytes())
+        return objective(p)
+
+    return logged, order
+
+
+def assert_bfgs_matches_scipy(objective, p0, maxiter=estimation._MAX_ITER):
+    """Run _bfgs and scipy's BFGS from p0 and require the same x bits, the
+    same iteration count and the same points in the same order. Returns
+    scipy's result and how many fallback searches _bfgs ran."""
+    import scipy.optimize._linesearch as linesearch
+    from scipy.optimize import minimize
+    ours, our_order = first_requests(objective)
+    theirs, their_order = first_requests(objective)
+    wolfe2, fallbacks = linesearch.line_search_wolfe2, []
+
+    def counted_wolfe2(*args, **kwargs):
+        fallbacks.append(1)
+        return wolfe2(*args, **kwargs)
+
+    with np.errstate(**estimation._QUIET):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimation, "_MAX_ITER", maxiter)
+            m.setattr(linesearch, "line_search_wolfe2", counted_wolfe2)
+            x, nit = estimation._bfgs(ours, p0.copy())
+        res = minimize(theirs, p0.copy(), jac=True, method="BFGS",
+                       options={"gtol": estimation._GRAD_TOL, "maxiter": maxiter})
+    assert x.tobytes() == res.x.tobytes()
+    assert nit == res.nit
+    assert our_order == their_order
+    return res, len(fallbacks)
+
+
+def quadratic_with(value, grad):
+    """0.5 |x - (3, -1)|^2, except where x[0] > 1.5: there f is value and
+    each gradient entry grad."""
+    centre = np.array([3.0, -1.0])
+
+    def objective(x):
+        if x[0] > 1.5:
+            return value, np.full(2, grad)
+        return 0.5 * ((x - centre) @ (x - centre)), x - centre
+
+    return objective
+
+
+def stiff_quadratic(x):
+    # 0.5 x'Ax + 0.5e17 (x1 - x2)^2: from (1.25, 2.25) a step's y'k sk sums
+    # terms near 1e17 that cancel to exactly 0.0, so BFGS takes rhok = 1000.
+    r = x[0] - x[1]
+    return (0.5 * x @ np.array([[2.0, 1.0], [1.0, 3.0]]) @ x + 0.5e17 * r * r,
+            np.array([2.0 * x[0] + x[1], x[0] + 3.0 * x[1]]) + 1e17 * r * np.array([1.0, -1.0]))
+
+
+# Objectives built to reach the loop's other branches, each from its start:
+# "max-norm" stops at a gradient within _GRAD_TOL in the max-norm but not in
+# the 2-norm, "inf" ends when both line searches fail, "-inf" stops on a
+# non-finite f after an accepted step, and "nan" stops on one after a
+# fallback search that returns no gradient.
+SYNTHETIC = {
+    "max-norm": (lambda x: (0.5 * x @ np.array([[3.0, 1.0], [1.0, 2.0]]) @ x,
+                            np.array([3.0 * x[0] + x[1], x[0] + 2.0 * x[1]])),
+                 np.ones(2)),
+    "zero-curvature": (stiff_quadratic, np.array([1.25, 2.25])),
+    "inf": (quadratic_with(np.inf, np.nan), np.zeros(2)),
+    "-inf": (quadratic_with(-np.inf, 0.5), np.zeros(2)),
+    "nan": (quadratic_with(np.nan, np.nan), np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("case,status,fallbacks", [
+    ("jejunal-poisson", 0, 0), ("jejunal-full", 2, 3), ("maxiter", 1, 0),
+    ("max-norm", 0, 0), ("zero-curvature", 0, 0), ("inf", 2, 2), ("-inf", 2, 0),
+    ("nan", 2, 1)])
+def test_bfgs_matches_scipy_minimize(case, status, fallbacks):
+    # scipy.optimize.minimize(method="BFGS") is the oracle for _bfgs, on the
+    # fits' own memoized objectives and on the synthetic ones. Status 0 is
+    # convergence, 1 the iteration cap and 2 precision loss: a failed line
+    # search or a non-finite f.
+    maxiter = 3 if case == "maxiter" else estimation._MAX_ITER
+    if case in SYNTHETIC:
+        objective, p0 = SYNTHETIC[case]
+    else:  # fit_full fits the Poisson-size model first
+        calls = captured_objectives(fit_full, jejunal_dataset())
+        objective, p0 = calls[case != "jejunal-poisson"]
+    res, n_fallbacks = assert_bfgs_matches_scipy(objective, p0, maxiter)
+    assert (res.status, n_fallbacks) == (status, fallbacks)
+    assert res.nit >= 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(setting=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_bfgs_matches_scipy_minimize_on_study_samples(setting, seed):
+    # Both optimizer calls of a study sample's full fit: the Poisson-size
+    # fit's, then the full model's from its estimate.
+    data, _ = generate_dataset(table_settings()[setting - 1], seeded(seed, 0))
+    assume(data.y.any())
+    for objective, p0 in captured_objectives(fit_full, data):
+        assert_bfgs_matches_scipy(objective, p0)
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
