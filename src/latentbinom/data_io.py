@@ -101,19 +101,20 @@ def _parse_row(fields: list[str], line_no: int) -> tuple[list[float], int]:
 
 
 def _table(path: Path) -> Iterator[tuple[list[str], int, list[str], list[int]]]:
-    """(header, its line, fields, row lines) per block of up to _BLOCK_ROWS
-    physical rows after the header, the first row that is not blank; fields
-    holds the block's rows end to end, len(header) each; no row list is kept.
-    Blank rows, empty or only whitespace and commas, are skipped; the header's
-    names are stripped. The header is yielded at least once; a file without
-    one yields nothing. Lines are physical. A csv.Error, or a row whose field
-    count is not the header's, raises ValueError after the rows before it."""
+    """(header, its line, fields, row lines) for the block of _BLOCK_ROWS
+    physical rows holding the header, the first row that is not blank, and
+    for each block after it; fields holds the block's rows end to end,
+    len(header) each, and may be empty; no row list is kept. Blank rows,
+    empty or only whitespace and commas, are skipped; the header's names are
+    stripped. A file without a header yields nothing. Lines are physical. A
+    csv.Error, or a row whose field count is not the header's, raises
+    ValueError where it is found, once the rows before it are yielded."""
     # n_cols is 0 until the header, so the first row that is not blank is it.
-    header, header_line, n_cols, error, ended, yielded = None, 0, 0, None, False, False
+    header, header_line, n_cols = None, 0, 0
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        while error is None and not ended:
-            fields, lines, n_read = [], [], 0  # drops the last block before reading on
+        while True:
+            fields, lines, n_read, error = [], [], 0, None  # drops the last block
             try:
                 for n_read, row in enumerate(islice(reader, _BLOCK_ROWS), 1):
                     if not (row and row[0].strip() or "".join(row).strip()):
@@ -130,37 +131,30 @@ def _table(path: Path) -> Iterator[tuple[list[str], int, list[str], list[int]]]:
                         break
             except csv.Error as exc:
                 error = ValueError(f"line {reader.line_num}: {exc}")
-            ended = n_read < _BLOCK_ROWS
-            if header is not None and (lines or not yielded):
-                yielded = True
+            if header is not None:
                 yield header, header_line, fields, lines
-    if error is not None:
-        raise error
+            if error is not None:
+                raise error
+            if n_read < _BLOCK_ROWS:
+                return
 
 
-def _by_columns(fields: list[str], n_cols: int):
-    """(covariate rows, counts) of fields converted a column at a time, or
-    None when a whole-column check refuses and _parse_row must decide."""
-    if "_" in "".join(fields):
-        return None
+def _convert(fields: list[str], n_cols: int, lines: list[int]):
+    """(covariate rows, counts) of one block. One float pass converts every
+    field, covariates and counts together, and the block is taken when no
+    field holds an underscore, every covariate is finite and every count is
+    integral in [0, 2**53), where a float holds each integer exactly, so a
+    count is the int _parse_row gives. Otherwise _parse_row, the only other
+    path, converts the block a row at a time: the first failing line raises,
+    and a count above 2**53 keeps its exact value."""
     try:
-        X = np.array([list(map(float, fields[j::n_cols])) for j in range(n_cols - 1)]).T
-        try:
-            y = list(map(int, fields[n_cols - 1::n_cols]))
-        except ValueError:  # a count such as "76.0", which int alone refuses
-            # Below 2**53 a float is exact, so int() of it is _count's value.
-            v = np.array(list(map(float, fields[n_cols - 1::n_cols])))
-            if not ((np.abs(v) < 2.0**53) & (v == np.trunc(v))).all():
-                return None
-            y = v.astype(np.int64).tolist()
+        if "_" not in "".join(fields):
+            v = np.fromiter(map(float, fields), float, len(fields)).reshape(-1, n_cols)
+            X, y = v[:, :-1], v[:, -1]
+            if np.isfinite(X).all() and ((0 <= y) & (y < 2.0**53) & (y == np.trunc(y))).all():
+                return X, y.astype(np.int64).tolist()
     except ValueError:
-        return None
-    return (X, y) if np.isfinite(X).all() and min(y) >= 0 else None
-
-
-def _by_rows(fields: list[str], n_cols: int, lines: list[int]):
-    """(covariate rows, counts) of fields converted a row at a time by
-    _parse_row; the first offending line raises."""
+        pass  # a field float() refuses
     parsed = [_parse_row(fields[k * n_cols:(k + 1) * n_cols], line_no)
               for k, line_no in enumerate(lines)]
     return np.array([x for x, _ in parsed], dtype=float), [count for _, count in parsed]
@@ -172,10 +166,11 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
     ``intercept`` (the default) a constant 1 column is prepended to the
     covariates.
 
-    Rows are converted _BLOCK_ROWS at a time, one whole-column step per
-    check. A block that any step refuses goes through _parse_row, the
-    per-row rule, one row at a time: it names the first failing line, and
-    no row it refuses is accepted.
+    Rows are converted _BLOCK_ROWS at a time by _convert: one float pass per
+    block, counts accepted in [0, 2**53). A block it refuses goes through
+    _parse_row, the per-row rule, one row at a time: it names the first
+    failing line, keeps counts above 2**53 exact, and no row it refuses is
+    accepted.
     """
     path = Path(path)
     n_cols, y, blocks = 0, [], []
@@ -183,9 +178,7 @@ def read_csv(path: Union[str, Path], intercept: bool = True) -> Dataset:
         n_cols = len(header)
         if n_cols < 2:
             raise ValueError(f"line {header_line}: header needs at least two columns")
-        if not lines:
-            continue  # the header alone
-        X, counts = _by_columns(fields, n_cols) or _by_rows(fields, n_cols, lines)
+        X, counts = _convert(fields, n_cols, lines)
         blocks.append(X)
         y.extend(counts)
         del fields  # before the next block is read

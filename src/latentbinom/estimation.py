@@ -278,7 +278,10 @@ def _optimize(data: Dataset, p0: np.ndarray):
 def _standard_errors(params: ModelParams,
                      raw_h: np.ndarray) -> tuple[np.ndarray, float, list[str]]:
     notes: list[str] = []
-    cov, cond = inverse_with_condition(-raw_h)
+    try:
+        cov, cond = inverse_with_condition(-raw_h)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"observed information at the estimate: {exc}") from None
     near_singular = not cond < NEAR_SINGULAR_CONDITION
     with np.errstate(invalid="ignore"):
         se = np.sqrt(np.diag(cov))
@@ -340,7 +343,8 @@ def fit_poisson_size(data: Dataset, init: ModelParams | None = None) -> FitResul
     """Fit the Poisson-size submodel (alpha = INFINITE) over (beta, mu).
 
     Raises ValueError on an init beta whose length is not the dataset's d,
-    non-identifiable (beta, mu) or all-zero counts.
+    non-identifiable (beta, mu) or all-zero counts, and LinAlgError when the
+    observed information at the stopping point is non-finite or uninvertible.
     """
     _require_identifiable(data, init)
     if init is not None:
@@ -360,7 +364,7 @@ def fit_full(data: Dataset, init: ModelParams | None = None) -> FitResult:
     A full-model init is used as given. When the shape direction is too flat
     to carry information (huge variance or severe ill-conditioning), the
     alpha standard error is reported as NaN and a diagnostic explains why.
-    Raises ValueError as fit_poisson_size does.
+    Raises ValueError and LinAlgError as fit_poisson_size does.
     """
     if init is None:
         init = fit_poisson_size(data).params

@@ -91,26 +91,28 @@ def _validated_counts(y) -> np.ndarray:
         # numpy compares integer arrays with a Python int exactly.
         too_big = y > _MAX_COUNT
         values = y
-    elif kind in "fO":
-        if kind == "f":
-            invalid = y < 0
-            # float(_MAX_COUNT) rounds up to 2.0**63, so `y > _MAX_COUNT`
-            # would let 2**63 through; every float >= 2**63 is too big.
-            too_big = y >= 2.0**63
-        else:
-            # Object arrays hold Python ints beyond uint64 and the like:
-            # compare them as Python numbers, exactly. A NaN among them
-            # compares False here and is caught as non-finite below.
-            try:
-                with np.errstate(invalid="ignore"):
-                    invalid = (y < 0).astype(bool)
-                    too_big = (y > _MAX_COUNT).astype(bool)
-            except TypeError:
-                raise ValueError("counts must be numbers") from None
+    elif kind == "f":
+        invalid = y < 0
+        # float(_MAX_COUNT) rounds up to 2.0**63, so `y > _MAX_COUNT` would
+        # let 2**63 through; every float >= 2**63 is too big.
+        too_big = y >= 2.0**63
         # What is left lies in [0, 2**63) or is NaN, so converts safely.
         values = np.where(invalid | too_big, 0.0, y).astype(float)
         invalid |= ~np.isfinite(values)
         invalid |= values != np.floor(values)
+    elif kind == "O":
+        # Object arrays hold Python ints beyond uint64 and the like: compare
+        # them as Python numbers, exactly. A count left in [0, 2**63) must
+        # equal its int(), so none is rounded through a float.
+        try:
+            with np.errstate(invalid="ignore"):
+                invalid = (y < 0).astype(bool) | (y != y).astype(bool)  # NaN
+                too_big = (y > _MAX_COUNT).astype(bool)
+        except TypeError:
+            raise ValueError("counts must be numbers") from None
+        values = np.array([int(v) for v in np.where(invalid | too_big, 0, y).tolist()],
+                          dtype=np.int64)
+        invalid |= (values != y).astype(bool)
     else:
         raise ValueError("counts must be numbers")
     bad = invalid | too_big

@@ -168,6 +168,14 @@ def test_fit_oversized_field_exits_one(capsys, tmp_path):
                    "field larger than field limit (131072)\n")
 
 
+def test_fit_one_column_header_exits_one(capsys, tmp_path):
+    target = tmp_path / "one_column.csv"
+    target.write_text("\n\ncount\n5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert (code, out, err) == (
+        1, "", "latentbinom: error: line 3: header needs at least two columns\n")
+
+
 def test_fit_numerical_failure_exits_two_without_warnings(capsys, tmp_path):
     # A count of 2**62 drives the Hessian's eigenvalue solver to fail. That
     # LinAlgError is a numerical failure (exit 2), not a usage error, and the
@@ -185,6 +193,22 @@ def test_fit_numerical_failure_exits_two_without_warnings(capsys, tmp_path):
     assert "RuntimeWarning" not in err
     assert [w.message for w in caught if w.category is RuntimeWarning] == []
     assert out == ""
+
+
+def test_fit_unusable_information_exits_two_naming_the_stage(capsys, tmp_path):
+    # The Poisson-size fit runs off to mu = 1e27, where the zero-count row's
+    # link squares to 0, so its Hessian holds 0/0: the error says at which
+    # stage the information was unusable.
+    target = tmp_path / "runaway.csv"
+    target.write_text("dose,count\n1.8,0\n0.1,2\n0.2,0\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["fit", "--input", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err == ("latentbinom: error: observed information at the estimate: "
+                   "information matrix has a non-finite entry\n")
+    assert caught == []
 
 
 @pytest.mark.parametrize("model", ["poisson", "full", "auto"])

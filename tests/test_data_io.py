@@ -103,6 +103,7 @@ def test_read_csv_empty_file_is_an_error(tmp_path):
     # two sit in different blocks.
     ("dose,count\n6.25,abc\n1,2,3\n", "line 2: non-numeric count"),
     ("dose,count\n1,5\nx,5\n\n , \n7\n", "line 3: non-numeric covariate"),
+    ("\n\ncount\n5\n", "line 3: header needs at least two columns"),
 ])
 def test_read_csv_reports_offending_line(tmp_path, text, fragment):
     target = tmp_path / "bad.csv"
@@ -374,6 +375,28 @@ def test_read_csv_long_file_matches_per_row_loop(tmp_path):
         want = outcome(per_row_read_csv, target)
         assert want[0] == "ok"
         assert_same_outcome(outcome(read_csv, target), want)
+
+
+# Counts at the float pass's edges: 2**53 - 1 and 2**53 are exact floats,
+# but 2**53 + 1 parses to 2**53, so only _parse_row may take it.
+_EDGE_COUNTS = ["9007199254740991", "9007199254740992", "9007199254740993",
+                "-0", "+7", "1e3", " 7 ", "76.0"]
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+def test_read_csv_float_pass_edges_match_per_row_loop(tmp_path, block_rows):
+    rows = [f"{k / 4},{count}" for k, count in enumerate(_EDGE_COUNTS)]
+    target = tmp_path / "edges.csv"
+    for last in ([], ["7.5"], ["inf"], ["nan"]):
+        target.write_text("\n".join(["dose,count"] + rows + [f"9,{c}" for c in last])
+                          + "\n", encoding="utf-8")
+        want = outcome(per_row_read_csv, target)
+        if last:
+            assert want[0] == "error" and want[1].startswith("line 10: "), want
+        else:
+            assert want[1].tolist() == [2**53 - 1, 2**53, 2**53 + 1, 0, 7, 1000, 7, 76]
+        with mock.patch.object(data_io, "_BLOCK_ROWS", block_rows):
+            assert_same_outcome(outcome(read_csv, target), want)
 
 
 def test_read_csv_names_the_first_row_of_the_second_block(tmp_path):

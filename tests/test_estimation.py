@@ -436,6 +436,25 @@ def test_observed_and_expected_standard_errors_agree_loosely():
     assert np.all((0.75 < ratios) & (ratios < 1.25))
 
 
+def test_indefinite_hessian_withholds_its_standard_errors():
+    # -raw_h, the observed information, has one negative eigenvalue: that
+    # variance is negative, so its standard error is NaN and a note says why.
+    params = ModelParams(beta=np.array([1.0, -1.0]), mu=50.0, alpha=INFINITE)
+    se, cond, notes = estimation._standard_errors(params, -np.diag([1.0, -1.0, 1.0]))
+    assert se[0] == 1.0 and math.isnan(se[1]) and se[2] == 1.0
+    assert "indefinite Hessian: some standard errors unavailable" in notes
+    assert cond == math.inf
+
+
+def test_unusable_observed_information_names_the_stage():
+    params = ModelParams(beta=np.array([1.0, -1.0]), mu=50.0, alpha=INFINITE)
+    raw_h = -np.eye(3)
+    raw_h[1, 1] = math.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^observed information at the "
+                       "estimate: information matrix has a non-finite entry$"):
+        estimation._standard_errors(params, raw_h)
+
+
 def test_fit_result_validation():
     params = ModelParams(beta=np.array([1.0]), mu=5.0, alpha=INFINITE)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +202,27 @@ def test_object_counts_with_non_finite_follow_per_row_rule(y):
     X = [[0.0, 0.0]] * len(y)
     with pytest.raises(ValueError, match=re.escape(per_row_rule(y, X))):
         Dataset(y, X)
+
+
+@pytest.mark.parametrize("y,first", [
+    (np.array([2**62 + 1, 3], dtype=object), 2**62 + 1),
+    ([Decimal(2**60 + 1), 3], 2**60 + 1),
+])
+def test_object_counts_are_stored_exactly(y, first):
+    # Past 2**53 a float cannot hold every integer: an object array's counts
+    # are checked and stored as Python numbers, never rounded through one.
+    assert Dataset(y, [[0.0, 0.0], [1.0, 1.0]]).y.tolist() == [first, 3]
+
+
+@pytest.mark.parametrize("y,message", [
+    ([Fraction(2**60 + 1, 2), 3], "y must be a non-negative integer"),
+    ([2.5, Fraction(3)], "y must be a non-negative integer"),
+    (["3", 1], "counts must be numbers"),
+    (np.array([3, "1"], dtype=object), "counts must be numbers"),
+])
+def test_object_counts_refuse_non_integers_and_strings(y, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dataset(y, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_dataset_covariate_dimensions():
