@@ -4,9 +4,7 @@ Two functions cover three scenarios, ordered from least to most informative
 about the slope: info_full gives the full latent-size model (gamma-mixed
 Poisson sizes) at a finite shape alpha and the Poisson-size submodel at
 alpha = INFINITE, and info_known_mean the case where the sizes are observed
-(not, despite the name, one where only their mean is known). A closed-form
-block partition of the Poisson-size inverse is included because the generic
-inverse loses the structure that makes its mu-scaling visible.
+(not, despite the name, one where only their mean is known).
 
 A design is given as arrays: the covariate rows X (n x d) and the number
 of observations r (n positive integers) sharing each row. Every block is
@@ -22,10 +20,11 @@ u_i = x_i. The scenarios differ only in the weights:
     sizes observed         r mu h (1 - h)             beta block only
 
 No weight divides by h or 1 - h, so a row whose link saturates to exactly
-0 or 1 adds nothing instead of 0/0. The block partition uses the
-Poisson-size matrix at mu = 1. A stack of (mu, alpha) pairs or of designs
-is one Gram product; info_full is the same code at one pair.
-inverse_with_condition gives each inverse with its condition number.
+0 or 1 adds nothing instead of 0/0. A stack of (mu, alpha) pairs or of
+designs is one Gram product; info_full is the same code at one pair.
+inverse_with_condition gives each inverse with its condition number. At
+Poisson sizes its inverse scales as the model says: the beta block as 1/mu
+and the mu entry as mu, which acceptance gate 7 checks.
 
 The matrices are ordered (beta..., mu) and hold no alpha row: the shape is
 orthogonal to (beta, mu) (Cox & Reid 1987, JRSS-B 49:1), so every slope and
@@ -43,7 +42,6 @@ from .model import ModelParams, _logistic, _mirrored
 __all__ = [
     "info_full",
     "info_known_mean",
-    "block_variance_partition",
     "inverse_with_condition",
     "NEAR_SINGULAR_CONDITION",
 ]
@@ -77,28 +75,21 @@ def _design_arrays(X, r, params: ModelParams):
         return X, r, _logistic(X @ params.beta)
 
 
-def _gram(X: np.ndarray, h: np.ndarray, w: np.ndarray, mu=None) -> np.ndarray:
-    """sum_i w_i u_i u_i' with u_i = ((1 - h_i) x_i, 1 / mu), or u_i = x_i
-    when mu is None; exactly symmetric. The leading axes of X (..., n, d),
-    h, w (..., n) and mu (...) broadcast to a stack (..., m, m)."""
-    u = X
-    if mu is not None:
-        mu = np.asarray(mu, dtype=float)
-        lead = np.broadcast_shapes(mu.shape, h.shape[:-1])
-        u = np.empty(lead + (h.shape[-1], X.shape[-1] + 1))
-        u[..., :-1] = (1.0 - h)[..., None] * X
-        u[..., -1] = (1.0 / mu)[..., None]
-    return _mirrored((u * w[..., None]).swapaxes(-1, -2) @ u)
-
-
 def _info_stack(X, r, h, mu, alpha) -> np.ndarray:
     """info_full on validated design arrays at each (mu, alpha) pair that mu
-    and alpha broadcast to, with X, r and h: a matrix, else a stack (..., m, m)."""
-    m, a = (np.asarray(v, dtype=float)[..., None] for v in (mu, alpha))
+    and alpha broadcast to, with X, r and h: a matrix, else a stack (..., m, m).
+    The leading axes of X (..., n, d) and of r and h (..., n) broadcast too."""
+    mu = np.asarray(mu, dtype=float)
+    m, a = mu[..., None], np.asarray(alpha, dtype=float)[..., None]
     # mu h / alpha may overflow at a tiny shape; the weight's limit there is
     # 0. At alpha = INFINITE the weight divides by exactly 1.0.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gram(X, h, r * m * h / (1.0 + m * h / a), mu)
+        w = r * m * h / (1.0 + m * h / a)
+        u = np.empty(np.broadcast_shapes(mu.shape, h.shape[:-1])
+                     + (h.shape[-1], X.shape[-1] + 1))
+        u[..., :-1] = (1.0 - h)[..., None] * X
+        u[..., -1] = (1.0 / mu)[..., None]
+        return _mirrored((u * w[..., None]).swapaxes(-1, -2) @ u)
 
 
 def info_full(X, r, params: ModelParams) -> np.ndarray:
@@ -114,9 +105,11 @@ def info_full(X, r, params: ModelParams) -> np.ndarray:
 
 
 def _known_sizes_gram(X, r, h, mu) -> np.ndarray:
-    """info_known_mean on validated design arrays at mu, broadcast against r."""
+    """info_known_mean on validated design arrays at mu, broadcast against r:
+    the beta-only Gram product, u_i = x_i; exactly symmetric."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gram(X, h, r * np.asarray(mu, dtype=float) * h * (1.0 - h))
+        w = r * np.asarray(mu, dtype=float) * h * (1.0 - h)
+        return _mirrored((X * w[..., None]).swapaxes(-1, -2) @ X)
 
 
 def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
@@ -124,29 +117,6 @@ def info_known_mean(X, r, params: ModelParams) -> np.ndarray:
     information given the sizes, averaged over the size law (mean mu)."""
     X, r, h = _design_arrays(X, r, params)
     return _known_sizes_gram(X, r, h, params.mu)
-
-
-def block_variance_partition(X, r, params: ModelParams) -> tuple[np.ndarray, float]:
-    """Closed-form (V11, V22) blocks of the inverse Poisson-size information.
-
-    V11 is the asymptotic covariance of beta-hat, V22 the variance of mu-hat.
-    Computed from the partitioned-inverse identities rather than a generic
-    matrix inverse, so the factorization V11 = (1/mu) * (...) and
-    V22 = mu * (...) with mu-free inner matrices stays explicit. params.alpha
-    is ignored: a finite shape still gives the Poisson-size blocks.
-    """
-    X, r, h = _design_arrays(X, r, params)
-    d = X.shape[1]
-    # The Poisson-size information at mu = 1 is [[A, b], [b', c]].
-    G = _gram(X, h, r * h, 1.0)
-    A, b, c = G[:d, :d], G[:d, d], G[d, d]
-    inner = A - np.outer(b, b) / c
-    v11 = np.linalg.inv(inner) / params.mu
-    denom = c - b @ np.linalg.solve(A, b)
-    if denom <= 0:
-        raise np.linalg.LinAlgError("singular inner matrix in variance partition")
-    v22 = params.mu / denom
-    return v11, float(v22)
 
 
 def inverse_with_condition(matrix: np.ndarray) -> tuple:

@@ -110,6 +110,8 @@ def _validated_counts(y) -> np.ndarray:
                 too_big = (y > _MAX_COUNT).astype(bool)
         except TypeError:
             raise ValueError("counts must be numbers") from None
+        except ArithmeticError:  # a Decimal NaN signals when compared
+            raise ValueError("y must be a non-negative integer") from None
         values = np.array([int(v) for v in np.where(invalid | too_big, 0, y).tolist()],
                           dtype=np.int64)
         invalid |= (values != y).astype(bool)
@@ -143,8 +145,8 @@ class Dataset:
     n x d), validated once as whole arrays and stored as read-only copies.
 
     A 1-D X is one covariate per row. Raises ValueError when there are no
-    rows, when y and X differ in length, when a count is not a non-negative
-    integer within int64, or when a covariate is not finite.
+    rows or no columns, when y and X differ in length, when a count is not
+    a non-negative integer within int64, or when a covariate is not finite.
     """
 
     def __init__(self, y, X):
@@ -158,6 +160,8 @@ class Dataset:
             raise ValueError("y and X must have the same number of rows")
         if len(y) == 0:
             raise ValueError("dataset must contain at least one observation")
+        if X.shape[1] == 0:
+            raise ValueError("X needs at least one covariate column")
         self._y = y
         self._X = X
 

@@ -19,13 +19,12 @@ from scipy import stats
 from conftest import (expected_information, numeric_gradient, numeric_hessian,
                       profile_loglik, random_instance, relative_errors)
 
-from latentbinom import (INFINITE, ModelParams, SimConfig,
-                         block_variance_partition, builtin_designs,
+from latentbinom import (INFINITE, ModelParams, SimConfig, builtin_designs,
                          efficiency_measures, fit_full, fit_poisson_size,
                          gamma_curve, generate_dataset, hessian, info_full,
-                         jejunal_dataset, link_h, log_pmf,
-                         make_setting, run_study, score, sd_vs_mu_curves,
-                         table_settings, wald_ci)
+                         inverse_with_condition, jejunal_dataset, link_h,
+                         log_pmf, make_setting, run_study, score,
+                         sd_vs_mu_curves, table_settings, wald_ci)
 
 TABLE2_ROWS = [
     (0.706, 0.837, 0.591), (0.747, 0.859, 0.642),
@@ -193,16 +192,12 @@ def test_criterion_7_structure_suite():
     poisson = info_full(X, r, ModelParams(beta=params.beta, mu=100.0, alpha=INFINITE))
     assert np.max(np.abs(high - poisson)) <= 1e-6 * np.max(np.abs(poisson))
 
-    v11, v22 = block_variance_partition(X, r, params)
-    generic = np.linalg.inv(poisson)
-    assert np.max(relative_errors(v11, generic[:2, :2])) < 1e-8
-    assert abs(v22 - generic[2, 2]) <= 1e-8 * abs(generic[2, 2])
-
+    # At Poisson sizes beta-hat's variances scale as 1/mu and mu-hat's as mu.
     scaled = []
     for mu in (50.0, 100.0, 200.0, 400.0):
-        p = ModelParams(beta=params.beta, mu=mu, alpha=25.0)
-        v11, v22 = block_variance_partition(X, r, p)
-        scaled.append(np.append(mu * np.diag(v11), v22 / mu))
+        p = ModelParams(beta=params.beta, mu=mu, alpha=INFINITE)
+        inverse = inverse_with_condition(info_full(X, r, p))[0]
+        scaled.append(np.append(mu * np.diag(inverse)[:2], inverse[2, 2] / mu))
     for other in scaled[1:]:
         assert np.max(np.abs(other - scaled[0])) <= 1e-10 * np.max(np.abs(scaled[0]))
 

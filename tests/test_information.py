@@ -1,4 +1,4 @@
-"""Expected information matrices and the block variance partition."""
+"""Expected information matrices and their inverses."""
 
 import dataclasses
 import math
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from latentbinom import (INFINITE, NEAR_SINGULAR_CONDITION, ModelParams,
-                         block_variance_partition, info_full, info_known_mean,
-                         inverse_with_condition, link_h, table_settings)
-from latentbinom.information import _design_arrays, _gram, _info_stack
+                         info_full, info_known_mean, inverse_with_condition,
+                         link_h, table_settings)
+from latentbinom.information import _design_arrays, _info_stack
 
 
 def design(doses, replications):
@@ -138,7 +138,9 @@ def test_full_at_infinite_alpha_is_poisson_size_gram():
     X, r = dose_design()
     params = poisson_size(SETTING_ONE)
     X, r, h = _design_arrays(X, r, params)
-    want = _gram(X, h, r * params.mu * h, params.mu)
+    u = np.column_stack([(1.0 - h)[:, None] * X, np.full(h.size, 1.0 / params.mu)])
+    gram = (u * (r * params.mu * h)[:, None]).T @ u
+    want = np.triu(gram) + np.triu(gram, 1).T
     assert np.array_equal(info_full(X, r, params), want)
 
 
@@ -204,24 +206,24 @@ def test_known_mean_scales_linearly_in_mu():
     assert np.allclose(scaled, 3.5 * base, rtol=1e-14)
 
 
-# -- block variance partition ---------------------------------------------------
+# -- Poisson-size inverse blocks -------------------------------------------------
 
 
-def test_block_partition_matches_generic_inverse():
-    X, r = dose_design()
-    v11, v22 = block_variance_partition(X, r, SETTING_ONE)
-    generic = np.linalg.inv(info_full(X, r, poisson_size(SETTING_ONE)))
-    assert np.allclose(v11, generic[:2, :2], rtol=1e-8)
-    assert v22 == pytest.approx(generic[2, 2], rel=1e-8)
+def poisson_size_blocks(X, r, beta, mu):
+    """(V11, V22): the beta block and the mu entry of the inverse Poisson-size
+    information, the covariance of beta-hat and the variance of mu-hat."""
+    inverse = inverse_with_condition(
+        info_full(X, r, ModelParams(beta=beta, mu=mu, alpha=INFINITE)))[0]
+    return inverse[:-1, :-1], inverse[-1, -1]
 
 
 def test_block_partition_mu_factorization():
+    # V11 = (1/mu) * (...) and V22 = mu * (...) with mu-free inner matrices.
     X, r = dose_design()
     scaled_v11 = []
     scaled_v22 = []
     for mu in (50.0, 100.0, 200.0, 400.0):
-        params = ModelParams(beta=np.array([1.0, 1.0]), mu=mu, alpha=25.0)
-        v11, v22 = block_variance_partition(X, r, params)
+        v11, v22 = poisson_size_blocks(X, r, np.array([1.0, 1.0]), mu)
         scaled_v11.append(mu * np.diag(v11))
         scaled_v22.append(v22 / mu)
     for other in scaled_v11[1:]:
@@ -236,8 +238,7 @@ def test_block_partition_monotone_in_mu():
     diags = []
     v22s = []
     for mu in grid:
-        params = ModelParams(beta=np.array([1.0, 1.0]), mu=mu, alpha=25.0)
-        v11, v22 = block_variance_partition(X, r, params)
+        v11, v22 = poisson_size_blocks(X, r, np.array([1.0, 1.0]), mu)
         diags.append(np.diag(v11))
         v22s.append(v22)
     for lo, hi in zip(diags, diags[1:]):
@@ -248,25 +249,15 @@ def test_block_partition_monotone_in_mu():
 
 @pytest.mark.parametrize("number", range(1, 17))
 def test_block_partition_matches_inverse_on_table_settings(number):
-    # At alpha = INFINITE the blocks are those of the inverse Poisson-size
-    # information, and mu * V11 and V22 / mu are free of mu.
+    # mu * V11 and V22 / mu are free of mu: the blocks at other size means,
+    # rescaled, match the inverse at the setting's own.
     setting = table_settings()[number - 1]
-    X, r, d = setting.X, setting.r, setting.X.shape[1]
-    params = ModelParams(beta=setting.beta, mu=setting.mu, alpha=INFINITE)
-    v11, v22 = block_variance_partition(X, r, params)
-    inverse = inverse_with_condition(info_full(X, r, params))[0]
-    np.testing.assert_allclose(v11, inverse[:d, :d], rtol=1e-12, atol=0)
-    assert v22 == pytest.approx(inverse[d, d], rel=1e-12, abs=0)
+    X, r, beta = setting.X, setting.r, setting.beta
+    v11, v22 = poisson_size_blocks(X, r, beta, setting.mu)
     for mu in (setting.mu / 7.0, setting.mu * 3.0):
-        w11, w22 = block_variance_partition(
-            X, r, ModelParams(beta=setting.beta, mu=mu, alpha=INFINITE))
+        w11, w22 = poisson_size_blocks(X, r, beta, mu)
         np.testing.assert_allclose(mu * w11, setting.mu * v11, rtol=1e-12, atol=0)
         assert w22 / mu == pytest.approx(v22 / setting.mu, rel=1e-12, abs=0)
-
-
-def test_block_partition_singular_design_raises():
-    with pytest.raises(np.linalg.LinAlgError):
-        block_variance_partition([[1.0, 2.0]], [4], SETTING_ONE)
 
 
 # -- shared invariants -----------------------------------------------------------

@@ -219,6 +219,9 @@ def test_object_counts_are_stored_exactly(y, first):
     ([2.5, Fraction(3)], "y must be a non-negative integer"),
     (["3", 1], "counts must be numbers"),
     (np.array([3, "1"], dtype=object), "counts must be numbers"),
+    # Comparing a Decimal NaN signals InvalidOperation instead of answering.
+    ([Decimal("NaN"), 1], "y must be a non-negative integer"),
+    ([Decimal("sNaN"), 1], "y must be a non-negative integer"),
 ])
 def test_object_counts_refuse_non_integers_and_strings(y, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -231,6 +234,8 @@ def test_dataset_covariate_dimensions():
     assert data.X.tolist() == [[0.5], [1.5], [-1.0]]
     with pytest.raises(ValueError, match="X must be a 1-D or 2-D array"):
         Dataset([3, 0], np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="X needs at least one covariate column"):
+        Dataset([1, 2, 3], np.empty((3, 0)))
 
 
 def test_dataset_copies_inputs_into_read_only_arrays():

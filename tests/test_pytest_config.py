@@ -1,10 +1,12 @@
 """The suite's own pytest configuration."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st
@@ -33,7 +35,8 @@ def test_failing_property_test_reports_its_example(tmp_path):
 
 def test_slow_marker_selects_the_two_study_tests():
     # `-m "not slow"` is the quick local loop; the marker must be registered,
-    # since an unknown one is an error under the warnings filter.
+    # since an unknown one is an error under the warnings filter. README's
+    # quick-loop paragraph must name exactly the tests it selects.
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
          "--rootdir", str(PYPROJECT.parent), "-p", "no:cacheprovider",
@@ -41,8 +44,13 @@ def test_slow_marker_selects_the_two_study_tests():
         cwd=PYPROJECT.parent, capture_output=True, text=True, timeout=300)
     output = done.stdout + done.stderr
     assert done.returncode == 0, output
-    assert sorted(line for line in done.stdout.splitlines() if "::" in line) == [
+    selected = sorted(line for line in done.stdout.splitlines() if "::" in line)
+    assert selected == [
         "tests/test_acceptance.py::test_criterion_4_simulation_study_fast_mode",
         "tests/test_cli.py::test_simulate_thousand_samples_seed42_coverage",
     ], output
     assert "warning" not in output.lower()
+    (paragraph,) = [text for text in README.read_text(encoding="utf-8").split("\n\n")
+                    if text.startswith("For a quick local loop")]
+    assert sorted(re.findall(r"`(test_\w+)`", paragraph)) == sorted(
+        line.rsplit("::", 1)[1] for line in selected), paragraph
