@@ -56,6 +56,10 @@ def _level(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid level {text!r}") from None
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"level must be in (0, 1), got {text}")
+    # fit's 1 - level/2 and simulate's 0.5 + (1 - level)/2 must stay below 1,
+    # or the interval's normal quantile is infinite.
+    if 0.5 + (1.0 - value) / 2.0 == 1.0:
+        raise argparse.ArgumentTypeError(f"level {text} is below float resolution")
     return value
 
 

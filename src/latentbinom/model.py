@@ -79,54 +79,44 @@ def _validated_counts(y) -> np.ndarray:
     """Read-only int64 copy of the counts y, a 1-D array-like.
 
     Every count must be a non-negative integer (2.0 passes, 2.7, -0.5, NaN
-    and +/-inf do not) no larger than the largest int64. The first
-    offending count is named in the ValueError.
+    and +/-inf do not) no larger than the largest int64. Integer and float
+    arrays are accepted whole; an object array (Python ints past uint64,
+    Decimal, Fraction), or an array refused whole, is checked one count at
+    a time, in order, as Python numbers, so none is rounded through a float
+    and the first offending count is named in the ValueError.
     """
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError("y must be a one-dimensional sequence of counts")
     kind = y.dtype.kind
     if kind in "biu":
-        invalid = y < 0
         # numpy compares integer arrays with a Python int exactly.
-        too_big = y > _MAX_COUNT
-        values = y
+        whole = not ((y < 0) | (y > _MAX_COUNT)).any()
     elif kind == "f":
-        invalid = y < 0
-        # float(_MAX_COUNT) rounds up to 2.0**63, so `y > _MAX_COUNT` would
-        # let 2**63 through; every float >= 2**63 is too big.
-        too_big = y >= 2.0**63
-        # What is left lies in [0, 2**63) or is NaN, so converts safely.
-        values = np.where(invalid | too_big, 0.0, y).astype(float)
-        invalid |= ~np.isfinite(values)
-        invalid |= values != np.floor(values)
+        # float(_MAX_COUNT) rounds up to 2.0**63, which is already too big.
+        whole = bool(((y >= 0) & (y < 2.0**63) & (y == np.floor(y))).all())
     elif kind == "O":
-        # Object arrays hold Python ints beyond uint64 and the like: compare
-        # them as Python numbers, exactly. A count left in [0, 2**63) must
-        # equal its int(), so none is rounded through a float.
-        try:
-            with np.errstate(invalid="ignore"):
-                invalid = (y < 0).astype(bool) | (y != y).astype(bool)  # NaN
-                too_big = (y > _MAX_COUNT).astype(bool)
-        except TypeError:
-            raise ValueError("counts must be numbers") from None
-        except ArithmeticError:  # a Decimal NaN signals when compared
-            raise ValueError("y must be a non-negative integer") from None
-        values = np.array([int(v) for v in np.where(invalid | too_big, 0, y).tolist()],
-                          dtype=np.int64)
-        invalid |= (values != y).astype(bool)
+        whole = False
     else:
         raise ValueError("counts must be numbers")
-    bad = invalid | too_big
-    if bad.any():
-        i = int(bad.argmax())
-        (value,) = y[i:i + 1].tolist()
-        if value != math.inf and value > _MAX_COUNT:
-            raise ValueError(
-                f"count {int(value)} exceeds the largest supported count "
-                f"{_MAX_COUNT}")
-        raise ValueError("y must be a non-negative integer")
-    out = values.astype(np.int64)
+    if whole:
+        out = y.astype(np.int64)
+    else:
+        counts = []
+        for v in y.tolist():
+            try:
+                valid = v >= 0 and v == int(v)
+            except TypeError:
+                raise ValueError("counts must be numbers") from None
+            except ArithmeticError:  # int() of an infinity, a Decimal NaN
+                valid = False
+            if not valid:
+                raise ValueError("y must be a non-negative integer")
+            if v > _MAX_COUNT:
+                raise ValueError(f"count {int(v)} exceeds the largest supported "
+                                 f"count {_MAX_COUNT}")
+            counts.append(int(v))
+        out = np.array(counts, dtype=np.int64)
     out.setflags(write=False)
     return out
 
@@ -142,7 +132,7 @@ def _finite_copy(x) -> np.ndarray:
 
 class Dataset:
     """Immutable counts y (int64, length n) and covariate rows X (float64,
-    n x d), validated once as whole arrays and stored as read-only copies.
+    n x d), validated once and stored as read-only copies.
 
     A 1-D X is one covariate per row. Raises ValueError when there are no
     rows or no columns, when y and X differ in length, when a count is not

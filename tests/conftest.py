@@ -4,13 +4,26 @@ log-likelihood in the shape parameter."""
 
 import json
 import math
+import platform
 
 import numpy as np
+import scipy
 from scipy import stats
 from scipy.optimize import minimize
 
 from latentbinom import Dataset, INFINITE, ModelParams, link_h
 from latentbinom import hessian, log_likelihood, log_pmf, score
+
+
+def pytest_report_header(config):
+    # The fits' bench/refs outputs and test_bfgs_matches_scipy_minimize* are
+    # checked bit for bit against one scipy; name the installed versions so
+    # a failure on another scipy can be told apart from a fault.
+    return [f"latentbinom: python {platform.python_version()}, numpy "
+            f"{np.__version__}, scipy {scipy.__version__}",
+            "latentbinom: the fit references (test_output_matches_committed_"
+            "reference) and test_bfgs_matches_scipy_minimize* are checked bit "
+            "for bit on scipy 1.17.1; pyproject.toml allows scipy>=1.10"]
 
 
 def random_instance(rng, poisson_size=False):

@@ -282,7 +282,8 @@ def test_fit_non_convergence_prints_both_reports_and_exits_two(capsys, tmp_path)
     assert "likelihood-ratio test" not in out
 
 
-@pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan", "abc"])
+@pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan", "abc",
+                                   "1.1102230246251565e-16", "1e-17"])
 @pytest.mark.parametrize("model", ["poisson", "auto"])
 def test_fit_level_outside_unit_interval_exits_one_before_fitting(
         capsys, monkeypatch, level, model):
@@ -768,7 +769,8 @@ def test_simulate_thousand_samples_seed42_coverage(capsys):
     assert int(row["n_converged"]) > 950
 
 
-@pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+@pytest.mark.parametrize("level", ["1.5", "0", "nan", "1.1102230246251565e-16",
+                                   "1e-17"])
 def test_simulate_level_outside_unit_interval_exits_one_before_running(
         capsys, monkeypatch, level):
     calls = count_calls(monkeypatch, cli, ("run_study",))

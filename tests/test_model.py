@@ -141,7 +141,10 @@ def per_row_rule(y, X):
     of (y, X) must raise, or None when it must accept them. Counts are
     checked before covariates."""
     for v in np.asarray(y).tolist():
-        if (isinstance(v, float) and not math.isfinite(v)) or v < 0 or v != int(v):
+        try:
+            if (isinstance(v, float) and not math.isfinite(v)) or v < 0 or v != int(v):
+                return "y must be a non-negative integer"
+        except (ValueError, ArithmeticError):  # int(inf) overflows, a Decimal NaN
             return "y must be a non-negative integer"
         if v > _MAX_COUNT:
             return f"count {int(v)} exceeds the largest supported count {_MAX_COUNT}"
@@ -157,6 +160,12 @@ _COUNTS = st.one_of(
     st.integers(min_value=0, max_value=1000).map(float),
     st.sampled_from([2.0**63, 2.0**63 - 1024.0, 1e20, -0.0]),
     st.floats(allow_nan=True, allow_infinity=True),
+    # Any of these makes an object array, checked one count at a time.
+    st.integers(min_value=-3, max_value=2**64).map(Decimal),
+    st.sampled_from([Decimal("2.5"), Decimal("-0"), Decimal("NaN"),
+                     Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity")]),
+    st.fractions(max_denominator=3),
+    st.integers(min_value=2**63 - 3, max_value=2**63 + 3).map(Fraction),
 )
 
 
@@ -222,6 +231,10 @@ def test_object_counts_are_stored_exactly(y, first):
     # Comparing a Decimal NaN signals InvalidOperation instead of answering.
     ([Decimal("NaN"), 1], "y must be a non-negative integer"),
     ([Decimal("sNaN"), 1], "y must be a non-negative integer"),
+    # The first offending count is the one named.
+    ([10**30, Decimal("NaN")],
+     f"count {10**30} exceeds the largest supported count {_MAX_COUNT}"),
+    ([Decimal("2.5"), 10**30], "y must be a non-negative integer"),
 ])
 def test_object_counts_refuse_non_integers_and_strings(y, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,9 +1,13 @@
 """The suite's own pytest configuration."""
 
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -54,3 +58,22 @@ def test_slow_marker_selects_the_two_study_tests():
                     if text.startswith("For a quick local loop")]
     assert sorted(re.findall(r"`(test_\w+)`", paragraph)) == sorted(
         line.rsplit("::", 1)[1] for line in selected), paragraph
+
+
+def test_report_header_names_versions_and_the_bit_for_bit_scipy():
+    # Without -q, since -q hides the report header.
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+         "--rootdir", str(PYPROJECT.parent), "-p", "no:cacheprovider",
+         "--collect-only", str(PYPROJECT.parent / "tests" / "test_pytest_config.py")],
+        cwd=PYPROJECT.parent, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    header = [line for line in done.stdout.splitlines()
+              if line.startswith("latentbinom: ")]
+    assert header[0] == (f"latentbinom: python {platform.python_version()}, "
+                         f"numpy {np.__version__}, scipy {scipy.__version__}")
+    # The bit-for-bit note must name the range pyproject.toml allows.
+    (allowed,) = re.findall(r'"(scipy[^"]*)"', PYPROJECT.read_text(encoding="utf-8"))
+    assert "test_bfgs_matches_scipy_minimize*" in header[1], header
+    assert header[1].endswith(f"bit for bit on scipy 1.17.1; pyproject.toml "
+                              f"allows {allowed}"), header
