@@ -3,21 +3,21 @@ likelihood-ratio test between the full latent-size model and its Poisson-size
 submodel.
 
 Optimization runs in unconstrained coordinates (beta, log mu[, log alpha])
-with the analytic score: a quasi-Newton stage (our BFGS loop over scipy's
-Wolfe line searches) followed by a damped Newton polish using the analytic
-Hessian. Each trial point's link is evaluated once and passed to one
-derivative pass of the order it needs: the score in the quasi-Newton stage,
-the value alone at a polish trial, and the Hessian too at each accepted
-point, which the next step and the result read; BFGS's result reuses its
-last point unless it exits on precision loss. The quasi-Newton stage asks
-again for points it has seen; a memo that lasts one fit, keyed on the exact
-coordinates, answers those repeats with the same bits, so it evaluates each
-distinct point once. Standard errors come from the inverse of the negated
-observed Hessian at the estimate, which is also what reproduces the
-reference results; the expected-information matrices in the information
-module stay available for cross-checks. The line searches are
-scipy.optimize's, imported by the first fit, so importing this module loads
-no scipy.
+with the analytic score: a quasi-Newton stage (our BFGS loop and Moré-Thuente
+line search, scipy 1.17's to the bit) followed by a damped Newton polish using
+the analytic Hessian. Each trial point's link is evaluated once and passed to
+one derivative pass of the order it needs: the score in the quasi-Newton
+stage, the value alone at a polish trial, and the Hessian too at each accepted
+point, which the next step and the result read; BFGS's result reuses its last
+point unless it exits on precision loss. A failing line search asks again for
+points it has made, and the fallback search walks them again; a memo that
+lasts one fit, keyed on the exact coordinates, answers those repeats with the
+same bits, so it evaluates each distinct point once. Standard errors come from
+the inverse of the negated observed Hessian at the estimate, which is also
+what reproduces the reference results; the expected-information matrices in
+the information module stay available for cross-checks. The fallback search is
+scipy.optimize's line_search_wolfe2, imported by the first fit, so importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -148,31 +148,158 @@ def _default_beta_mu_init(data: Dataset) -> tuple[np.ndarray, float]:
     return beta, mu
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip(x, lo, hi) on floats, with its NaN and signed-zero results."""
+    x = x if x != x or x >= lo else lo
+    return x if x != x or x <= hi else hi
+
+
+def _dcstep_at(sqrt, brackt, stx, fx, dx, sty, fy, dy, stp, fp, dp, stpmin, stpmax):
+    opposite = dp < 0 < dx or dx < 0 < dp  # np.sign(dp) * np.sign(dx) < 0
+    higher = fp > fx
+    if higher or opposite or abs(dp) < abs(dx):
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        disc = (theta / s) ** 2 - (dx / s) * (dp / s)
+    if higher:  # a higher value: the cubic step, or its mean with the quadratic
+        gamma = s * sqrt(disc)
+        if stp < stx:
+            gamma *= -1  # not -gamma: a NaN keeps its sign bit, as in scipy
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+    elif opposite:  # derivatives of opposite sign: the cubic or the secant step
+        gamma = s * sqrt(disc)
+        if stp > stx:
+            gamma *= -1
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+    elif abs(dp) < abs(dx):  # the derivative shrinks: cubic only if it turns up
+        gamma = s * sqrt(max(0, disc))
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        stpc = (stp + r * (stx - stp) if r < 0 and gamma != 0
+                else stpmax if stp > stx else stpmin)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            stpf = (min if stp > stx else max)(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = _clip(stpc if abs(stpc - stp) > abs(stpq - stp) else stpq, stpmin, stpmax)
+    elif brackt:  # it does not shrink: the cubic step towards sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = s * sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+        if stp > sty:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if higher:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt or higher or opposite
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2's dcstep (Moré & Thuente 1994), operation for operation as
+    scipy 1.17 ports it, on plain floats: the next step and the new interval.
+    Python raises where numpy gives inf or NaN (a zero divisor, an overflowing
+    square, a negative root); such a call runs again on numpy scalars."""
+    floats = stx, fx, dx, sty, fy, dy, stp, fp, dp, stpmin, stpmax
+    try:
+        return _dcstep_at(math.sqrt, brackt, *floats)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        with np.errstate(all="ignore"):
+            *out, brackt = _dcstep_at(np.sqrt, brackt, *map(np.float64, floats))
+        return (*map(float, out), brackt)
+
+
+# line_search_wolfe1 as BFGS calls it: c1, c2, xtol and the step bounds.
+_C1, _C2, _XTOL, _AMIN, _AMAX = 1e-4, 0.9, 1e-14, 1e-100, 1e100
+
+
+def _wolfe1(objective, xk, pk, gfk, old_fval, old_old_fval):
+    """(step, f, gradient) of scipy 1.17's line_search_wolfe1 with amin _AMIN
+    and amax _AMAX, bit for bit and trial for trial: MINPACK-2's dcsrch on
+    plain floats, one objective request per trial. A failed search returns
+    step None with the last trial's f and gradient, or xk's if it made none."""
+    ginit = float(np.dot(gfk, pk))
+    stp = min(1.0, 1.01 * 2 * (old_fval - old_old_fval) / ginit) if ginit != 0 else 1.0
+    stp = 1.0 if stp < 0 else stp
+    if stp < _AMIN or ginit >= 0:  # dcsrch's input errors; stp is at most 1
+        return None, old_fval, gfk
+    gtest, brackt, stage = _C1 * ginit, False, 1
+    width, width1 = _AMAX - _AMIN, (_AMAX - _AMIN) / 0.5
+    stx, fx, gx, sty, fy, gy = 0.0, old_fval, ginit, 0.0, old_fval, ginit
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    for trial in range(100):
+        f, gval = objective(xk + stp * pk)
+        if trial == 99:  # dcsrch's iteration cap
+            break
+        g = float(np.dot(gval, pk))
+        ftest = old_fval + stp * gtest
+        stage = 2 if f <= ftest and g >= 0 else stage
+        if f <= ftest and abs(g) <= _C2 * -ginit:
+            return stp, f, gval
+        if (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _XTOL * stmax)
+                or stp == _AMAX and f <= ftest and g <= gtest
+                or stp == _AMIN and (f > ftest or g >= gtest)):
+            break  # dcsrch's warnings
+        if stage == 1 and f <= fx and f > ftest:  # the modified function psi
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, g - gtest, brackt, stmin, stmax)
+            fx, fy, gx, gy = fxm + stx * gtest, fym + sty * gtest, gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax)
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = _clip(stp, _AMIN, _AMAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _XTOL * stmax):
+            stp = stx  # no further progress: back to the best step
+        if not math.isfinite(stp):
+            break
+    return None, f, gval
+
+
 def _bfgs(objective, p0: np.ndarray) -> tuple[np.ndarray, int]:
     """(x, iterations) of scipy 1.17's minimize(objective, p0, jac=True,
     method="BFGS") with gtol _GRAD_TOL and maxiter _MAX_ITER, step for step:
     BFGS with Moré-Thuente line searches (Nocedal & Wright 2006, Alg. 6.1).
     A failed line search (precision loss) or a non-finite f stops at xk."""
     # Here, not at module top: scipy.optimize is ~75% of the package's import time.
-    from scipy.optimize._linesearch import (LineSearchWarning, line_search_wolfe1,
-                                            line_search_wolfe2)
+    from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe2
     f, fprime = (lambda x: objective(x)[0]), (lambda x: objective(x)[1])
-    xk, k, old_fval, gfk = p0, 0, f(p0), fprime(p0)
+    (old_fval, gfk), xk, k = objective(p0), p0, 0
     Hk = I = np.eye(len(p0), dtype=int)
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2  # a first step of about 1
     gnorm = np.amax(np.abs(gfk))
     while gnorm > _GRAD_TOL and k < _MAX_ITER:
         pk = -np.dot(Hk, gfk)
-        ret = line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval,
-                                 amin=1e-100, amax=1e100)
-        if ret[0] is None:
+        alpha_k, fval, gfkp1 = _wolfe1(objective, xk, pk, gfk, old_fval, old_old_fval)
+        if alpha_k is None:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LineSearchWarning)
-                ret = line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval,
-                                         old_old_fval, amax=1e100)
-            if ret[0] is None:
+                alpha_k, _, _, fval, _, gfkp1 = line_search_wolfe2(
+                    f, fprime, xk, pk, gfk, old_fval, old_old_fval, amax=_AMAX)
+            if alpha_k is None:
                 break
-        alpha_k, _, _, old_fval, old_old_fval, gfkp1 = ret
+        old_fval, old_old_fval = fval, old_fval
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
@@ -194,9 +321,8 @@ def _bfgs(objective, p0: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _optimize(data: Dataset, p0: np.ndarray):
     d = data.d
-    # BFGS asks for a point's value and gradient separately, its line
-    # searches return to their base point, and a failed search is walked
-    # again by the fallback search: three quarters of its requests repeat.
+    # A failing line search asks again for points it has made, and the
+    # fallback search walks them again: about half of BFGS's requests repeat.
     seen: dict[bytes, tuple[float, np.ndarray]] = {}
     last = None
 
@@ -419,6 +545,8 @@ def wald_ci(fit: FitResult, level: float = 0.05) -> list[tuple[float, float]]:
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    if 1.0 - level / 2.0 == 1.0:  # the quantile would be infinite
+        raise ValueError(f"level {level!r} is below float resolution")
     if not fit.converged:
         raise ValueError("confidence intervals require a converged fit")
     z = NormalDist().inv_cdf(1.0 - level / 2.0)

@@ -37,6 +37,8 @@ class SimConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
+        if 0.5 + self.ci_level / 2.0 == 1.0:  # run_study's quantile would be infinite
+            raise ValueError(f"ci_level {self.ci_level!r} is too close to 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -16,14 +16,17 @@ from latentbinom import hessian, log_likelihood, log_pmf, score
 
 
 def pytest_report_header(config):
-    # The fits' bench/refs outputs and test_bfgs_matches_scipy_minimize* are
-    # checked bit for bit against one scipy; name the installed versions so
-    # a failure on another scipy can be told apart from a fault.
+    # The fits' bench/refs outputs, test_bfgs_matches_scipy_minimize* and
+    # the fits' own Wolfe search against line_search_wolfe1 are checked bit
+    # for bit against one scipy; name the installed versions so a failure on
+    # another scipy can be told apart from a fault.
     return [f"latentbinom: python {platform.python_version()}, numpy "
             f"{np.__version__}, scipy {scipy.__version__}",
             "latentbinom: the fit references (test_output_matches_committed_"
-            "reference) and test_bfgs_matches_scipy_minimize* are checked bit "
-            "for bit on scipy 1.17.1; pyproject.toml allows scipy>=1.10"]
+            "reference), test_bfgs_matches_scipy_minimize* and the fits' own "
+            "Wolfe search against scipy's line_search_wolfe1 (test_wolfe_"
+            "search_*) are checked bit for bit on scipy 1.17.1; "
+            "pyproject.toml allows scipy>=1.10"]
 
 
 def random_instance(rng, poisson_size=False):

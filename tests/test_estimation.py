@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting, standard errors, Wald intervals, and the LRT."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     # order-2 pass reads the objective's last point, so no coordinates are
     # made twice, except when BFGS exits on precision loss (status 2, the
     # full fit here): its result is an earlier point, made again. On the
-    # jejunal data BFGS asks for 48 and 321 points (23 and 71 distinct), and
+    # jejunal data BFGS asks for 24 and 170 points (23 and 71 distinct), and
     # the fits make 23 (all distinct) and 73 (72 distinct).
     data = jejunal_dataset()
     points, passes = [], []
@@ -365,6 +366,230 @@ def test_bfgs_matches_scipy_minimize_on_study_samples(setting, seed):
         assert_bfgs_matches_scipy(objective, p0)
 
 
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def assert_search_matches_scipy(objective, xk, pk, gfk, old_fval, old_old_fval):
+    """Run _wolfe1 and scipy's line_search_wolfe1, with the bounds _bfgs
+    gives it, on one call: the same step, f, old_fval and gradient bits and
+    the same trial points in the same order. Returns (step, trial points)."""
+    from scipy.optimize._linesearch import line_search_wolfe1
+    ours, theirs = [], []
+
+    def our_objective(x):
+        ours.append(x.tobytes())
+        return objective(x)
+
+    def their_f(x):  # scipy asks for the gradient at each such point next
+        theirs.append(x.tobytes())
+        return objective(x)[0]
+
+    with np.errstate(**estimation._QUIET):
+        stp, fval, gval = estimation._wolfe1(our_objective, xk, pk, gfk,
+                                             old_fval, old_old_fval)
+        want = line_search_wolfe1(their_f, lambda x: objective(x)[1], xk, pk, gfk,
+                                  old_fval, old_old_fval,
+                                  amin=estimation._AMIN, amax=estimation._AMAX)
+    assert (stp is None) == (want[0] is None)
+    if stp is not None:
+        assert bits(stp) == bits(want[0])
+    assert bits(fval) == bits(want[3])
+    assert bits(old_fval) == bits(want[4])  # what _bfgs keeps as old_old_fval
+    assert np.asarray(gval).tobytes() == np.asarray(want[5]).tobytes()
+    assert ours == theirs
+    return stp, ours
+
+
+def recorded_searches(run):
+    """The arguments of each _wolfe1 call that run() makes."""
+    calls, search = [], estimation._wolfe1
+
+    def record(objective, xk, pk, gfk, old_fval, old_old_fval):
+        calls.append((objective, xk.copy(), pk.copy(), gfk.copy(), old_fval,
+                      old_old_fval))
+        return search(objective, xk, pk, gfk, old_fval, old_old_fval)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimation, "_wolfe1", record)
+        with np.errstate(**estimation._QUIET):
+            run()
+    return calls
+
+
+@pytest.mark.parametrize("case", ["jejunal-fits", *SYNTHETIC])
+def test_wolfe_search_matches_scipy_on_every_bfgs_step(case):
+    # Each search of both jejunal fits (the Poisson-size fit, then the full
+    # one from it) and of the synthetic objectives' BFGS runs, replayed
+    # through scipy's search on the same arguments.
+    if case == "jejunal-fits":
+        calls = recorded_searches(lambda: fit_full(jejunal_dataset()))
+    else:
+        objective, p0 = SYNTHETIC[case]
+        calls = recorded_searches(lambda: estimation._bfgs(objective, p0.copy()))
+    assert len(calls) >= 2
+    for call in calls:
+        assert_search_matches_scipy(*call)
+
+
+def scripted(answers):
+    """A one-dimensional objective whose k-th distinct point gets the k-th
+    (f, slope) of answers."""
+    memo = {}
+
+    def objective(x):
+        if x.tobytes() not in memo:
+            f, slope = answers[len(memo)]
+            memo[x.tobytes()] = f, np.array([slope])
+        return memo[x.tobytes()]
+
+    return objective
+
+
+def dcstep_calls(monkeypatch):
+    """(ran on numpy scalars, next step) of each dcstep call from here on."""
+    calls, step_at = [], estimation._dcstep_at
+
+    def logged(sqrt, *args):
+        out = step_at(sqrt, *args)
+        calls.append((sqrt is np.sqrt, out[6]))
+        return out
+
+    monkeypatch.setattr(estimation, "_dcstep_at", logged)
+    return calls
+
+
+# One-dimensional searches from 0 along +1, so a gradient entry is the slope
+# along the search; the slope at 0 is -1.
+ORIGIN, AHEAD, DOWNHILL = np.zeros(1), np.ones(1), np.array([-1.0])
+
+
+def test_wolfe_search_refuses_an_ascent_direction():
+    # dcsrch's input error: the slope along pk at xk is not negative, so no
+    # trial is made and the search returns xk's value and gradient.
+    objective = SYNTHETIC["max-norm"][0]
+    xk = np.ones(2)
+    f0, g0 = objective(xk)
+    for pk in (g0, np.zeros(2)):
+        assert assert_search_matches_scipy(objective, xk, pk, g0, f0, f0 + 1.0) == (None, [])
+
+
+def test_wolfe_search_stops_on_a_nan_step(monkeypatch):
+    # An infinite value at the first trial makes the cubic step NaN, and
+    # dcsrch gives up before evaluating it.
+    steps = dcstep_calls(monkeypatch)
+    objective = scripted([(math.inf, 0.5)])
+    stp, trials = assert_search_matches_scipy(objective, ORIGIN, AHEAD, DOWNHILL, 0.0, 0.5)
+    assert stp is None and len(trials) == 1
+    assert [math.isnan(step) for _, step in steps] == [True]
+
+
+def test_wolfe_search_retries_a_zero_divisor_on_numpy_scalars(monkeypatch):
+    # After a NaN slope the interval's slopes no longer match its ends; at
+    # the third trial the cubic's numerator and denominator are both 0.0.
+    # Python raises there, so that dcstep call runs again on numpy scalars,
+    # whose 0/0 is a NaN step that ends the search.
+    steps = dcstep_calls(monkeypatch)
+    objective = scripted([(-2.0, math.nan), (-2.0, 2.0), (2.0, -0.5)])
+    stp, trials = assert_search_matches_scipy(objective, ORIGIN, AHEAD, DOWNHILL, 1.0, 1.5)
+    assert stp is None and len(trials) == 3
+    assert [numpy for numpy, _ in steps] == [False, False, True]
+    assert math.isnan(steps[-1][1])
+
+
+def test_wolfe_search_stops_at_the_iteration_cap(monkeypatch):
+    # A straight descent never meets the curvature condition: each step is
+    # about five times the last, so dcsrch's 100 trials end far below amax.
+    steps = dcstep_calls(monkeypatch)
+
+    def descent(x):
+        return -float(x[0]), np.array([-1.0])
+
+    stp, trials = assert_search_matches_scipy(descent, ORIGIN, AHEAD, DOWNHILL, 0.0, 0.5)
+    assert stp is None and len(trials) == 100
+    assert len(steps) == 99
+    assert 0 < max(step for _, step in steps) < estimation._AMAX
+
+
+def test_wolfe_search_returns_to_the_best_step_at_a_kink():
+    # |x - 0.3| has slope -1 then 1, so no step meets the curvature
+    # condition: the bracket closes on the kink until dcsrch's xtol test
+    # sends the step back to stx, which is asked for again before the
+    # rounding warning ends the search.
+    def kink(x):
+        return abs(x[0] - 0.3), np.array([math.copysign(1.0, x[0] - 0.3)])
+
+    stp, trials = assert_search_matches_scipy(kink, ORIGIN, AHEAD, DOWNHILL, 0.3, 0.8)
+    assert stp is None and len(trials) > 20
+    assert trials[-1] in trials[:-1]
+
+
+def noisy_search(seed):
+    """The arguments of one search on x'x whose value and gradient carry
+    noise drawn from the point's own bits, so the slopes disagree with the
+    values the way they do on a likelihood flat to rounding."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+
+    def objective(x):
+        a, b = np.random.default_rng(np.frombuffer(x.tobytes(), np.uint32)).integers(-6, 7, 2)
+        return float(x @ x) + 5e-4 * a, 2.0 * x + 0.5 * b
+
+    xk = rng.uniform(-2.0, 2.0, d)
+    f0, g0 = objective(xk)
+    pk = (-g0 * rng.choice([1.0, 1e-3, 1e3, 1e-8]) if rng.random() < 0.5
+          else rng.uniform(-3.0, 3.0, d))
+    return objective, xk, pk, g0, f0, f0 + rng.choice(
+        [0.0, 1e-8, 1.0, 100.0, -1.0, float(np.linalg.norm(g0)) / 2])
+
+
+# Seeds, from a scan of 3000, whose searches reach the shrinking-slope step
+# inside a bracket with a negative cubic discriminant (the cubic step is
+# then the secant one), a branch the fits and the cases above do not reach.
+@pytest.mark.parametrize("seed", [0, 1, 2, 512, 954, 1386, 2024, 2584, 2936])
+def test_wolfe_search_matches_scipy_on_noisy_slopes(seed):
+    assert_search_matches_scipy(*noisy_search(seed))
+
+
+def test_step_clip_matches_numpy_and_caps_at_amax():
+    # The search clips each new step to [amin, amax] as scipy does with
+    # np.clip. No search reaches amax itself: a step grows at most fivefold
+    # per trial from a first step of at most 1 (see the iteration cap), and
+    # an infinite dcstep step only arises in a bracket, whose test sends the
+    # capped step back to stx. So the cap is checked here, with np.clip's
+    # NaN and signed-zero results.
+    values = [0.0, -0.0, 1e-300, 1.0, 1e100, 1e300, math.inf, -math.inf, math.nan]
+    for x, lo, hi in itertools.product(values, repeat=3):
+        assert bits(estimation._clip(x, lo, hi)) == bits(np.clip(x, lo, hi))
+    assert estimation._clip(math.inf, estimation._AMIN, estimation._AMAX) == 1e100
+    assert estimation._clip(0.0, estimation._AMIN, estimation._AMAX) == 1e-100
+
+
+@pytest.mark.parametrize("stp, sty, brackt", [
+    (2.0, 0.0, False), (2.0, 0.0, True), (2.0, 2.0, True), (-1.0, 2.0, True)])
+@pytest.mark.parametrize("fp, dp", [
+    (1.0, -0.5), (-1.0, 0.5), (-1.0, -0.25), (-1.0, -3.0), (0.0, 0.0),
+    (math.inf, 1.0), (math.nan, -1.0), (-1.0, math.inf)])
+def test_dcstep_matches_scipy_on_degenerate_intervals(stp, sty, brackt, fp, dp):
+    # Intervals of zero width (stp == stx, or stp == sty) and non-finite
+    # values: Python raises where numpy divides by zero or takes the root of
+    # a negative number, and the retry on numpy scalars gives scipy's bits.
+    # A NaN's sign bit may differ between Python and numpy arithmetic; no
+    # comparison, abs, min or max in the search reads it, so it is not held.
+    from scipy.optimize._dcsrch import dcstep
+    args = (2.0, 0.0, -1.0, sty, 1.0, 2.0, stp, fp, dp, brackt, 0.0, 10.0)
+    with np.errstate(all="ignore"):
+        want = dcstep(*map(np.float64, args[:9]), brackt, 0.0, 10.0)
+        got = estimation._dcstep(*args)
+
+    def held(values):
+        return [bits(v) if v == v else "nan" for v in values]
+
+    assert held(got[:7]) == held(want[:7])
+    assert got[7] == want[7]
+    assert all(type(v) is float for v in got[:7])
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
 @pytest.mark.parametrize("fit", [fit_poisson_size, fit_full])
 def test_init_of_wrong_dimension_rejected(fit, extra):
@@ -528,6 +753,19 @@ def test_lrt_and_wald_ci_refuse_level_outside_unit_interval(level):
         likelihood_ratio_test(sub, full, level)
     with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
         wald_ci(sub, level)
+
+
+@pytest.mark.parametrize("level", [1e-17, 2**-53, 5e-324])
+def test_wald_ci_refuses_level_whose_quantile_is_infinite(level):
+    # 1 - level/2 rounds to 1.0, where the normal quantile has no finite
+    # value; the refusal names level, not NormalDist's p.
+    fit = FitResult(ModelParams(beta=np.array([2.0]), mu=7.0, alpha=INFINITE),
+                    np.array([0.1, 0.1]), -1.0, True, 1, 1.0)
+    with pytest.raises(ValueError, match=f"^level {level!r} is below float resolution"):
+        wald_ci(fit, level)
+    # 2**-52 halves to 2**-53, which still moves 1 - level/2 off 1.0.
+    lo, hi = wald_ci(fit, 2**-52)[0]
+    assert math.isfinite(lo) and math.isfinite(hi)
 
 
 def test_lrt_size_stays_at_or_below_level():

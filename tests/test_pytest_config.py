@@ -75,5 +75,7 @@ def test_report_header_names_versions_and_the_bit_for_bit_scipy():
     # The bit-for-bit note must name the range pyproject.toml allows.
     (allowed,) = re.findall(r'"(scipy[^"]*)"', PYPROJECT.read_text(encoding="utf-8"))
     assert "test_bfgs_matches_scipy_minimize*" in header[1], header
+    assert ("the fits' own Wolfe search against scipy's line_search_wolfe1 "
+            "(test_wolfe_search_*)") in header[1], header
     assert header[1].endswith(f"bit for bit on scipy 1.17.1; pyproject.toml "
                               f"allows {allowed}"), header

@@ -52,6 +52,17 @@ def test_sim_config_validation():
             SimConfig(setting=setting, **bad)
 
 
+@pytest.mark.parametrize("ci_level", [1 - 1.5e-16, 1 - 2**-53])
+def test_sim_config_refuses_ci_level_whose_quantile_is_infinite(ci_level):
+    # 0.5 + ci_level/2 rounds to 1.0, where run_study's normal quantile has
+    # no finite value; the refusal names ci_level, not NormalDist's p.
+    setting = table_settings()[0]
+    with pytest.raises(ValueError, match=r"^ci_level 0\.9999999999999999 is too close to 1"):
+        SimConfig(setting, n_samples=2, ci_level=ci_level)
+    # The next level down still has a finite quantile.
+    assert SimConfig(setting, n_samples=2, ci_level=1 - 2**-52).ci_level == 1 - 2**-52
+
+
 def test_sim_summary_validation():
     with pytest.raises(ValueError):
         SimSummary(bias=0.5, mse=0.1, coverage=0.9, n_converged=10)
