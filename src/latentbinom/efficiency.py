@@ -23,7 +23,7 @@ import numpy as np
 
 from .information import (_design_arrays, _info_stack, _known_sizes_gram,
                           inverse_with_condition)
-from .model import INFINITE, ModelParams
+from .model import INFINITE, ModelParams, _real_copy
 
 __all__ = [
     "EffSetting",
@@ -64,11 +64,10 @@ class EffSetting:
     h: np.ndarray = field(init=False, repr=False)  # read-only link at each row
 
     def __post_init__(self) -> None:
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        X, r, h = _design_arrays(self.X, self.r, self.params)
+        params = self.params  # checks beta and keeps a read-only copy
+        X, r, h = _design_arrays(self.X, self.r, params)
         h.setflags(write=False)
+        object.__setattr__(self, "beta", params.beta)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "h", h)
@@ -105,7 +104,7 @@ def builtin_designs() -> tuple[list[float], list[float]]:
 def make_setting(design_values: Sequence[float], slope: float, mu: float,
                  alpha: float, replications: int = _TABLE_REPLICATIONS) -> EffSetting:
     """An intercept-plus-slope setting on the given covariate values."""
-    values = np.asarray(design_values, dtype=float)
+    values = _real_copy(design_values, "design values")
     return EffSetting(
         X=np.column_stack([np.ones(values.size), values]),
         r=np.full(values.size, replications),

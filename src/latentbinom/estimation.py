@@ -104,30 +104,28 @@ class LrtResult:
     significance_level: float
 
 
-def _unpack(p: np.ndarray, d: int) -> ModelParams:
-    """The full model when p holds log alpha after (beta, log mu)."""
-    beta = p[:d]
+def _unpack(p: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
+    """(beta, mu, alpha) as plain values from p = (beta, log mu[, log alpha])."""
     mu = math.exp(min(max(p[d], -_LOG_MU_BOUND), _LOG_MU_BOUND))
     if p.size == d + 1:
-        return ModelParams(beta=beta, mu=mu, alpha=INFINITE)
-    alpha = math.exp(min(max(p[d + 1], -_LOG_ALPHA_BOUND), _LOG_ALPHA_BOUND))
-    return ModelParams(beta=beta, mu=mu, alpha=alpha)
+        return p[:d], mu, INFINITE
+    return p[:d], mu, math.exp(min(max(p[d + 1], -_LOG_ALPHA_BOUND), _LOG_ALPHA_BOUND))
 
 
-def _transformed_grad(params: ModelParams, raw: np.ndarray) -> np.ndarray:
+def _transformed_grad(d: int, point: tuple, raw: np.ndarray) -> np.ndarray:
     # log mu, then log alpha where the model has it; zip stops at raw's end.
     g = raw.copy()
-    for i, s in zip(range(params.beta.size, g.size), (params.mu, params.alpha)):
+    for i, s in zip(range(d, g.size), point[:2]):
         g[i] *= s
     return g
 
 
-def _transformed_hess(params: ModelParams, raw_h: np.ndarray,
+def _transformed_hess(d: int, point: tuple, raw_h: np.ndarray,
                       raw_g: np.ndarray) -> np.ndarray:
     # Row, column, then diagonal, mu before alpha: H * outer(s, s) would
     # round (x mu) alpha and x (mu alpha) differently.
     H = raw_h.copy()
-    for i, s in zip(range(params.beta.size, len(H)), (params.mu, params.alpha)):
+    for i, s in zip(range(d, len(H)), point[:2]):
         H[i, :] *= s
         H[:, i] *= s
         H[i, i] += s * raw_g[i]
@@ -333,20 +331,18 @@ def _optimize(data: Dataset, p0: np.ndarray):
         nonlocal last
         key = p.tobytes()
         if key not in seen:
-            params = _unpack(p, d)
-            last = key, params, _point(data, params)
-            ll, raw_g = _derivatives(data, params, last[2], 1)
-            seen[key] = (-ll, -_transformed_grad(params, raw_g))
+            last = key, _point(data, *_unpack(p, d))
+            ll, raw_g = _derivatives(data, last[1], 1)
+            seen[key] = (-ll, -_transformed_grad(d, last[1], raw_g))
         f, g = seen[key]
         return f, g.copy()  # a caller's write must not reach the memo
 
     with np.errstate(**_QUIET):
         p, n_iter = _bfgs(objective, p0)
-        (key, params, point), last = last, None  # the objective's last point
+        (key, point), last = last, None  # the objective's last point
         if key != p.tobytes():  # an exit on precision loss returns an earlier one
-            params = _unpack(p, d)
-            point = _point(data, params)
-        ll, raw_g, raw_h = _derivatives(data, params, point, 2)
+            point = _point(data, *_unpack(p, d))
+        ll, raw_g, raw_h = _derivatives(data, point, 2)
 
         # Damped Newton refinement with the analytic Hessian. The quasi-Newton
         # stage often exits on a failed line search a few digits short of the
@@ -358,11 +354,11 @@ def _optimize(data: Dataset, p0: np.ndarray):
         # order-2 pass, which the next step and the result both read.
         ll_slack = 1e3 * np.finfo(float).eps * (1.0 + abs(ll))
         for _ in range(_POLISH_STEPS):
-            g = _transformed_grad(params, raw_g)
+            g = _transformed_grad(d, point, raw_g)
             g_norm = np.max(np.abs(g))
             if g_norm < _GRAD_TOL:
                 break
-            Ht = _transformed_hess(params, raw_h, raw_g)
+            Ht = _transformed_hess(d, point, raw_h, raw_g)
             try:
                 delta = np.linalg.solve(Ht, -g)
             except np.linalg.LinAlgError:
@@ -376,17 +372,16 @@ def _optimize(data: Dataset, p0: np.ndarray):
             improved = False
             for _ in range(30):
                 cand = p + step * delta
-                cand_params = _unpack(cand, d)
-                cand_point = _point(data, cand_params)
-                (cand_ll,) = _derivatives(data, cand_params, cand_point, 0)
+                cand_point = _point(data, *_unpack(cand, d))
+                (cand_ll,) = _derivatives(data, cand_point, 0)
                 accept = cand_ll > ll
                 if not accept and cand_ll >= ll - ll_slack:
-                    _, cand_g = _derivatives(data, cand_params, cand_point, 1)
-                    accept = (np.max(np.abs(_transformed_grad(cand_params, cand_g)))
+                    _, cand_g = _derivatives(data, cand_point, 1)
+                    accept = (np.max(np.abs(_transformed_grad(d, cand_point, cand_g)))
                               < 0.9 * g_norm)
                 if accept:
-                    p, params, point = cand, cand_params, cand_point
-                    ll, raw_g, raw_h = _derivatives(data, params, point, 2)
+                    p, point = cand, cand_point
+                    ll, raw_g, raw_h = _derivatives(data, point, 2)
                     improved = True
                     break
                 step *= 0.5
@@ -394,11 +389,11 @@ def _optimize(data: Dataset, p0: np.ndarray):
             if not improved:
                 break
 
-    g = _transformed_grad(params, raw_g)
+    g = _transformed_grad(d, point, raw_g)
     converged = bool(
         np.max(np.abs(g)) < _GRAD_TOL or np.max(np.abs(raw_g)) < _RAW_SCORE_TOL
     )
-    return params, ll, converged, n_iter, raw_h
+    return ModelParams(p[:d], *point[:2]), ll, converged, n_iter, raw_h
 
 
 def _standard_errors(params: ModelParams,

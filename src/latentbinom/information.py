@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .model import ModelParams, _logistic, _mirrored
+from .model import ModelParams, _logistic, _mirrored, _real_copy
 
 __all__ = [
     "info_full",
@@ -53,7 +53,7 @@ NEAR_SINGULAR_CONDITION = 1e12
 def _design_arrays(X, r, params: ModelParams):
     """Validated read-only copies of the covariate rows X (n x d) and the
     replications r (n positive integers), and the link h at every row."""
-    X = np.array(X, dtype=float)
+    X = _real_copy(X, "design X")
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("design X must be a non-empty n x d array")
     if not np.all(np.isfinite(X)):
@@ -69,7 +69,6 @@ def _design_arrays(X, r, params: ModelParams):
     if d != params.beta.size:
         raise ValueError(f"dimension mismatch: design d={d}, beta has {params.beta.size}")
     r = r.astype(np.int64)
-    X.setflags(write=False)
     r.setflags(write=False)
     with np.errstate(over="ignore", invalid="ignore"):  # +-inf saturates the link
         return X, r, _logistic(X @ params.beta)
@@ -127,11 +126,14 @@ def inverse_with_condition(matrix: np.ndarray) -> tuple:
     result, for the caller to judge against NEAR_SINGULAR_CONDITION rather
     than raised; an indefinite matrix yields condition = inf. A non-finite
     matrix, or one with an eigenvalue whose reciprocal may overflow (zero
-    included), raises LinAlgError. A stack (..., m, m) gives an array of
-    conditions, each slice as if alone, and is refused whole: a non-finite
-    entry in any slice is reported before a near-zero eigenvalue in any.
+    included), raises LinAlgError, as does an empty or non-square input. A
+    stack (..., m, m) gives an array of conditions, each slice as if alone,
+    and is refused whole: a non-finite entry in any slice is reported before
+    a near-zero eigenvalue in any.
     """
     m = np.asarray(matrix, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise np.linalg.LinAlgError(f"information matrix is empty or not square: {m.shape}")
     with np.errstate(over="ignore"):
         m = 0.5 * (m + m.swapaxes(-1, -2))
     if not np.all(np.isfinite(m)):

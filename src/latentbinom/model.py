@@ -52,14 +52,13 @@ class ModelParams:
     def __post_init__(self) -> None:
         # A copy: the caller's array stays writable, and writing to it later
         # cannot change these parameters.
-        beta = np.array(self.beta, dtype=float, ndmin=1)
+        beta = np.atleast_1d(_real_copy(self.beta, "beta"))
         if beta.ndim != 1 or beta.size < 1 or not np.isfinite(beta).all():
             raise ValueError("beta must be a finite vector of length >= 1")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive (or INFINITE)")
-        beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -121,11 +120,14 @@ def _validated_counts(y) -> np.ndarray:
     return out
 
 
-def _finite_copy(x) -> np.ndarray:
-    """Read-only C-contiguous float64 copy of x; every entry must be finite."""
+def _real_copy(x, name: str) -> np.ndarray:
+    """Read-only C-contiguous float64 copy of x: bool, integer, float or real
+    objects such as Decimal; complex values and strings raise ValueError."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biufO" or x.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, complex, np.complexfloating)) for v in x.flat):
+        raise ValueError(f"{name} must be real numbers, not complex values or strings")
     out = np.array(x, dtype=float, order="C")
-    if not np.isfinite(out).all():
-        raise ValueError("x must be finite")
     out.setflags(write=False)
     return out
 
@@ -135,13 +137,15 @@ class Dataset:
     n x d), validated once and stored as read-only copies.
 
     A 1-D X is one covariate per row. Raises ValueError when there are no
-    rows or no columns, when y and X differ in length, when a count is not
-    a non-negative integer within int64, or when a covariate is not finite.
+    rows or no columns, when y and X differ in length, when a count is not a
+    non-negative integer within int64, or when a covariate is not real and finite.
     """
 
     def __init__(self, y, X):
         y = _validated_counts(y)
-        X = _finite_copy(X)
+        X = _real_copy(X, "x")
+        if not np.isfinite(X).all():
+            raise ValueError("x must be finite")
         if X.ndim == 1:
             X = X[:, None]
         if X.ndim != 2:
@@ -213,26 +217,25 @@ def _logistic(t: np.ndarray) -> np.ndarray:
 
 def link_h(x, beta) -> float:
     """Logistic success probability exp(x'beta) / (1 + exp(x'beta))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    x = np.atleast_1d(_real_copy(x, "x"))
+    beta = np.atleast_1d(_real_copy(beta, "beta"))
     if x.shape != beta.shape:
         raise ValueError(f"dimension mismatch: x has {x.size}, beta has {beta.size}")
     t = np.asarray([float(x @ beta)])
     return float(_logistic(t)[0])
 
 
-def _point(data: Dataset, params: ModelParams) -> tuple:
-    """(h, m = mu h, alpha + m, log1p(m / alpha)) over the rows at params;
-    the last two are None when alpha is INFINITE. _derivatives takes it as
-    an argument, so one link evaluation serves every pass at that point."""
-    if data.d != params.beta.size:
-        raise ValueError(
-            f"dimension mismatch: dataset d={data.d}, beta has {params.beta.size}"
-        )
-    h = _logistic(data.X @ params.beta)
-    m = params.mu * h
-    a = params.alpha
-    return (h, m, None, None) if math.isinf(a) else (h, m, a + m, np.log1p(m / a))
+def _point(data: Dataset, beta: np.ndarray, mu: float, alpha: float) -> tuple:
+    """(mu, alpha, h, m = mu h, alpha + m, log1p(m / alpha)) over the rows at
+    plain, checked values, the last two None at alpha = INFINITE: all that
+    _derivatives reads of the parameters, so one link serves every pass."""
+    if data.d != beta.size:
+        raise ValueError(f"dimension mismatch: dataset d={data.d}, beta has {beta.size}")
+    h = _logistic(data.X @ beta)
+    m = mu * h
+    if math.isinf(alpha):
+        return mu, alpha, h, m, None, None
+    return mu, alpha, h, m, alpha + m, np.log1p(m / alpha)
 
 
 def _shift_sums(data: Dataset, alpha: float, order: int):
@@ -338,7 +341,7 @@ def log_pmf(y: int, x, params: ModelParams) -> float:
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sum of log_pmf over the dataset."""
-    return _derivatives(data, params, _point(data, params), 0)[0]
+    return _derivatives(data, _point(data, params.beta, params.mu, params.alpha), 0)[0]
 
 
 def score(data: Dataset, params: ModelParams) -> np.ndarray:
@@ -347,7 +350,7 @@ def score(data: Dataset, params: ModelParams) -> np.ndarray:
     For alpha = INFINITE the returned vector has length d + 1 (no alpha
     component exists in the submodel).
     """
-    return _derivatives(data, params, _point(data, params), 1)[1]
+    return _derivatives(data, _point(data, params.beta, params.mu, params.alpha), 1)[1]
 
 
 def _mirrored(block: np.ndarray) -> np.ndarray:
@@ -364,7 +367,7 @@ def hessian(data: Dataset, params: ModelParams) -> np.ndarray:
     (d+1) x (d+1) matrix when alpha = INFINITE, else (d+2) x (d+2). The
     result is symmetric by construction.
     """
-    return _derivatives(data, params, _point(data, params), 2)[2]
+    return _derivatives(data, _point(data, params.beta, params.mu, params.alpha), 2)[2]
 
 
 def _y_log_mean(data: Dataset, m: np.ndarray, am) -> np.ndarray:
@@ -375,16 +378,16 @@ def _y_log_mean(data: Dataset, m: np.ndarray, am) -> np.ndarray:
                         data._yf * np.log(m if am is None else m / am), 0.0)
 
 
-def _derivatives(data: Dataset, params: ModelParams, point: tuple,
-                 order: int) -> tuple:
+def _derivatives(data: Dataset, point: tuple, order: int) -> tuple:
     """(log_likelihood,), (.., score) or (.., score, hessian) for order 0, 1
-    or 2, at point = _point(data, params). One pass shares the link, the
-    means and the shift tables among the three. The (beta, mu) terms are the
-    finite-shape ones; at alpha = INFINITE each shape factor takes its limit:
-    w = (a+y)/(a+m) is 1, the curvature terms (a+y)mu^2/(a+m)^2 and
-    (a+y)h^2/(a+m)^2 are 0, and the mu-beta weight -(a+y)a/(a+m)^2 is -1."""
-    h, m, am, log1p_ma = point
-    y, X, d, mu, a = data._yf, data.X, data.d, params.mu, params.alpha
+    or 2, at point = _point(data, beta, mu, alpha), read alone. One pass
+    shares the link, the means and the shift tables among the three. The
+    (beta, mu) terms are the finite-shape ones; at alpha = INFINITE each
+    shape factor takes its limit: w = (a+y)/(a+m) is 1, the curvature terms
+    (a+y)mu^2/(a+m)^2 and (a+y)h^2/(a+m)^2 are 0, and the mu-beta weight
+    -(a+y)a/(a+m)^2 is -1."""
+    mu, a, h, m, am, log1p_ma = point
+    y, X, d = data._yf, data.X, data.d
     poisson = am is None
     # Each full-length term is summed where it is formed and the order-2
     # factors are inline: a temporary kept alive costs heap page faults.

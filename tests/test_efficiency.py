@@ -238,6 +238,10 @@ def test_make_setting_validation():
         make_setting(x1, 1.0, -5.0, 25.0)
     with pytest.raises(ValueError):
         make_setting(x1, 1.0, 100.0, 0.0)
+    with pytest.raises(ValueError):
+        make_setting([1 + 5j, 2, 3], 1.0, 100.0, 25.0)
+    with pytest.raises(ValueError):
+        make_setting(["1", "2", "3"], 1.0, 100.0, 25.0)
 
 
 # -- gamma(alpha) curve ----------------------------------------------------------

@@ -181,13 +181,13 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     points, passes = [], []
     point, derivatives = estimation._point, estimation._derivatives
 
-    def counted_point(data, params):
-        points.append((params.as_array().tobytes(), point(data, params)))
+    def counted_point(data, beta, mu, alpha):
+        points.append(((beta.tobytes(), mu, alpha), point(data, beta, mu, alpha)))
         return points[-1][1]
 
-    def counted_derivatives(data, params, at, order):
+    def counted_derivatives(data, at, order):
         passes.append((id(at), order))
-        return derivatives(data, params, at, order)
+        return derivatives(data, at, order)
 
     monkeypatch.setattr(estimation, "_point", counted_point)
     monkeypatch.setattr(estimation, "_derivatives", counted_derivatives)
@@ -209,6 +209,25 @@ def test_optimizer_evaluates_through_module_names(monkeypatch):
     check(23, made_again=False)
     fit_full(data, init=sub.params)
     check(73, made_again=True)
+
+
+def test_fits_build_one_model_params_each(monkeypatch):
+    # Trial points are plain numbers: a fit builds its one ModelParams, the
+    # result's, however many points it evaluates (23 and 73 here).
+    data = jejunal_dataset()
+    built, post_init = [], ModelParams.__post_init__
+
+    def counted_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
+    sub = fit_poisson_size(data)
+    assert len(built) == 1
+    full = fit_full(data, init=sub.params)
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert sub.params.is_poisson_size and not full.params.is_poisson_size
 
 
 def test_repeated_trial_point_returns_the_first_values(monkeypatch):

@@ -73,9 +73,12 @@ def test_design_arrays_accepts_and_copies():
     ([1.0, 2.0], [1, 1]),
     ([[1.0, 2.0, 3.0]], [1]),
     ([[1.0]], [1]),
+    (np.array([[1.0, 2.0 + 1j]]), [1]),
+    ([["1", "2"]], [1]),
+    (np.array([[1.0, 1j]], dtype=object), [1]),
 ], ids=["inf-X", "nan-X", "r-zero", "r-fraction", "r-bool", "r-scalar-bool",
         "r-short", "r-long", "X-empty", "X-empty-list", "X-1d", "d-above-beta",
-        "d-below-beta"])
+        "d-below-beta", "X-complex", "X-strings", "X-object-complex"])
 def test_design_arrays_rejects(X, r):
     with pytest.raises(ValueError):
         _design_arrays(X, r, SETTING_ONE)
@@ -291,6 +294,12 @@ def test_inverse_with_condition_flags():
     assert not cond < NEAR_SINGULAR_CONDITION
     assert cond > 1e12
     assert np.isfinite(inv).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (3,)])
+def test_inverse_with_condition_refuses_empty_and_flat_input(shape):
+    with pytest.raises(np.linalg.LinAlgError, match="empty or not square"):
+        inverse_with_condition(np.ones(shape))
 
 
 def test_inverse_with_condition_stack_equals_slices():

@@ -70,6 +70,9 @@ def test_model_params_copy_beta():
     dict(beta=np.array([1.0]), mu=1.0, alpha=0.0),
     dict(beta=np.array([1.0]), mu=1.0, alpha=-1.0),
     dict(beta=np.array([np.nan]), mu=1.0, alpha=1.0),
+    dict(beta=np.array([0.5 + 2j, 1.0]), mu=1.0, alpha=1.0),
+    dict(beta=["0.5", "1"], mu=1.0, alpha=1.0),
+    dict(beta=np.array([0.5, "1"], dtype=object), mu=1.0, alpha=1.0),
 ])
 def test_model_params_validation(kwargs):
     with pytest.raises(ValueError):
@@ -100,6 +103,12 @@ def test_observation_validation():
         Dataset([-1], [[1.0, 2.0]])
     with pytest.raises(ValueError):
         Dataset([2], [[1.0, np.inf]])
+    with pytest.raises(ValueError):
+        Dataset([5, 7, 9], np.array([1 + 3j, 2, 3]))
+    with pytest.raises(ValueError):
+        Dataset([5, 7, 9], ["1.5", "2", "3"])
+    with pytest.raises(ValueError):
+        Dataset([5, 7], np.array([1 + 3j, 2.0], dtype=object))
 
 
 def test_dataset_construction():
@@ -314,6 +323,33 @@ def test_logistic_bit_identical_to_two_division_form():
 def test_link_h_basic_values():
     assert link_h(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 0.5
     assert link_h(np.array([1.0]), np.array([math.log(3.0)])) == pytest.approx(0.75, rel=1e-14)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: Dataset([5, 7, 9], np.array([1 + 3j, 2, 3])), "x"),
+    (lambda: Dataset([5, 7, 9], ["1.5", "2", "3"]), "x"),
+    (lambda: Dataset([5, 7], np.array([Decimal("1"), b"2"], dtype=object)), "x"),
+    (lambda: ModelParams(beta=np.array([0.5 + 2j, 1.0]), mu=1.0, alpha=1.0), "beta"),
+    (lambda: ModelParams(beta=["0.5", "1"], mu=1.0, alpha=1.0), "beta"),
+    (lambda: make_setting([1 + 5j, 2, 3], 1.0, 100.0, 25.0), "design values"),
+    (lambda: make_setting([1.0, 2.0, 3.0], 1.0 + 1j, 100.0, 25.0), "beta"),
+    (lambda: link_h([1.0, 2j], [1.0, 1.0]), "x"),
+    (lambda: link_h([1.0, 2.0], np.array(["1", 1.0], dtype=object)), "beta"),
+])
+def test_complex_and_string_numbers_are_refused_by_name(build, name):
+    # numpy would drop the imaginary part with a warning, or parse the
+    # string; every argument that becomes floats refuses both instead.
+    with pytest.raises(ValueError, match=f"^{name} must be real numbers, not "
+                                         "complex values or strings$"):
+        build()
+
+
+def test_real_objects_are_accepted_as_floats():
+    data = Dataset([1, 2], np.array([Decimal("1.5"), True], dtype=object))
+    assert data.X.tolist() == [[1.5], [1.0]]
+    params = ModelParams(beta=[Fraction(1, 2), np.int8(3)], mu=1.0, alpha=2.0)
+    assert params.beta.tolist() == [0.5, 3.0]
+    assert link_h([Decimal(0)], [True]) == 0.5
 
 
 def test_link_h_consistent_with_raw_proportions():
@@ -641,8 +677,8 @@ def test_derivative_orders_share_one_pass(seed, poisson_size):
     # A pass of order k begins with the pass of every lower order, bit for
     # bit, and the public functions are its slices.
     data, params = random_instance(np.random.default_rng(seed), poisson_size)
-    point = _point(data, params)
-    passes = [_derivatives(data, params, point, k) for k in range(3)]
+    point = _point(data, params.beta, params.mu, params.alpha)
+    passes = [_derivatives(data, point, k) for k in range(3)]
     for k, longer in enumerate(passes):
         assert len(longer) == k + 1
         for j in range(k + 1):
@@ -652,11 +688,11 @@ def test_derivative_orders_share_one_pass(seed, poisson_size):
         assert _bits(kernel(data, params)) == _bits(passes[k][k]), k
 
 
-def _two_branch_derivatives(data, params, point, order):
+def _two_branch_derivatives(data, point, order):
     # The score and Hessian with the alpha = INFINITE limit written out as
     # its own branch, as they stood before the finite-shape terms took it.
-    h, m, am, log1p_ma = point
-    y, X, d, mu = data._yf, data.X, data.d, params.mu
+    mu, a, h, m, am, log1p_ma = point
+    y, X, d = data._yf, data.X, data.d
     if am is None:
         out = [float((_y_log_mean(data, m, am) - m - data._log_y_factorial).sum())]
         if order >= 1:
@@ -671,7 +707,6 @@ def _two_branch_derivatives(data, params, point, order):
             H[:d, d] = H[d, :d] = -(dh @ X)
             out.append(H)
         return tuple(out)
-    a = params.alpha
     shifts = _shift_sums(data, a, order)
     out = [float((next(shifts) + _y_log_mean(data, m, am)
                   - data._log_y_factorial - a * log1p_ma).sum())]
@@ -737,17 +772,17 @@ def test_derivatives_match_two_branch_form(seed, poisson_size, log10_alpha,
     data = Dataset(y, data.X)
     params = ModelParams(params.beta * beta_scale, params.mu,
                          INFINITE if poisson_size else 10.0**log10_alpha)
-    point = _point(data, params)
+    point = _point(data, params.beta, params.mu, params.alpha)
     with np.errstate(all="ignore"):
         for order in range(3):
-            got = _derivatives(data, params, point, order)
-            want = _two_branch_derivatives(data, params, point, order)
+            got = _derivatives(data, point, order)
+            want = _two_branch_derivatives(data, point, order)
             assert [_bits(v) for v in got[:2]] == [_bits(v) for v in want[:2]], order
             assert np.array_equal(got[-1], want[-1], equal_nan=True), order
         g, H = got[1], got[2]
-        assert _bits(_transformed_grad(params, g)) == _bits(
+        assert _bits(_transformed_grad(data.d, point, g)) == _bits(
             _two_branch_transformed_grad(params, g))
-        assert np.array_equal(_transformed_hess(params, H, g),
+        assert np.array_equal(_transformed_hess(data.d, point, H, g),
                               _two_branch_transformed_hess(params, H, g),
                               equal_nan=True)
 

@@ -1,5 +1,6 @@
 """The suite's own pytest configuration."""
 
+import os
 import platform
 import re
 import subprocess
@@ -79,3 +80,17 @@ def test_report_header_names_versions_and_the_bit_for_bit_scipy():
             "(test_wolfe_search_*)") in header[1], header
     assert header[1].endswith(f"bit for bit on scipy 1.17.1; pyproject.toml "
                               f"allows {allowed}"), header
+
+
+def test_readme_library_quick_start_runs_clean():
+    # The documented example runs as written, with every warning an error:
+    # an API change that breaks it fails here, not in a reader's session.
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                          re.DOTALL)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block], cwd=PYPROJECT.parent,
+        env={**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "LrtResult(" in done.stdout
