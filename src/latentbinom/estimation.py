@@ -3,27 +3,25 @@ likelihood-ratio test between the full latent-size model and its Poisson-size
 submodel.
 
 Optimization runs in unconstrained coordinates (beta, log mu[, log alpha])
-with the analytic score: a quasi-Newton stage (our BFGS loop and Moré-Thuente
-line search, scipy 1.17's to the bit) followed by a damped Newton polish using
-the analytic Hessian. Each trial point's link is evaluated once and passed to
-one derivative pass of the order it needs: the score in the quasi-Newton
-stage, the value alone at a polish trial, and the Hessian too at each accepted
-point, which the next step and the result read; BFGS's result reuses its last
-point unless it exits on precision loss. A failing line search asks again for
-points it has made, and the fallback search walks them again; a memo that
-lasts one fit, keyed on the exact coordinates, answers those repeats with the
-same bits, so it evaluates each distinct point once. Standard errors come from
-the inverse of the negated observed Hessian at the estimate, which is also
-what reproduces the reference results; the expected-information matrices in
-the information module stay available for cross-checks. The fallback search is
-scipy.optimize's line_search_wolfe2, imported by the first fit, so importing
-this module loads no scipy.
+with the analytic score: a quasi-Newton stage (our BFGS loop, Moré-Thuente
+line search and fallback Wolfe search, scipy 1.17's to the bit) followed by
+a damped Newton polish using the analytic Hessian. Each trial point's link is
+evaluated once and passed to one derivative pass of the order it needs: the
+score in the quasi-Newton stage, the value alone at a polish trial, and the
+Hessian too at each accepted point, which the next step and the result read;
+BFGS's result reuses its last point unless it exits on precision loss. A
+failing line search asks again for points it has made, and the fallback
+search walks them again; a memo that lasts one fit, keyed on the exact
+coordinates, answers those repeats with the same bits, so it evaluates each
+distinct point once. Standard errors come from the inverse of the negated
+observed Hessian at the estimate, which is also what reproduces the
+reference results; the expected-information matrices in the information
+module stay available for cross-checks. The fits run on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -275,39 +273,116 @@ def _wolfe1(objective, xk, pk, gfk, old_fval, old_old_fval):
     return None, f, gval
 
 
+def _quadmin(a, fa, fpa, b, fb):
+    """scipy's _quadmin: the minimizer of the quadratic through (a, fa) and
+    (b, fb) with slope fpa at a, or None. The slope is a numpy scalar, as
+    scipy's derphi returns, so numpy raises where scipy's does."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            C, db = np.float64(fpa), b - a
+            xmin = a - C / (2.0 * ((fb - fa - C * db) / (db * db)))
+        except ArithmeticError:
+            return None
+    return float(xmin) if math.isfinite(xmin) else None
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """scipy's _cubicmin, through (c, fc) too, as _quadmin. Its 2x2 product
+    stays np.dot: a*b + c*d can round differently."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            C, db, dc = np.float64(fpa), b - a, c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.array([[dc ** 2, -db ** 2], [-dc ** 3, db ** 3]])
+            A, B = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc])) / denom
+            xmin = a + (-B + np.sqrt(B * B - 3 * A * C)) / (3 * A)
+        except ArithmeticError:
+            return None
+    return float(xmin) if math.isfinite(xmin) else None
+
+
+def _zoom(objective, xk, pk, a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi0, derphi0):
+    """scipy's _zoom (Nocedal & Wright 2006, Alg. 3.6), at most 11 trials;
+    the first sets (a_rec, phi_rec), which scipy's initial values leave unread."""
+    for i in range(11):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        if i > 0:  # the cubic, else the quadratic, else bisection
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if i == 0 or a_j is None or a_j > b - 0.2 * dalpha or a_j < a + 0.2 * dalpha:
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - 0.1 * dalpha or a_j < a + 0.1 * dalpha:
+                a_j = a_lo + 0.5 * dalpha
+        f, g = objective(xk + a_j * pk)
+        if f > phi0 + _C1 * a_j * derphi0 or f >= phi_lo:
+            phi_rec, a_rec, a_hi, phi_hi = phi_hi, a_hi, a_j, f
+            continue
+        slope = float(np.dot(g, pk))
+        if abs(slope) <= -_C2 * derphi0:
+            return a_j, f, g
+        if slope * (a_hi - a_lo) >= 0:
+            phi_rec, a_rec, a_hi, phi_hi = phi_hi, a_hi, a_lo, phi_lo
+        else:
+            phi_rec, a_rec = phi_lo, a_lo
+        a_lo, phi_lo, derphi_lo = a_j, f, slope
+    return None, None, None
+
+
+def _wolfe2(objective, xk, pk, gfk, old_fval, old_old_fval):
+    """(step, f, gradient) of scipy 1.17's line_search_wolfe2 with amax _AMAX,
+    bit for bit and trial for trial: one objective request per trial, and a
+    slope along pk only where scipy asks for one. A failed search returns
+    step None; one out of iterations, its last step and f but no gradient."""
+    derphi0 = float(np.dot(gfk, pk))
+    alpha1 = min(1.0, 1.01 * 2 * (old_fval - old_old_fval) / derphi0) if derphi0 != 0 else 1.0
+    alpha1 = 1.0 if alpha1 < 0 else alpha1
+    # amax never binds: ten doublings from a first step of at most 1.
+    alpha0, phi_a0, derphi_a0 = 0.0, old_fval, derphi0
+    phi_a1, g1 = objective(xk + alpha1 * pk)
+    if alpha1 == 0:  # rounding errors: the first step slipped below resolution
+        return None, None, None
+    for i in range(10):
+        if phi_a1 > old_fval + _C1 * alpha1 * derphi0 or i > 0 and phi_a1 >= phi_a0:
+            return _zoom(objective, xk, pk, alpha0, alpha1, phi_a0, phi_a1, derphi_a0,
+                         old_fval, derphi0)
+        derphi_a1 = float(np.dot(g1, pk))
+        if abs(derphi_a1) <= -_C2 * derphi0:
+            return alpha1, phi_a1, g1
+        if derphi_a1 >= 0:
+            return _zoom(objective, xk, pk, alpha1, alpha0, phi_a1, phi_a0, derphi_a1,
+                         old_fval, derphi0)
+        alpha0, alpha1, phi_a0, derphi_a0 = alpha1, 2 * alpha1, phi_a1, derphi_a1
+        phi_a1, g1 = objective(xk + alpha1 * pk)
+    return alpha1, phi_a1, None
+
+
 def _bfgs(objective, p0: np.ndarray) -> tuple[np.ndarray, int]:
     """(x, iterations) of scipy 1.17's minimize(objective, p0, jac=True,
     method="BFGS") with gtol _GRAD_TOL and maxiter _MAX_ITER, step for step:
-    BFGS with Moré-Thuente line searches (Nocedal & Wright 2006, Alg. 6.1).
-    A failed line search (precision loss) or a non-finite f stops at xk."""
-    # Here, not at module top: scipy.optimize is ~75% of the package's import time.
-    from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe2
-    f, fprime = (lambda x: objective(x)[0]), (lambda x: objective(x)[1])
+    BFGS (Nocedal & Wright 2006, Alg. 6.1) with Moré-Thuente and fallback Wolfe
+    line searches. A failed search (precision loss) or a non-finite f stops at xk."""
     (old_fval, gfk), xk, k = objective(p0), p0, 0
     Hk = I = np.eye(len(p0), dtype=int)
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2  # a first step of about 1
-    gnorm = np.amax(np.abs(gfk))
+    gnorm = np.maximum.reduce(np.abs(gfk))
     while gnorm > _GRAD_TOL and k < _MAX_ITER:
         pk = -np.dot(Hk, gfk)
         alpha_k, fval, gfkp1 = _wolfe1(objective, xk, pk, gfk, old_fval, old_old_fval)
         if alpha_k is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LineSearchWarning)
-                alpha_k, _, _, fval, _, gfkp1 = line_search_wolfe2(
-                    f, fprime, xk, pk, gfk, old_fval, old_old_fval, amax=_AMAX)
+            alpha_k, fval, gfkp1 = _wolfe2(objective, xk, pk, gfk, old_fval, old_old_fval)
             if alpha_k is None:
                 break
         old_fval, old_old_fval = fval, old_fval
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
-            gfkp1 = fprime(xk)
+            gfkp1 = objective(xk)[1]
         yk, gfk, k = gfkp1 - gfk, gfkp1, k + 1
-        gnorm = np.amax(np.abs(gfk))
+        gnorm = np.maximum.reduce(np.abs(gfk))
         # scipy's step test at xrtol = 0: a NaN on either side keeps going.
         if (gnorm <= _GRAD_TOL or not np.isfinite(old_fval)
-                or alpha_k * np.sum(np.abs(pk) ** 2) ** 0.5
-                <= 0 * np.sum(np.abs(xk) ** 2) ** 0.5):
+                or alpha_k * np.add.reduce(np.abs(pk) ** 2) ** 0.5
+                <= 0 * np.add.reduce(np.abs(xk) ** 2) ** 0.5):
             break
         rhok_inv = np.dot(yk, sk)
         rhok = 1000.0 if rhok_inv == 0. else 1. / rhok_inv

@@ -55,13 +55,16 @@ class ModelParams:
         beta = np.atleast_1d(_real_copy(self.beta, "beta"))
         if beta.ndim != 1 or beta.size < 1 or not np.isfinite(beta).all():
             raise ValueError("beta must be a finite vector of length >= 1")
+        for name in ("mu", "alpha"):  # one real number each, under beta's rule
+            value = getattr(self, name)
+            if not isinstance(value, float) and _real_copy(value, name).ndim != 0:
+                raise ValueError(f"{name} must be one number, not shape {np.shape(value)}")
+            object.__setattr__(self, name, float(value))
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive (or INFINITE)")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def is_poisson_size(self) -> bool:
@@ -189,7 +192,7 @@ class Dataset:
 
     @cached_property
     def _y_max(self) -> int:
-        return int(self._y.max())
+        return int(np.maximum.reduce(self._y))
 
     @property
     def n_obs(self) -> int:
@@ -255,7 +258,7 @@ def _shift_sums(data: Dataset, alpha: float, order: int):
         aj += alpha  # in place: a freed temporary here fragments the heap
         table = np.zeros(y_max + 1)
         for p in range(order + 1):
-            np.cumsum(np.log(aj) if p == 0 else aj ** (-float(p)), out=table[1:])
+            np.add.accumulate(np.log(aj) if p == 0 else aj ** (-float(p)), out=table[1:])
             yield table[data.y]
     except (MemoryError, ValueError):  # ValueError: more bytes than intp holds
         raise RuntimeError(f"count {y_max} needs a shift table of {y_max + 1} "
@@ -392,32 +395,33 @@ def _derivatives(data: Dataset, point: tuple, order: int) -> tuple:
     # Each full-length term is summed where it is formed and the order-2
     # factors are inline: a temporary kept alive costs heap page faults.
     if poisson:
-        out = [float((_y_log_mean(data, m, am) - m - data._log_y_factorial).sum())]
+        out = [float(np.add.reduce(_y_log_mean(data, m, am) - m - data._log_y_factorial))]
     else:
         shifts = _shift_sums(data, a, order)
-        out = [float((next(shifts) + _y_log_mean(data, m, am)
-                      - data._log_y_factorial - a * log1p_ma).sum())]
+        out = [float(np.add.reduce(next(shifts) + _y_log_mean(data, m, am)
+                                   - data._log_y_factorial - a * log1p_ma))]
     if order >= 1:
         dh = h * (1.0 - h)
         w = 1.0 if poisson else (a + y) / am
-        grad = [X.T @ ((y / h - w * mu) * dh),
-                [float((y / mu - (h if poisson else w * h)).sum())]]
+        grad = np.empty(d + 1 if poisson else d + 2)
+        grad[:d] = X.T @ ((y / h - w * mu) * dh)
+        grad[d] = np.add.reduce(y / mu - (h if poisson else w * h))
         if not poisson:
             # log a + 1 - log(a+m) - w == -log1p(m/a) - (y-m)/(a+m), which
             # stays accurate when alpha dwarfs m; the digamma difference is T1[y].
-            grad.append([float((next(shifts) - log1p_ma - (y - m) / am).sum())])
-        out.append(np.concatenate(grad))
+            grad[d + 1] = np.add.reduce(next(shifts) - log1p_ma - (y - m) / am)
+        out.append(grad)
     if order >= 2:
         H = np.zeros((d + 1, d + 1) if poisson else (d + 2, d + 2))
         cb = ((y / h - w * mu) * (dh * (1.0 - 2.0 * h))
               + ((0.0 if poisson else (a + y) * mu**2 / am**2) - y / h**2) * dh**2)
         H[:d, :d] = _mirrored((X * cb[:, None]).T @ X)
-        H[d, d] = float((-y / mu**2 + (0.0 if poisson else (a + y) * h**2 / am**2)).sum())
+        H[d, d] = np.add.reduce(-y / mu**2 + (0.0 if poisson else (a + y) * h**2 / am**2))
         H[:d, d] = H[d, :d] = ((-1.0 if poisson else -(a + y) * a / am**2) * dh) @ X
         if not poisson:
             # The trigamma difference is -T2[y]; 1/a - 1/(a+m) written m/(a(a+m)).
-            H[d + 1, d + 1] = float((-next(shifts) + m / (a * am) + (y - m) / am**2).sum())
+            H[d + 1, d + 1] = np.add.reduce(-next(shifts) + m / (a * am) + (y - m) / am**2)
             H[:d, d + 1] = H[d + 1, :d] = (mu * (y - m) / am**2 * dh) @ X
-            H[d, d + 1] = H[d + 1, d] = float((h * (y - m) / am**2).sum())
+            H[d, d + 1] = H[d + 1, d] = np.add.reduce(h * (y - m) / am**2)
         out.append(H)
     return tuple(out)

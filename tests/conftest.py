@@ -16,16 +16,18 @@ from latentbinom import hessian, log_likelihood, log_pmf, score
 
 
 def pytest_report_header(config):
-    # The fits' bench/refs outputs, test_bfgs_matches_scipy_minimize* and
-    # the fits' own Wolfe search against line_search_wolfe1 are checked bit
-    # for bit against one scipy; name the installed versions so a failure on
-    # another scipy can be told apart from a fault.
+    # The library runs on numpy alone, but the oracle tests compare its BFGS
+    # loop and both Wolfe searches with one scipy bit for bit; name the
+    # installed versions so a failure on another scipy can be told apart
+    # from a fault.
     return [f"latentbinom: python {platform.python_version()}, numpy "
             f"{np.__version__}, scipy {scipy.__version__}",
             "latentbinom: the fit references (test_output_matches_committed_"
-            "reference), test_bfgs_matches_scipy_minimize* and the fits' own "
+            "reference) need no scipy; only the oracle tests use the test "
+            "extra's scipy: test_bfgs_matches_scipy_minimize*, the fits' own "
             "Wolfe search against scipy's line_search_wolfe1 (test_wolfe_"
-            "search_*) are checked bit for bit on scipy 1.17.1; "
+            "search_*) and the fallback against line_search_wolfe2 (test_"
+            "fallback_search_*) are checked bit for bit on scipy 1.17.1; "
             "pyproject.toml allows scipy>=1.10"]
 
 

@@ -385,34 +385,34 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # No scipy module at all: scipy.optimize is loaded by the first fit.
+    # No scipy module at all: the library runs on numpy alone.
     # Nor the CLI: the package exports the library modules' names only.
     out = run_fresh(f"import sys, latentbinom; print({SCIPY_LOADED}, "
                     "'argparse' in sys.modules, 'latentbinom.cli' in sys.modules)")
     assert out.strip() == "[] False False"
 
 
-def test_only_a_fit_loads_scipy(capsys):
-    # efficiency and curves compute from expected information alone, so a
-    # fresh interpreter running them loads no scipy; a fit then loads
-    # scipy.optimize and prints what it prints in this process.
+def test_no_command_loads_scipy(capsys):
+    # The fits run their own line searches, so a fresh interpreter running
+    # every kind of command, fits included, loads no scipy module and
+    # prints what the same commands print in this process.
+    commands = [["efficiency"], ["curves", "--kind", "gamma-by-alpha"],
+                ["curves", "--kind", "sd-by-mu"], ["fit", "--builtin", "jejunal"],
+                ["simulate", "--setting", "1", "--samples", "5"]]
     probe = f"""
 import contextlib, io, json, sys
 from latentbinom.cli import main
-for argv in (["efficiency"], ["curves", "--kind", "gamma-by-alpha"],
-             ["curves", "--kind", "sd-by-mu"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-loaded = {SCIPY_LOADED}
-fit = io.StringIO()
-with contextlib.redirect_stdout(fit):
-    code = main(["fit", "--builtin", "jejunal"])
-print(json.dumps([loaded, "scipy.optimize" in sys.modules, code, fit.getvalue()]))
+outs = []
+for argv in {commands!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outs.append((main(argv), out.getvalue()))
+print(json.dumps([{SCIPY_LOADED}, outs]))
 """
-    loaded, optimize_loaded, code, fit_out = json.loads(run_fresh(probe))
+    loaded, outs = json.loads(run_fresh(probe))
     assert loaded == []
-    assert optimize_loaded and code == 0
-    assert (code, fit_out) == run_cli(capsys, ["fit", "--builtin", "jejunal"])[:2]
+    for argv, (code, out) in zip(commands, outs):
+        assert (code, out) == run_cli(capsys, argv)[:2] == (0, out)
 
 
 def test_efficiency_custom_settings_file(capsys, tmp_path):

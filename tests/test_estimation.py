@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,20 +297,19 @@ def assert_bfgs_matches_scipy(objective, p0, maxiter=estimation._MAX_ITER):
     """Run _bfgs and scipy's BFGS from p0 and require the same x bits, the
     same iteration count and the same points in the same order. Returns
     scipy's result and how many fallback searches _bfgs ran."""
-    import scipy.optimize._linesearch as linesearch
     from scipy.optimize import minimize
     ours, our_order = first_requests(objective)
     theirs, their_order = first_requests(objective)
-    wolfe2, fallbacks = linesearch.line_search_wolfe2, []
+    wolfe2, fallbacks = estimation._wolfe2, []
 
-    def counted_wolfe2(*args, **kwargs):
+    def counted_wolfe2(*args):
         fallbacks.append(1)
-        return wolfe2(*args, **kwargs)
+        return wolfe2(*args)
 
     with np.errstate(**estimation._QUIET):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(estimation, "_MAX_ITER", maxiter)
-            m.setattr(linesearch, "line_search_wolfe2", counted_wolfe2)
+            m.setattr(estimation, "_wolfe2", counted_wolfe2)
             x, nit = estimation._bfgs(ours, p0.copy())
         res = minimize(theirs, p0.copy(), jac=True, method="BFGS",
                        options={"gtol": estimation._GRAD_TOL, "maxiter": maxiter})
@@ -420,9 +422,9 @@ def assert_search_matches_scipy(objective, xk, pk, gfk, old_fval, old_old_fval):
     return stp, ours
 
 
-def recorded_searches(run):
-    """The arguments of each _wolfe1 call that run() makes."""
-    calls, search = [], estimation._wolfe1
+def recorded_searches(run, name="_wolfe1"):
+    """The arguments of each call of the named search that run() makes."""
+    calls, search = [], getattr(estimation, name)
 
     def record(objective, xk, pk, gfk, old_fval, old_old_fval):
         calls.append((objective, xk.copy(), pk.copy(), gfk.copy(), old_fval,
@@ -430,7 +432,7 @@ def recorded_searches(run):
         return search(objective, xk, pk, gfk, old_fval, old_old_fval)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(estimation, "_wolfe1", record)
+        m.setattr(estimation, name, record)
         with np.errstate(**estimation._QUIET):
             run()
     return calls
@@ -607,6 +609,217 @@ def test_dcstep_matches_scipy_on_degenerate_intervals(stp, sty, brackt, fp, dp):
     assert held(got[:7]) == held(want[:7])
     assert got[7] == want[7]
     assert all(type(v) is float for v in got[:7])
+
+
+def assert_fallback_matches_scipy(objective, xk, pk, gfk, old_fval, old_old_fval):
+    """Run _wolfe2 and scipy's line_search_wolfe2 with amax _AMAX, as _bfgs
+    and scipy's BFGS call them, on one call: the same step, and with a step
+    the same f and gradient bits (no gradient after the last iteration),
+    and the same trial points in the same order, one request each.
+    Returns (step, trial points)."""
+    from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe2
+    ours, theirs = [], []
+
+    def our_objective(x):
+        ours.append(x.tobytes())
+        return objective(x)
+
+    def their_f(x):  # scipy's derphi asks for the gradient at the last such point
+        theirs.append(x.tobytes())
+        return objective(x)[0]
+
+    with np.errstate(**estimation._QUIET), warnings.catch_warnings():
+        warnings.simplefilter("ignore", LineSearchWarning)
+        stp, fval, gval = estimation._wolfe2(our_objective, xk, pk, gfk,
+                                             old_fval, old_old_fval)
+        want = line_search_wolfe2(their_f, lambda x: objective(x)[1], xk, pk, gfk,
+                                  old_fval, old_old_fval, amax=estimation._AMAX)
+    assert (stp is None) == (want[0] is None)
+    if stp is not None:
+        assert bits(stp) == bits(want[0])
+        assert bits(fval) == bits(want[3])
+        assert (gval is None) == (want[5] is None)
+        assert gval is None or gval.tobytes() == np.asarray(want[5]).tobytes()
+    assert ours == theirs
+    return stp, ours
+
+
+@pytest.mark.parametrize("case", ["jejunal-fits", "inf", "nan"])
+def test_fallback_search_matches_scipy_on_every_bfgs_step(case):
+    # Each fallback search of both jejunal fits and of the synthetic BFGS
+    # runs that make one, replayed through scipy's search.
+    if case == "jejunal-fits":
+        calls = recorded_searches(lambda: fit_full(jejunal_dataset()), "_wolfe2")
+    else:
+        objective, p0 = SYNTHETIC[case]
+        calls = recorded_searches(lambda: estimation._bfgs(objective, p0.copy()), "_wolfe2")
+    assert len(calls) == {"jejunal-fits": 3, "inf": 2, "nan": 1}[case]
+    for call in calls:
+        assert_fallback_matches_scipy(*call)
+
+
+@settings(max_examples=30, deadline=None)
+@given(setting=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_fallback_search_matches_scipy_on_study_samples(setting, seed):
+    data, _ = generate_dataset(table_settings()[setting - 1], seeded(seed, 0))
+    assume(data.y.any())
+    for call in recorded_searches(lambda: fit_full(data), "_wolfe2"):
+        assert_fallback_matches_scipy(*call)
+
+
+def test_fallback_search_stops_on_a_rounding_step():
+    # A value no lower than the last one gives a first step of -0.0: the
+    # search evaluates it, then gives up on rounding errors.
+    objective = SYNTHETIC["max-norm"][0]
+    xk = np.ones(2)
+    f0, g0 = objective(xk)
+    stp, trials = assert_fallback_matches_scipy(objective, xk, -g0, g0, f0, f0)
+    assert stp is None and len(trials) == 1
+
+
+def test_fallback_search_stops_at_the_zoom_cap():
+    # |x - 0.3| has slope -1 then 1, so no step meets the curvature
+    # condition: the first step overshoots and zoom gives up after 11 more.
+    def kink(x):
+        return abs(x[0] - 0.3), np.array([math.copysign(1.0, x[0] - 0.3)])
+
+    stp, trials = assert_fallback_matches_scipy(kink, ORIGIN, AHEAD, DOWNHILL, 0.3, 0.8)
+    assert stp is None and len(trials) == 12
+
+
+# Scripted searches from 0 along +1 whose tests land on their bounds: a
+# slope of exactly c2 |slope at 0|, a value between the sufficient-decrease
+# line and phi_lo, a slope that turns up at the first step, and a NaN slope
+# at 0, with which only the sign tests on the slopes decide. The rest of
+# each script fills the zoom's trials.
+@pytest.mark.parametrize("gfk, answers, stopped", [
+    (DOWNHILL, [(-0.5, -0.9)], False),
+    (DOWNHILL, [(-0.5, -1.0), (0.0, 0.0), (-0.6, 0.9)], False),
+    (DOWNHILL, [(-1.1e-4, -1.0), (1.0 - 1.1e-4, 0.0), (-1.2e-4, -1.0)], True),
+    (DOWNHILL, [(-0.5, 1.0), (-0.6, 0.5)], False),
+    (np.array([math.nan]), [(-1.0, 0.0)], True),
+    (np.array([math.nan]), [(-1.0, -1.0), (0.0, 0.0), (-2.0, 0.0)], True),
+    (np.array([math.nan]), [(0.0, -1.0)], True),
+], ids=["curvature-bound", "zoom-curvature-bound", "zoom-sufficient-decrease",
+        "slope-turns-up", "nan-slope-zero", "nan-slope-zoom", "nan-slope-flat"])
+def test_fallback_search_matches_scipy_at_its_bounds(gfk, answers, stopped):
+    objective = scripted(answers + [(1.0, 1.0)] * 20)
+    stp, _ = assert_fallback_matches_scipy(objective, ORIGIN, AHEAD, gfk, 0.0, 0.5)
+    assert (stp is None) == stopped
+
+
+def test_exhausted_fallback_search_leaves_the_gradient_to_bfgs(monkeypatch):
+    # A straight descent doubles the step ten times: the search returns
+    # step 1024 without a gradient, and _bfgs asks the objective for it.
+    def descent(x):
+        return -float(x[0]), np.array([-1.0])
+
+    stp, trials = assert_fallback_matches_scipy(descent, ORIGIN, AHEAD, DOWNHILL, 0.0, 0.5)
+    assert stp == 1024.0 and len(trials) == 11
+    requests = []
+
+    def counted(x):
+        requests.append(x.tobytes())
+        return descent(x)
+
+    res, fallbacks = assert_bfgs_matches_scipy(descent, ORIGIN, maxiter=1)
+    assert (res.status, res.nit, fallbacks) == (1, 1, 1)
+    monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+    with np.errstate(**estimation._QUIET):
+        x, _ = estimation._bfgs(counted, ORIGIN.copy())
+    assert x.tolist() == [1024.0]
+    assert requests[-1] == requests[-2] == x.tobytes()
+
+
+# Arguments of scipy's _quadmin and _cubicmin: a = 0 as an int, as scipy's
+# first interval has it; values as plain floats or numpy scalars, as the
+# objective returns them; and the degenerate cases that return None.
+QUADMIN_CASES = [
+    (0, 1.0, -1.0, 1.0, 0.5), (0.25, 1.0, -2.0, 1.5, 3.0),
+    (0, 1.0, -1.0, 1.0, 0.0),            # no curvature: a zero divisor
+    (0.5, 1.0, -1.0, 0.5, 2.0),          # a zero-width interval
+    (0, 1.0, -1e300, 1e-10, 1.0),        # a steep slope on a short interval
+    (0, math.inf, -1.0, 1.0, 0.5), (0, 1.0, -1.0, 1.0, math.nan),
+    (0, 1e308, -1.0, 1.0, -1e308),       # a value difference that overflows
+    (0, 1.0, -1e307, 100.0, 1.0),        # a slope term that overflows
+]
+CUBICMIN_CASES = [
+    (0, 1.0, -1.0, 1.0, 0.5, 2.0, 3.0), (0.25, 1.0, -2.0, 1.5, 3.0, 0.5, 0.7),
+    (0, 1.0, -1.0, 1.0, 0.5, 1.0, 0.5),  # b == c: a zero denominator
+    (0, 1.0, -1.0, 1.0, 0.5, 0, 1.0),    # c == a
+    (0, 1.0, 1.0, 1.0, 5.0, 2.0, 0.0),   # a negative radical
+    (0, 1.0, -1.0, 1.0, 0.0, 2.0, -1.0),  # A == 0: the cubic is a quadratic
+    (0, math.inf, -1.0, 1.0, 0.5, 2.0, 3.0), (0, 1.0, -1.0, 1.0, math.nan, 2.0, 3.0),
+    (0, 1e308, -1.0, 1.0, -1e308, 2.0, 0.0),
+    (0, 1.0, -1e307, 100.0, 1.0, 2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("numpy_values", [False, True], ids=["float", "np.float64"])
+@pytest.mark.parametrize("name, args", [
+    *(("_quadmin", args) for args in QUADMIN_CASES),
+    *(("_cubicmin", args) for args in CUBICMIN_CASES)])
+def test_interpolation_steps_match_scipy(name, args, numpy_values):
+    # The fallback's interpolation steps, None where numpy raises under
+    # errstate(raise) or the minimizer is not finite. scipy gets each slope
+    # as a numpy scalar, as its derphi returns one.
+    from scipy.optimize import _linesearch
+    if numpy_values:
+        args = tuple(np.float64(v) if i % 2 else v for i, v in enumerate(args))
+    want = getattr(_linesearch, name)(*(np.float64(v) if i == 2 else v
+                                        for i, v in enumerate(args)))
+    got = getattr(estimation, name)(*args)
+    assert (got is None) == (want is None)
+    assert got is None or bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interpolation_steps_match_scipy_on_random_intervals(seed):
+    # Intervals in any order and values over seven decades; a few cubics
+    # have no minimizer (a negative radical).
+    from scipy.optimize import _linesearch
+    rng = np.random.default_rng(seed)
+    found_none = 0
+    for _ in range(500):
+        a, b, c = rng.choice([0, 0.0, 0.5, 1.0]), rng.uniform(-2, 2), rng.uniform(-2, 2)
+        fa, fb, fc = (float(v) for v in rng.normal(0, 10.0 ** rng.integers(-3, 4), 3))
+        fpa = -abs(rng.normal()) * 10.0 ** rng.integers(-8, 3)
+        for name, args in (("_quadmin", (a, fa, fpa, b, fb)),
+                           ("_cubicmin", (a, fa, fpa, b, fb, c, fc))):
+            want = getattr(_linesearch, name)(*args[:2], np.float64(fpa), *args[3:])
+            got = getattr(estimation, name)(*args)
+            assert (got is None) == (want is None), (name, args)
+            assert got is None or bits(got) == bits(want), (name, args)
+            found_none += got is None
+    assert found_none > 0
+
+
+def test_bfgs_stage_calls_no_numpy_python_wrappers(monkeypatch):
+    # np.sum, np.amax, np.cumsum and ndarray.sum/max run through Python
+    # wrappers in numpy's fromnumeric.py and _methods.py; the fits' loop
+    # calls the ufuncs' C reductions instead, and this keeps it so. The
+    # stage profiled is the jejunal full fit's, which makes fallback searches
+    # and shift tables.
+    data = jejunal_dataset()
+    init = fit_poisson_size(data).params
+    files, names, bfgs = set(), set(), estimation._bfgs
+
+    def profile(frame, event, arg):
+        if event == "call":
+            files.add(Path(frame.f_code.co_filename).name)
+            names.add(frame.f_code.co_name)
+
+    def profiled(objective, p0):
+        sys.setprofile(profile)
+        try:
+            return bfgs(objective, p0)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(estimation, "_bfgs", profiled)
+    fit_full(data, init=init)
+    assert {"_derivatives", "_shift_sums", "_wolfe1", "_wolfe2"} <= names
+    assert not files & {"fromnumeric.py", "_methods.py"}
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])

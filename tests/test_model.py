@@ -73,10 +73,24 @@ def test_model_params_copy_beta():
     dict(beta=np.array([0.5 + 2j, 1.0]), mu=1.0, alpha=1.0),
     dict(beta=["0.5", "1"], mu=1.0, alpha=1.0),
     dict(beta=np.array([0.5, "1"], dtype=object), mu=1.0, alpha=1.0),
+    dict(beta=[1.0], mu=1 + 2j, alpha=2.0),
+    dict(beta=[1.0], mu="5", alpha=2.0),
+    dict(beta=[1.0], mu=5.0, alpha="2"),
+    dict(beta=[1.0], mu=np.array([5.0, 6.0]), alpha=2.0),
 ])
 def test_model_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: ModelParams(beta=[1.0], mu=np.array([5.0, 6.0]), alpha=2.0), "mu"),
+    (lambda: ModelParams(beta=[1.0], mu=5.0, alpha=np.array([[2.0]])), "alpha"),
+    (lambda: make_setting([1.0, 2.0, 3.0], 1.0, [100.0, 300.0], 25.0), "mu"),
+])
+def test_mu_and_alpha_must_be_one_number_each(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be one number, not shape "):
+        build()
 
 
 def test_array_holding_records_compare_by_identity():
@@ -333,6 +347,11 @@ def test_link_h_basic_values():
     (lambda: ModelParams(beta=["0.5", "1"], mu=1.0, alpha=1.0), "beta"),
     (lambda: make_setting([1 + 5j, 2, 3], 1.0, 100.0, 25.0), "design values"),
     (lambda: make_setting([1.0, 2.0, 3.0], 1.0 + 1j, 100.0, 25.0), "beta"),
+    (lambda: ModelParams(beta=[1.0], mu=1 + 2j, alpha=2.0), "mu"),
+    (lambda: ModelParams(beta=[1.0], mu="5", alpha=2.0), "mu"),
+    (lambda: ModelParams(beta=[1.0], mu=5.0, alpha="2"), "alpha"),
+    (lambda: make_setting([1.0, 2.0, 3.0], 1.0, 100.0 + 1j, 25.0), "mu"),
+    (lambda: make_setting([1.0, 2.0, 3.0], 1.0, 100.0, "25"), "alpha"),
     (lambda: link_h([1.0, 2j], [1.0, 1.0]), "x"),
     (lambda: link_h([1.0, 2.0], np.array(["1", 1.0], dtype=object)), "beta"),
 ])
